@@ -1,0 +1,38 @@
+"""The command-line examples of the README print exactly the recorded bytes.
+
+``data/readme_cli.json`` maps each example, as written in the README's
+"Command line" block (continuation lines joined), to its standard output.
+Refactors must leave every byte of it unchanged.
+"""
+
+import json
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from schubert_kit import cli
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = json.loads((HERE / "data" / "readme_cli.json").read_text(encoding="utf-8"))
+
+
+def readme_commands():
+    text = (HERE.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    joined = re.sub(r"\s*\\\n\s*", " ", block)
+    return [line.strip() for line in joined.splitlines() if line.strip()]
+
+
+def test_golden_covers_every_readme_example():
+    assert list(GOLDEN) == readme_commands()
+
+
+@pytest.mark.parametrize("command", list(GOLDEN),
+                         ids=[f"example{k:02d}" for k in range(len(GOLDEN))])
+def test_readme_example_stdout(command, capsys):
+    argv = shlex.split(command)
+    assert argv[0] == "schubert-kit"
+    assert cli.main(argv[1:]) == 0
+    assert capsys.readouterr().out == GOLDEN[command]
