@@ -11,7 +11,7 @@ the violated precondition), 3 a mathematical assertion that is a theorem
 failed (reserved so CI can tell bugs from environment problems).
 
 Every subcommand accepts --selftest to run its module's invariant suite at
-reduced bounds.  SCHUBERT_KIT_THREADS caps parallelism in grid selftests.
+reduced bounds.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from dataclasses import dataclass
 
 from . import ranktwo, selftests
 from .errors import SchubertKitError, TheoremViolation
@@ -49,23 +47,6 @@ EXIT_USAGE = 2
 EXIT_THEOREM = 3
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("SCHUBERT_KIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-@dataclass(frozen=True)
-class OutputSpec:
-    """Where and how a subcommand emits its table; arithmetic is never rounded."""
-
-    format: str = "table"
-    destination: str = "-"
-    precision_tag: str = "exact"
-
-
 def _emit(args, params: dict, bounds: dict, columns, rows, extras=None,
           json_rows=None):
     """Render rows (list of dicts) in the selected format, deterministically.
@@ -74,10 +55,8 @@ def _emit(args, params: dict, bounds: dict, columns, rows, extras=None,
     (word lists, exponent vectors) round-trip through the documented
     schemas instead of the flat display strings.
     """
-    spec = OutputSpec(args.format, args.output)
     out = io.StringIO()
-    fmt = spec.format
-    if fmt == "json":
+    if args.format == "json":
         doc = {
             "params": params,
             "bounds": bounds,
@@ -86,7 +65,7 @@ def _emit(args, params: dict, bounds: dict, columns, rows, extras=None,
         }
         out.write(json.dumps(doc, indent=2))
         out.write("\n")
-    elif fmt == "csv":
+    elif args.format == "csv":
         if bounds:
             out.write(
                 "# bounds: "
@@ -116,21 +95,16 @@ def _emit(args, params: dict, bounds: dict, columns, rows, extras=None,
         for k, v in (extras or {}).items():
             out.write(f"{k}: {v}\n")
     text = out.getvalue()
-    if spec.destination and spec.destination != "-":
-        with open(spec.destination, "w", encoding="utf-8") as fh:
+    if args.output and args.output != "-":
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _run_selftest(suite_name: str) -> int:
-    suite = selftests.SUITES[suite_name]
-    if suite_name == "rank2":
-        results = suite(threads=thread_cap())
-    else:
-        results = suite()
     failed = False
-    for name, ok in results:
+    for name, ok in selftests.SUITES[suite_name]():
         print(f"[{'PASS' if ok else 'FAIL'}] {suite_name}: {name}")
         failed |= not ok
     return EXIT_THEOREM if failed else EXIT_OK
@@ -142,6 +116,23 @@ def _gcm_from_args(args):
     if getattr(args, "gcm", None):
         return parse_gcm(args.gcm)
     raise SchubertKitError("a Cartan matrix is required (--gcm or --gcm-file)")
+
+
+def _json_entries(text: str, field: str) -> list:
+    """A JSON list of ``{field: [int, ...], "coefficient": int or str}``.
+
+    Raises ValueError naming the expected schema for anything else.
+    """
+    data = json.loads(text)
+    if not isinstance(data, list) or not all(
+        isinstance(entry, dict)
+        and isinstance(entry.get(field), list)
+        and all(isinstance(x, int) for x in entry[field])
+        and isinstance(entry.get("coefficient"), (int, str))
+        for entry in data
+    ):
+        raise ValueError(f"expected a JSON list of {{{field}, coefficient}} objects")
+    return data
 
 
 def _word_arg(text: str) -> tuple[int, ...]:
@@ -243,7 +234,7 @@ def cmd_schubert_act(args):
         return _run_selftest("schubert")
     g = _gcm_from_args(args)
     ring = parse_ring(args.ring)
-    vec = schubert_from_jsonable(g, ring, json.loads(args.cls))
+    vec = schubert_from_jsonable(g, ring, _json_entries(args.cls, "word"))
     result = nil_aw(_word_arg(args.word), vec)
     payload = schubert_to_jsonable(result)
     rows = [
@@ -307,7 +298,7 @@ def cmd_poly_psi(args):
     g = _gcm_from_args(args)
     ring = parse_ring(args.field)
     model = _model_from_args(args, g, ring)
-    f = model.from_jsonable(json.loads(args.poly))
+    f = model.from_jsonable(_json_entries(args.poly, "exponents"))
     image = model.characteristic_map(f)
     payload = schubert_to_jsonable(image)
     rows = [
@@ -532,6 +523,19 @@ def cmd_rank2_hopf(args):
 # -- parser ----------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def _add_common(p):
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p.add_argument("--output", default="-", help="destination path or - for stdout")
@@ -573,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = w.add_parser("enum", help="enumerate elements by length")
     _add_gcm_opts(p)
-    p.add_argument("--max-len", type=int, default=8)
+    p.add_argument("--max-len", type=_int_at_least(0), default=8)
     _add_common(p)
     p.set_defaults(func=cmd_weyl_enum)
     p = w.add_parser("bruhat", help="compare two elements in Bruhat order")
@@ -658,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = rank2_parser(
         "bockstein",
         "the valuation identity for g along multiples of k",
-        **{"-p": {"type": int, "default": 2}, "-S": {"type": int, "default": 20}},
+        **{"-p": {"type": int, "default": 2}, "-S": {"type": _int_at_least(1), "default": 20}},
     )
     p.set_defaults(func=cmd_rank2_bockstein)
     p = rank2_parser(
@@ -678,7 +682,7 @@ def main(argv=None) -> int:
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return EXIT_THEOREM
-    except (SchubertKitError, ValueError, json.JSONDecodeError) as exc:
+    except (SchubertKitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

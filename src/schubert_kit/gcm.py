@@ -16,8 +16,9 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import intmat
+from . import intmat, linalg
 from .errors import DiagonalNotTwo, PositiveOffDiagonal, ZeroAsymmetry
+from .rings import QQ
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -169,20 +170,21 @@ def spherical_poset(gcm: GeneralizedCartanMatrix) -> SphericalPoset:
     """All finite-type subsets with their inclusion covers.
 
     The result always contains the empty set and every singleton, and is
-    downward closed.
+    downward closed.  Built by size: a subset is spherical iff every facet
+    ``S - {x}`` is spherical and ``det(A_S) > 0`` (its smaller principal
+    minors are those of its facets), and its covers are exactly those
+    facets.
     """
-    members = []
-    for r in range(gcm.size + 1):
-        for sub in combinations(gcm.index_set, r):
-            if is_finite_type(gcm, sub):
-                members.append(sub)
-    member_set = set(members)
+    members = [()]
+    member_set = {()}
     covers = []
-    for sub in members:
-        for sup in members:
-            if len(sup) == len(sub) + 1 and set(sub) < set(sup):
-                covers.append((sub, sup))
-    members.sort(key=lambda s: (len(s), s))
+    for r in range(1, gcm.size + 1):
+        for sub in combinations(gcm.index_set, r):
+            facets = [sub[:t] + sub[t + 1:] for t in range(r)]
+            if all(f in member_set for f in facets) and intmat.det(gcm.submatrix(sub)) > 0:
+                members.append(sub)
+                member_set.add(sub)
+                covers.extend((f, sub) for f in facets)
     covers.sort()
     return SphericalPoset(tuple(members), tuple(covers))
 
@@ -198,15 +200,16 @@ def standard_realization(gcm: GeneralizedCartanMatrix) -> Realization:
     """
     n = gcm.size
     stacked = [list(row) for row in gcm.entries]
-    r = intmat.rank(stacked)
+    r = linalg.rank(stacked, QQ)
+    torus_rank = 2 * n - r
     for k in range(n):
-        if intmat.rank(stacked) == n:
+        if r == n:
             break
         cand = [1 if t == k else 0 for t in range(n)]
-        if intmat.rank(stacked + [cand]) > intmat.rank(stacked):
+        if linalg.rank(stacked + [cand], QQ) > r:
             stacked.append(cand)
-    torus_rank = 2 * n - r
-    assert len(stacked) == torus_rank and intmat.rank(stacked) == n
+            r += 1
+    assert len(stacked) == torus_rank and linalg.rank(stacked, QQ) == n
     coroots = tuple(
         tuple(1 if t == i else 0 for t in range(torus_rank)) for i in range(n)
     )

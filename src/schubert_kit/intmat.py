@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 Matrix = tuple[tuple[int, ...], ...]
 
 
@@ -12,87 +10,50 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    k = len(b)
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(ra[t] * cb[t] for t in range(k)) for cb in bt) for ra in a
     )
 
 
-def column(a: Matrix, j: int) -> tuple[int, ...]:
-    return tuple(row[j] for row in a)
+def _eliminate(rows: list[list[int]], n: int) -> int:
+    """Fraction-free Gauss-Jordan on the first ``n`` columns, in place.
+
+    Returns the determinant of the leading n x n block ``M``.  Each step
+    replaces every non-pivot row by ``(pivot * row - f * pivot_row) /
+    previous_pivot``, a division that is always exact (Bareiss 1968), and a
+    row swap negates one of the two rows so that no step changes the
+    determinant.  When ``d = det(M)`` is nonzero the leading block ends as
+    ``d * I`` and every further column ``c`` as ``d * M^-1 c``.
+    """
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            rows[k], rows[p] = rows[p], [-x for x in rows[k]]
+        pivot_row = rows[k]
+        piv = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(piv * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
+        prev = piv
+    return prev
 
 
 def det(m) -> int:
     """Exact determinant of a square integer matrix."""
-    rows = [[Fraction(x) for x in row] for row in m]
-    n = len(rows)
-    sign = 1
-    for c in range(n):
-        piv = next((r for r in range(c, n) if rows[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        for r in range(c + 1, n):
-            f = rows[r][c] / rows[c][c]
-            for t in range(c, n):
-                rows[r][t] -= f * rows[c][t]
-    d = sign
-    for c in range(n):
-        d *= rows[c][c]
-    assert d.denominator == 1
-    return d.numerator
-
-
-def rank(m) -> int:
-    """Rank over the rationals of an integer matrix given as rows."""
-    rows = [[Fraction(x) for x in row] for row in m]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c] / rows[r][c]
-                for t in range(c, ncols):
-                    rows[i][t] -= f * rows[r][t]
-        r += 1
-    return r
-
-
-def inverse_rational(m: Matrix):
-    """Inverse as Fractions, or None if singular."""
-    n = len(m)
-    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(m)]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if rows[i][c]), None)
-        if piv is None:
-            return None
-        rows[r], rows[piv] = rows[piv], rows[r]
-        f = rows[r][c]
-        rows[r] = [x / f for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                g = rows[i][c]
-                rows[i] = [x - g * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return tuple(tuple(row[n:]) for row in rows)
+    return _eliminate([list(row) for row in m], len(m))
 
 
 def integer_inverse(m: Matrix):
     """Inverse of a unimodular integer matrix, or None."""
-    inv = inverse_rational(m)
-    if inv is None:
+    n = len(m)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    d = _eliminate(rows, n)
+    if d not in (1, -1):
         return None
-    if any(x.denominator != 1 for row in inv for x in row):
-        return None
-    return tuple(tuple(x.numerator for x in row) for row in inv)
+    return tuple(tuple(d * x for x in row[n:]) for row in rows)

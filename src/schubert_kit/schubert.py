@@ -251,10 +251,5 @@ def tensor_to_jsonable(t: TensorVector) -> list:
     ]
 
 
-def basis_vector(gcm: GeneralizedCartanMatrix, ring, word) -> SchubertVector:
-    """Convenience: the basis class of the element with the given word."""
-    return SchubertVector.basis(ring, from_word(gcm, word))
-
-
 def identity_vector(gcm: GeneralizedCartanMatrix, ring) -> SchubertVector:
     return SchubertVector.basis(ring, identity_element(gcm))

@@ -8,7 +8,6 @@ bounds live in the test tree.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 
 from . import ranktwo
 from .ffield import Fp2Element, multiplicative_order, quadratic_field, quadratic_roots
@@ -273,7 +272,7 @@ def ffield_selftest():
     return checks
 
 
-def ranktwo_selftest(threads: int = 1):
+def ranktwo_selftest():
     checks = []
     ok = True
     rng = random.Random(3)
@@ -314,12 +313,7 @@ def ranktwo_selftest(threads: int = 1):
             good &= ranktwo.matrix_order_method(a, b, p) == closed
         return good
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(agree, grid))
-    else:
-        results = [agree(item) for item in grid]
-    checks.append(("prime order methods agree", all(results)))
+    checks.append(("prime order methods agree", all([agree(item) for item in grid])))
     ok = True
     for a, b, p in ((2, 2, 2), (2, 3, 3), (1, 5, 2)):
         ok &= ranktwo.bockstein_valuation_check(a, b, p, 10)

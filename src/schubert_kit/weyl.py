@@ -166,19 +166,22 @@ def enumerate_by_length(gcm: GeneralizedCartanMatrix, max_len: int):
 
 
 def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
-    """Bruhat order test by the descent recursion."""
+    """Bruhat order test by the descent recursion, unrolled into a loop.
+
+    For a right descent ``i`` of ``w``: ``v <= w`` iff ``v r_i <= w r_i``
+    when ``i`` is also a descent of ``v``, and iff ``v <= w r_i`` otherwise.
+    """
     if v.gcm != w.gcm:
         raise ValueError("elements belong to different groups")
-    if v.length > w.length:
-        return False
-    if w.length == 0:
-        return v.length == 0
-    i = next(i for i in range(1, w.gcm.size + 1) if right_descent(w, i))
-    s = simple_reflection(w.gcm, i)
-    wri = multiply(w, s)
-    if right_descent(v, i):
-        return bruhat_leq(multiply(v, s), wri)
-    return bruhat_leq(v, wri)
+    while v.length <= w.length:
+        if w.length == 0:
+            return True
+        i = next(i for i in range(1, w.gcm.size + 1) if right_descent(w, i))
+        s = simple_reflection(w.gcm, i)
+        if right_descent(v, i):
+            v = multiply(v, s)
+        w = multiply(w, s)
+    return False
 
 
 def min_coset_reps(gcm: GeneralizedCartanMatrix, subset, max_len: int):

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -36,3 +37,16 @@ def gcm_a23():
 @pytest.fixture
 def gcm_affine_a2():
     return validate_gcm(AFFINE_A2)
+
+
+def leibniz_det(m):
+    """Determinant by expansion over permutations; shares no code with intmat."""
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from schubert_kit import cli
 from schubert_kit.errors import NonIntegral
 
@@ -212,11 +214,27 @@ def test_usage_error_exit_code(capsys):
     assert "Cartan matrix" in capsys.readouterr().err
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("SCHUBERT_KIT_THREADS", "4")
-    assert cli.thread_cap() == 4
-    monkeypatch.setenv("SCHUBERT_KIT_THREADS", "junk")
-    assert cli.thread_cap() == 1
+@pytest.mark.parametrize("argv", [
+    ["rank2", "bockstein", "-S", "0"],
+    ["schubert", "act", "--gcm", "2,-2;-2,2", "--class", '[{"wrd": [1]}]'],
+    ["poly", "psi", "--gcm", "2,-2;-3,2", "--poly", '[{"exponents": [1, 0]}]'],
+    ["schubert", "act", "--gcm", "2,-2;-2,2", "--class", '[{"word": 1, "coefficient": 1}]'],
+    ["poly", "psi", "--gcm", "2,-2;-3,2", "--poly",
+     '[{"exponents": [1, 0], "coefficient": 0.5}]'],
+    ["weyl", "enum", "--gcm-file", "MISSING"],
+    ["weyl", "enum", "--gcm", "2,-2;-2,2", "--max-len", "-2"],
+], ids=["S-zero", "class-missing-key", "poly-missing-key", "class-word-not-list",
+        "poly-float-coefficient", "missing-file", "negative-max-len"])
+def test_bad_input_exits_2(argv, tmp_path, capsys):
+    argv = [str(tmp_path / "absent.json") if a == "MISSING" else a for a in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the value while parsing
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.strip()
 
 
 def test_gcm_file_input(tmp_path, capsys):

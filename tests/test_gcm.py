@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import combinations
 
 import pytest
 
@@ -18,7 +20,7 @@ from schubert_kit.gcm import (
 from schubert_kit.intmat import identity, mat_mul
 from schubert_kit.weyl import reflection_matrix
 
-from conftest import AFFINE_A2
+from conftest import AFFINE_A2, leibniz_det
 
 
 def test_validate_accepts_rank_two_hyperbolic():
@@ -127,6 +129,48 @@ def test_spherical_poset_covers(gcm_a11):
     assert ((), (1, 2)) not in covers
 
 
+def _random_gcm(rng, n):
+    """Off-diagonal pairs drawn independently, so most are not symmetrizable."""
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.6:
+                rows[i][j], rows[j][i] = -rng.randint(1, 3), -rng.randint(1, 3)
+    return rows
+
+
+def test_spherical_poset_matches_principal_minor_oracle():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        rows = _random_gcm(rng, rng.randint(1, 6))
+        n = len(rows)
+        minor = {
+            sub: leibniz_det([[rows[i][j] for j in sub] for i in sub])
+            for r in range(n + 1)
+            for sub in combinations(range(n), r)
+        }
+        want = [
+            tuple(i + 1 for i in sub)
+            for sub in minor
+            if all(minor[s] > 0 for r in range(1, len(sub) + 1) for s in combinations(sub, r))
+        ]
+        want_covers = sorted(
+            (a, b) for a in want for b in want if len(b) == len(a) + 1 and set(a) < set(b)
+        )
+        poset = spherical_poset(validate_gcm(rows))
+        assert poset.subsets == tuple(want), rows
+        assert poset.covers == tuple(want_covers), rows
+
+
+def test_spherical_poset_affine_a9_counts():
+    n = 10
+    rows = [[2 if i == j else -1 if (i - j) % n in (1, n - 1) else 0 for j in range(n)]
+            for i in range(n)]
+    poset = spherical_poset(validate_gcm(rows))
+    assert len(poset.subsets) == 2 ** n - 1
+    assert len(poset.covers) == n * 2 ** (n - 1) - n
+
+
 def _pairing(real, i, j):
     return sum(x * y for x, y in zip(real.root_functionals[j], real.coroots[i]))
 
@@ -156,13 +200,20 @@ def test_realization_pairings_exhaustive(rows):
                 assert dual == (1 if i == j else 0)
 
 
-def test_standard_realization_roots_independent(gcm_a22, gcm_affine_a2):
-    from schubert_kit.intmat import rank
+def _has_full_rank(vectors):
+    """Some maximal minor of the n x d matrix of ``vectors`` is nonzero."""
+    n = len(vectors)
+    return any(
+        leibniz_det([[v[c] for c in cols] for v in vectors])
+        for cols in combinations(range(len(vectors[0])), n)
+    )
 
+
+def test_standard_realization_roots_independent(gcm_a22, gcm_affine_a2):
     for g in (gcm_a22, gcm_affine_a2):
         real = standard_realization(g)
-        assert rank([list(r) for r in real.root_functionals]) == g.size
-        assert rank([list(h) for h in real.coroots]) == g.size
+        assert _has_full_rank(real.root_functionals)
+        assert _has_full_rank(real.coroots)
 
 
 def test_affine_a2_torus_rank(gcm_affine_a2):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from schubert_kit.errors import NotInGroup, NotSpherical
@@ -163,6 +165,31 @@ def test_bruhat_matches_subword_oracle(rows, max_len):
         below = _subword_set(w)
         for v in elems:
             assert bruhat_leq(v, w) == (v in below)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_bruhat_independent_of_recursion_limit(gcm_a22):
+    # infinite dihedral group: v <= w iff l(v) < l(w) or v == w
+    def alternating(first, length):
+        return from_word(gcm_a22, [first if t % 2 == 0 else 3 - first for t in range(length)])
+
+    long_1, long_2 = alternating(1, 300), alternating(2, 300)
+    shorter = alternating(2, 299)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        assert bruhat_leq(shorter, long_1)
+        assert bruhat_leq(long_1, long_1)
+        assert not bruhat_leq(long_2, long_1)
+        assert not bruhat_leq(long_1, shorter)
+    finally:
+        sys.setrecursionlimit(saved)
 
 
 def test_min_coset_reps(gcm_a22, gcm_a11):
