@@ -648,10 +648,10 @@ def build_parser() -> argparse.ArgumentParser:
                      **{"-N": {"type": int, "default": 20}})
     p.set_defaults(func=cmd_rank2_table)
     p = rank2_parser("products", "cup-product structure constants",
-                     **{"-N": {"type": int, "default": 20}})
+                     **{"-N": {"type": _int_at_least(0), "default": 20}})
     p.set_defaults(func=cmd_rank2_products)
     p = rank2_parser("hk", "integral cohomology of the group",
-                     **{"-N": {"type": int, "default": 20}})
+                     **{"-N": {"type": _int_at_least(0), "default": 20}})
     p.set_defaults(func=cmd_rank2_hk)
     p = rank2_parser(
         "prime-order",

@@ -4,10 +4,12 @@
 a polynomial ring on degree-2 generators, one per lattice coordinate of a
 chosen realization.  It carries the reflection action ``r_i(t) = t -
 t(h_i) * alpha_i`` on linear forms, the divided difference operators
-``(f - r_i f) / alpha_i`` with exact division, the characteristic
-homomorphism into the Schubert basis, the ideal of generalized invariants
-computed degreewise as a kernel, and the total Steenrod operation over a
-prime field.
+``(f - r_i f) / alpha_i`` written in closed form from the binomial
+expansion of ``f`` along the coroot (no division, integer coefficients),
+the characteristic homomorphism into the Schubert basis, computed over the
+integers by a recursion over right descents one degree at a time, the
+ideal of generalized invariants computed degreewise as a kernel, and the
+total Steenrod operation over a prime field.
 
 Internally everything is graded by polynomial degree; the topological
 degree ``2d`` appears only at the interface.
@@ -16,15 +18,14 @@ degree ``2d`` appears only at the interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iter_product
 from math import comb
+from operator import add
 
 from . import linalg
-from .errors import InexactDivision, NotHomogeneous
+from .errors import NotHomogeneous
 from .gcm import GeneralizedCartanMatrix, Realization, standard_realization
 from .poincare import PoincareSeries
-from .rings import QQ, ZZ
 from .schubert import SchubertVector
 from .weyl import enumerate_by_length
 
@@ -206,9 +207,10 @@ class InvariantsReport:
 class WeightRing:
     """Polynomial model of the torus cohomology with its operator calculus.
 
-    Holds a coefficient ring and a lattice realization; caches per-monomial
-    characteristic-map images for the session (confine one instance to one
-    thread, or guard it externally).
+    Holds a coefficient ring and a lattice realization.  Caches, for the
+    life of the instance, the integer images of monomials degree by degree,
+    their per-monomial images in the ring, and the expansions behind the
+    operators (confine one instance to one thread, or guard it externally).
     """
 
     def __init__(self, gcm: GeneralizedCartanMatrix, ring,
@@ -217,6 +219,12 @@ class WeightRing:
         self.ring = ring
         self.realization = realization if realization is not None else standard_realization(gcm)
         self.nvars = self.realization.torus_rank
+        self._moves = [[(k, p) for k, p in enumerate(c) if p]
+                       for c in self.realization.coroots]
+        self._neg_root = [[(k, -a) for k, a in enumerate(r) if a]
+                          for r in self.realization.root_functionals]
+        self._shifts: dict[tuple[int, ...], list] = {}
+        self._images: list[dict[tuple[int, ...], list[int]]] = []
         self._psi_cache: dict[tuple[int, ...], SchubertVector] = {}
 
     # -- constructors -------------------------------------------------
@@ -263,70 +271,77 @@ class WeightRing:
                                       self.ring.promote(c))
         return GradedPolynomial(self.ring, self.nvars, acc)
 
-    # -- the reflection action ----------------------------------------
+    # -- the reflection action and divided differences ----------------
 
-    def _act_in_ring(self, i, poly: GradedPolynomial, ring) -> GradedPolynomial:
-        pairing = self.realization.coroots[i - 1]
-        root_coords = self.realization.root_functionals[i - 1]
-        nv = self.nvars
-        alpha = GradedPolynomial(
-            ring, nv,
-            {tuple(1 if t == k else 0 for t in range(nv)): c
-             for k, c in enumerate(root_coords) if c},
-        )
-        # images of the variables that actually move
-        moved = {}
-        for k, pk in enumerate(pairing):
-            if pk:
-                tk = GradedPolynomial.variable(ring, nv, k)
-                moved[k] = tk - alpha.scale(pk)
-        out = GradedPolynomial.zero(ring, nv)
-        for exps, c in poly.terms.items():
-            fixed = tuple(0 if k in moved else e for k, e in enumerate(exps))
-            term = GradedPolynomial(ring, nv, {fixed: c})
-            for k, img in moved.items():
-                if exps[k]:
-                    term = term * img ** exps[k]
-            out = out + term
-        return out
+    def _shift_sum(self, i, terms, start):
+        """Sum over j >= start of (-alpha_i)^(j - start) * D_j f.
+
+        ``D_j f`` is the coefficient of s^j in f(t + s p), where p pairs the
+        lattice coordinates with the i-th coroot, so r_i f = f(t - alpha_i p)
+        is the sum from ``start`` = 0 and the divided difference is the sum
+        from ``start`` = 1.  Coefficients only meet integers, so integral
+        input gives integral output for any realization.  Coordinates with
+        p_k = 0 do not move, so each monomial is its fixed part times the
+        sum for its moved part, which is computed once per instance.
+        """
+        moves = self._moves[i - 1]
+        out = {}
+        for e, c in terms.items():
+            key = (i, start) + tuple(e[k] for k, _ in moves)
+            moved = self._shifts.get(key)
+            if moved is None:
+                moved = self._shifts[key] = self._expand_moved(i, key[2:], start)
+            fixed = list(e)
+            for k, _ in moves:
+                fixed[k] = 0
+            for e2, c2 in moved:
+                e2 = tuple(map(add, fixed, e2))
+                out[e2] = out.get(e2, 0) + c * c2
+        return {e: c for e, c in out.items() if c}
+
+    def _expand_moved(self, i, exps, start):
+        """``_shift_sum`` of the monomial with exponents ``exps`` on the moved
+        coordinates: the binomial expansions D_j, summed by Horner's rule."""
+        shifted = [(0, (0,) * self.nvars, 1)]
+        for (k, pk), ek in zip(self._moves[i - 1], exps):
+            shifted = [
+                (j + a, e[:k] + (ek - a,) + e[k + 1:], c * comb(ek, a) * pk ** a)
+                for j, e, c in shifted
+                for a in range(ek + 1)
+            ]
+        parts = [{} for _ in range(sum(exps) + 1 - start)]
+        for j, e, c in shifted:
+            if j >= start:
+                parts[j - start][e] = c
+        acc = {}
+        for part in reversed(parts):
+            for e, c in acc.items():
+                for k, a in self._neg_root[i - 1]:
+                    e2 = e[:k] + (e[k] + 1,) + e[k + 1:]
+                    part[e2] = part.get(e2, 0) + a * c
+            acc = part
+        return [(e, c) for e, c in acc.items() if c]
 
     def weyl_act(self, i: int, f: GradedPolynomial) -> GradedPolynomial:
-        """The ring involution induced by the i-th simple reflection."""
-        self._own(f)
-        return self._act_in_ring(i, f, self.ring)
+        """The ring involution induced by the i-th simple reflection.
 
-    # -- divided differences ------------------------------------------
-
-    def divided_difference(self, i: int, f: GradedPolynomial) -> GradedPolynomial:
-        """(f - r_i f) / alpha_i, with exact division.
-
-        Over Z the quotient is verified integral; over a prime field the
-        input is lifted to Z, divided there, and reduced back, which is the
-        unique operator compatible with reduction of coefficients.  A
-        nonzero remainder raises InexactDivision and means a bug, not bad
-        input.
+        r_i moves each coordinate t_k to t_k - p_k alpha_i, where p_k is its
+        pairing with the i-th coroot; the image is the sum over j of
+        (-alpha_i)^j D_j f, with D_j f the coefficient of s^j in f(t + s p).
         """
         self._own(f)
-        root_coords = self.realization.root_functionals[i - 1]
-        if self.ring == QQ:
-            num = f - self._act_in_ring(i, f, QQ)
-            quot = _divide_by_linear(num.terms, root_coords)
-            return GradedPolynomial(QQ, self.nvars, quot)
-        # lift to integers (identity for Z; canonical representatives for F_p)
-        lift = GradedPolynomial(ZZ, self.nvars,
-                                {e: int(c) for e, c in f.terms.items()})
-        num = lift - self._act_in_ring(i, lift, ZZ)
-        quot = _divide_by_linear(
-            {e: Fraction(c) for e, c in num.terms.items()}, root_coords
-        )
-        out = {}
-        for e, c in quot.items():
-            if c.denominator != 1:
-                raise InexactDivision(
-                    f"quotient coefficient {c} is not integral"
-                )
-            out[e] = c.numerator
-        return GradedPolynomial(self.ring, self.nvars, out)
+        return GradedPolynomial(self.ring, self.nvars, self._shift_sum(i, f.terms, 0))
+
+    def divided_difference(self, i: int, f: GradedPolynomial) -> GradedPolynomial:
+        """(f - r_i f) / alpha_i, in closed form without division.
+
+        With D_j f as in ``weyl_act``, the quotient is the sum over j >= 1 of
+        (-1)^(j+1) alpha_i^(j-1) D_j f.  Every coefficient is an integer
+        combination of the coefficients of f, so the operator commutes with
+        reducing integer coefficients mod p and is the same over Z, Q and F_p.
+        """
+        self._own(f)
+        return GradedPolynomial(self.ring, self.nvars, self._shift_sum(i, f.terms, 1))
 
     def operator_word(self, word, f: GradedPolynomial) -> GradedPolynomial:
         """Composite divided difference along a word (rightmost acts first)."""
@@ -344,9 +359,11 @@ class WeightRing:
 
         The coefficient of the class of ``w`` (length d = deg f) is the
         degree-0 part of the composite divided difference along a reduced
-        word of ``w``: evaluation against a cell factors through the
-        operator for that cell, and the operators commute with the map, so
-        the coefficient can be read off entirely on the polynomial side.
+        word of ``w``.  So for any right descent ``i`` of ``w`` it is the
+        coefficient of ``w r_i`` in the image of the divided difference
+        A_i f, which has degree d - 1: images of monomials are computed over
+        the integers degree by degree from those one degree lower (see
+        ``_integer_images``) and reduced into the coefficient ring once.
         """
         self._own(f)
         if f.is_zero():
@@ -362,16 +379,40 @@ class WeightRing:
         if cached is not None:
             return cached
         d = sum(exps)
-        mono = self.monomial(exps)
-        out = {}
-        for w in enumerate_by_length(self.gcm, d)[d]:
-            g = self.operator_word(w.word, mono)
-            c = g.constant_coefficient()
-            if not self.ring.is_zero(c):
-                out[w] = c
-        vec = SchubertVector(self.ring, out)
+        levels = enumerate_by_length(self.gcm, d)
+        row = self._integer_images(levels)[d][exps]
+        vec = SchubertVector(self.ring, {w: c for w, c in zip(levels[d], row) if c})
         self._psi_cache[exps] = vec
         return vec
+
+    def _integer_images(self, levels):
+        """Integer images of all monomials of degree < len(levels), per degree.
+
+        Entry d maps each degree-d exponent vector to its coefficients on the
+        elements of ``levels[d]``, in order.  The last letter i of the
+        lex-least word of ``w`` is a right descent, and ``w r_i`` is that
+        word without its last letter (a prefix of a lex-least reduced word is
+        lex-least), so each element records i and the index of ``w r_i`` one
+        level down, and psi(m)[w] = sum over m' of coeff(A_i m, m') *
+        psi(m')[w r_i].  Over F_p the values are reduced at every degree.
+        """
+        images, p = self._images, self.ring.char
+        if not images:
+            images.append({(0,) * self.nvars: [1]})
+        while len(images) < len(levels):
+            d = len(images)
+            below, prev = levels[d - 1], images[d - 1]
+            index = {w.word: k for k, w in enumerate(below)}
+            table = [(w.word[-1], index[w.word[:-1]]) for w in levels[d]]
+            descents = {i for i, _ in table}
+            level = {}
+            for m in monomial_exponents(self.nvars, d):
+                diffs = {i: [(prev[e], c) for e, c in self._shift_sum(i, {m: 1}, 1).items()]
+                         for i in descents}
+                row = [sum(c * vec[k] for vec, c in diffs[i]) for i, k in table]
+                level[m] = [x % p for x in row] if p else row
+            images.append(level)
+        return images
 
     # -- generalized invariants ----------------------------------------
 
@@ -485,43 +526,6 @@ class WeightRing:
         if self.ring.char == 0:
             raise ValueError("Steenrod operations require a prime field")
         return self.ring.char
-
-
-def _divide_by_linear(terms, alpha_coords):
-    """Divide a Fraction-coefficient polynomial by a linear form, exactly.
-
-    Long division in a pivot variable of the form; prefers a variable with
-    unit coefficient so intermediate values stay small.  Raises
-    InexactDivision when a remainder survives.
-    """
-    pivot = next(
-        (k for k, c in enumerate(alpha_coords) if c in (1, -1)),
-        next((k for k, c in enumerate(alpha_coords) if c), None),
-    )
-    if pivot is None:
-        raise InexactDivision("division by the zero form")
-    lead = Fraction(alpha_coords[pivot])
-    work = {e: Fraction(c) for e, c in terms.items() if c}
-    quot: dict[tuple[int, ...], Fraction] = {}
-    while work:
-        top = max(e[pivot] for e in work)
-        if top == 0:
-            raise InexactDivision(f"remainder {work} after division")
-        e = max(e for e in work if e[pivot] == top)
-        c = work.pop(e)
-        qe = tuple(x - 1 if k == pivot else x for k, x in enumerate(e))
-        qc = c / lead
-        quot[qe] = quot.get(qe, Fraction(0)) + qc
-        for k, ak in enumerate(alpha_coords):
-            if not ak or k == pivot:
-                continue
-            target = tuple(x + 1 if t == k else x for t, x in enumerate(qe))
-            val = work.get(target, Fraction(0)) - qc * ak
-            if val:
-                work[target] = val
-            else:
-                work.pop(target, None)
-    return {e: c for e, c in quot.items() if c}
 
 
 def _peel_factors(image_dims, nvars):

@@ -170,17 +170,20 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
 
     For a right descent ``i`` of ``w``: ``v <= w`` iff ``v r_i <= w r_i``
     when ``i`` is also a descent of ``v``, and iff ``v <= w r_i`` otherwise.
+    Each step is one matrix product per element and lowers its length by
+    one, so the words are never recomputed.
     """
     if v.gcm != w.gcm:
         raise ValueError("elements belong to different groups")
-    while v.length <= w.length:
-        if w.length == 0:
+    vm, vl, wm, wl = v.matrix, v.length, w.matrix, w.length
+    while vl <= wl:
+        if wl == 0:
             return True
-        i = next(i for i in range(1, w.gcm.size + 1) if right_descent(w, i))
-        s = simple_reflection(w.gcm, i)
-        if right_descent(v, i):
-            v = multiply(v, s)
-        w = multiply(w, s)
+        i = next(i for i in range(1, w.gcm.size + 1) if _is_negative_column(wm, i))
+        r = reflection_matrix(w.gcm, i)
+        if _is_negative_column(vm, i):
+            vm, vl = intmat.mat_mul(vm, r), vl - 1
+        wm, wl = intmat.mat_mul(wm, r), wl - 1
     return False
 
 

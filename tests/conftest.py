@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import permutations
 
 import pytest
@@ -50,3 +51,11 @@ def leibniz_det(m):
             term *= m[i][perm[i]]
         total += term
     return total
+
+
+def stack_depth():
+    """Frames on the current call stack, for tests that lower the recursion limit."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth

@@ -223,8 +223,11 @@ def test_usage_error_exit_code(capsys):
      '[{"exponents": [1, 0], "coefficient": 0.5}]'],
     ["weyl", "enum", "--gcm-file", "MISSING"],
     ["weyl", "enum", "--gcm", "2,-2;-2,2", "--max-len", "-2"],
+    ["rank2", "hk", "-N", "-3"],
+    ["rank2", "products", "-N", "-1"],
 ], ids=["S-zero", "class-missing-key", "poly-missing-key", "class-word-not-list",
-        "poly-float-coefficient", "missing-file", "negative-max-len"])
+        "poly-float-coefficient", "missing-file", "negative-max-len", "hk-negative-N",
+        "products-negative-N"])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     argv = [str(tmp_path / "absent.json") if a == "MISSING" else a for a in argv]
     try:

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -10,7 +11,7 @@ from schubert_kit.rings import GF, QQ, ZZ
 from schubert_kit.schubert import SchubertVector, nil_a
 from schubert_kit.weyl import simple_reflection
 
-from conftest import AFFINE_A2
+from conftest import AFFINE_A2, stack_depth
 
 SAMPLE_ROWS = [
     [[2, -1], [-1, 2]],
@@ -233,6 +234,19 @@ def test_s_series_rank_two_rational():
         report = model.s_poincare(16)
         assert [row[2] for row in report.per_degree] == [1] + [2] * 8
         assert report.per_degree[0][2] == 1
+
+
+def test_s_poincare_independent_of_recursion_limit(gcm_a23):
+    # the characteristic map is computed degree by degree, so no call chain
+    # grows with the degree: run past the lowered limit itself
+    saved = sys.getrecursionlimit()
+    limit = stack_depth() + 40
+    sys.setrecursionlimit(limit)
+    try:
+        report = WeightRing(gcm_a23, QQ).s_poincare(2 * (limit + 1))
+    finally:
+        sys.setrecursionlimit(saved)
+    assert [row[2] for row in report.per_degree] == [1] + [2] * (limit + 1)
 
 
 def test_s_series_factorization_rational(gcm_a23):

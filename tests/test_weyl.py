@@ -19,7 +19,7 @@ from schubert_kit.weyl import (
     to_dict,
 )
 
-from conftest import B2_INSIDE_RANK3
+from conftest import B2_INSIDE_RANK3, stack_depth
 
 
 def test_simple_reflection_matrix(gcm_a22):
@@ -167,13 +167,6 @@ def test_bruhat_matches_subword_oracle(rows, max_len):
             assert bruhat_leq(v, w) == (v in below)
 
 
-def _stack_depth():
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
 def test_bruhat_independent_of_recursion_limit(gcm_a22):
     # infinite dihedral group: v <= w iff l(v) < l(w) or v == w
     def alternating(first, length):
@@ -182,7 +175,7 @@ def test_bruhat_independent_of_recursion_limit(gcm_a22):
     long_1, long_2 = alternating(1, 300), alternating(2, 300)
     shorter = alternating(2, 299)
     saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 100)
+    sys.setrecursionlimit(stack_depth() + 100)
     try:
         assert bruhat_leq(shorter, long_1)
         assert bruhat_leq(long_1, long_1)
@@ -190,6 +183,17 @@ def test_bruhat_independent_of_recursion_limit(gcm_a22):
         assert not bruhat_leq(long_1, shorter)
     finally:
         sys.setrecursionlimit(saved)
+
+
+def test_bruhat_infinite_dihedral_closed_form(gcm_a22):
+    # Bjorner-Brenti (GTM 231): in the infinite dihedral group u <= v iff
+    # u == v or l(u) < l(v); words of up to 600 letters
+    elems = [from_word(gcm_a22, [first if t % 2 == 0 else 3 - first for t in range(length)])
+             for length in (1, 2, 3, 299, 300, 301, 599, 600) for first in (1, 2)]
+    elems.append(identity_element(gcm_a22))
+    for u in elems:
+        for v in elems:
+            assert bruhat_leq(u, v) == (u == v or u.length < v.length), (u.length, v.length)
 
 
 def test_min_coset_reps(gcm_a22, gcm_a11):
