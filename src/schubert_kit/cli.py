@@ -10,8 +10,10 @@ Exit codes: 0 success, 2 usage or precondition error (the diagnostic names
 the violated precondition), 3 a mathematical assertion that is a theorem
 failed (reserved so CI can tell bugs from environment problems).
 
-Every subcommand accepts --selftest to run its module's invariant suite at
-reduced bounds.
+Every subcommand accepts --selftest.  It runs its group's invariant checks
+from ``selftests``, the functions the unit tests call, at reduced bounds:
+one [PASS] or [FAIL] line per check on stdout, the first failing input of a
+failed check on stderr, and exit 3 if any check fails.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import io
 import json
 import sys
 
-from . import ranktwo, selftests
+from . import ranktwo
 from .errors import SchubertKitError, TheoremViolation
 from .gcm import (
     derived_realization,
@@ -102,11 +104,17 @@ def _emit(args, params: dict, bounds: dict, columns, rows, extras=None,
         sys.stdout.write(text)
 
 
-def _run_selftest(suite_name: str) -> int:
+def _run_selftest(group: str) -> int:
+    """Runs the group's checks at their reduced bounds: one line per check."""
+    from . import selftests
+
     failed = False
-    for name, ok in selftests.SUITES[suite_name]():
-        print(f"[{'PASS' if ok else 'FAIL'}] {suite_name}: {name}")
-        failed |= not ok
+    for name, check, kwargs in selftests.SUITES[group]:
+        failures = check(**kwargs)
+        print(f"[{'FAIL' if failures else 'PASS'}] {group}: {name}")
+        if failures:
+            print(f"{group}: {name}: first failing input {failures[0]!r}", file=sys.stderr)
+            failed = True
     return EXIT_THEOREM if failed else EXIT_OK
 
 
@@ -121,14 +129,15 @@ def _gcm_from_args(args):
 def _json_entries(text: str, field: str) -> list:
     """A JSON list of ``{field: [int, ...], "coefficient": int or str}``.
 
-    Raises ValueError naming the expected schema for anything else.
+    Raises ValueError naming the expected schema for anything else (a JSON
+    boolean is not an integer here).
     """
     data = json.loads(text)
     if not isinstance(data, list) or not all(
         isinstance(entry, dict)
         and isinstance(entry.get(field), list)
-        and all(isinstance(x, int) for x in entry[field])
-        and isinstance(entry.get("coefficient"), (int, str))
+        and all(type(x) is int for x in entry[field])
+        and type(entry.get("coefficient")) in (int, str)
         for entry in data
     ):
         raise ValueError(f"expected a JSON list of {{{field}, coefficient}} objects")
@@ -150,8 +159,6 @@ def _fmt_subset(subset) -> str:
 
 
 def cmd_gcm_check(args):
-    if args.selftest:
-        return _run_selftest("gcm")
     g = parse_gcm(args.matrix) if args.matrix else _gcm_from_args(args)
     poset = spherical_poset(g)
     rows = [{"subset": _fmt_subset(s), "size": len(s)} for s in poset.subsets]
@@ -167,8 +174,6 @@ def cmd_gcm_check(args):
 
 
 def cmd_gcm_poset(args):
-    if args.selftest:
-        return _run_selftest("gcm")
     g = parse_gcm(args.matrix) if args.matrix else _gcm_from_args(args)
     poset = spherical_poset(g)
     rows = [
@@ -190,8 +195,6 @@ def cmd_gcm_poset(args):
 
 
 def cmd_weyl_enum(args):
-    if args.selftest:
-        return _run_selftest("weyl")
     g = _gcm_from_args(args)
     levels = enumerate_by_length(g, args.max_len)
     rows = []
@@ -210,8 +213,6 @@ def cmd_weyl_enum(args):
 
 
 def cmd_weyl_bruhat(args):
-    if args.selftest:
-        return _run_selftest("weyl")
     g = _gcm_from_args(args)
     u = from_word(g, _word_arg(args.u))
     v = from_word(g, _word_arg(args.v))
@@ -230,8 +231,6 @@ def cmd_weyl_bruhat(args):
 
 
 def cmd_schubert_act(args):
-    if args.selftest:
-        return _run_selftest("schubert")
     g = _gcm_from_args(args)
     ring = parse_ring(args.ring)
     vec = schubert_from_jsonable(g, ring, _json_entries(args.cls, "word"))
@@ -254,8 +253,6 @@ def cmd_schubert_act(args):
 
 
 def cmd_schubert_coproduct(args):
-    if args.selftest:
-        return _run_selftest("schubert")
     g = _gcm_from_args(args)
     w = from_word(g, _word_arg(args.word))
     cop = peterson_coproduct(w)
@@ -293,8 +290,6 @@ def _model_from_args(args, g, ring):
 
 
 def cmd_poly_psi(args):
-    if args.selftest:
-        return _run_selftest("poly")
     g = _gcm_from_args(args)
     ring = parse_ring(args.field)
     model = _model_from_args(args, g, ring)
@@ -323,8 +318,6 @@ def cmd_poly_psi(args):
 
 
 def cmd_poly_invariants(args):
-    if args.selftest:
-        return _run_selftest("poly")
     g = _gcm_from_args(args)
     ring = parse_ring(args.field)
     model = _model_from_args(args, g, ring)
@@ -356,8 +349,6 @@ def cmd_poly_invariants(args):
 
 
 def cmd_rank2_table(args):
-    if args.selftest:
-        return _run_selftest("rank2")
     t = ranktwo.cd_sequences(args.a, args.b, args.N)
     rows = [
         {"n": n, "c": str(t.c[n]), "d": str(t.d[n]), "g": str(t.g[n])}
@@ -374,8 +365,6 @@ def cmd_rank2_table(args):
 
 
 def cmd_rank2_products(args):
-    if args.selftest:
-        return _run_selftest("rank2")
     table = ranktwo.leibniz_cup_solver(args.a, args.b, args.N)
     rows = []
     for s in range(2, args.N + 1):
@@ -407,8 +396,6 @@ def cmd_rank2_products(args):
 
 
 def cmd_rank2_hk(args):
-    if args.selftest:
-        return _run_selftest("rank2")
     rows = [
         {
             "degree": deg,
@@ -428,8 +415,6 @@ def cmd_rank2_hk(args):
 
 
 def cmd_rank2_prime_order(args):
-    if args.selftest:
-        return _run_selftest("rank2")
     closed = ranktwo.prime_order_closed(args.a, args.b, args.p)
     scan = ranktwo.prime_order_scan(args.a, args.b, args.p, args.N)
     rows = [
@@ -467,8 +452,6 @@ def cmd_rank2_prime_order(args):
 
 
 def cmd_rank2_bockstein(args):
-    if args.selftest:
-        return _run_selftest("rank2")
     k = ranktwo.prime_order_closed(args.a, args.b, args.p).k
     t = ranktwo.cd_sequences(args.a, args.b, args.S * k)
     base = ranktwo.p_adic_valuation(t.g[k], p=args.p)
@@ -491,8 +474,6 @@ def cmd_rank2_bockstein(args):
 
 
 def cmd_rank2_hopf(args):
-    if args.selftest:
-        return _run_selftest("rank2")
     k = ranktwo.prime_order_closed(args.a, args.b, args.p).k
     series = ranktwo.hopf_afp_series(args.a, args.b, args.p, args.N)
     rows = [
@@ -542,7 +523,7 @@ def _add_common(p):
     p.add_argument(
         "--selftest",
         action="store_true",
-        help="run this module's invariant suite at reduced bounds and exit",
+        help="run this group's invariant checks at reduced bounds and exit",
     )
 
 
@@ -678,6 +659,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.selftest:
+            return _run_selftest(args.group)
         return args.func(args)
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)

@@ -124,7 +124,8 @@ class PrimeField:
         if isinstance(x, (Fraction, str)):
             q = Fraction(x)
             if q.denominator % self.p == 0:
-                raise ZeroDivisionError(f"{x!r} has no image in F_{self.p}")
+                raise ValueError(f"{x!r} has no image in F_{self.p}: "
+                                 f"its denominator is divisible by {self.p}")
             return q.numerator * pow(q.denominator, -1, self.p) % self.p
         raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
 

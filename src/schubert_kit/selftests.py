@@ -1,16 +1,24 @@
-"""Reduced-bound invariant suites, one per module, for the CLI selftest flag.
+"""The invariant checks of the package, shared by the unit tests and ``--selftest``.
 
-Each function returns a list of (check name, passed) pairs.  These are
-smaller mirrors of the pytest suite meant to run in seconds; the full
-bounds live in the test tree.
+Each check is a function whose grid and bounds are parameters.  It returns
+the inputs on which its invariant fails, so an empty list means it holds.
+The unit tests call every check at their full bounds and assert ``== []``.
+``SUITES`` lists, per command-line group, each check with the reduced bounds
+that ``--selftest`` runs it at in seconds; the command prints one
+``[PASS]``/``[FAIL]`` line per check and the first failing input of a
+failed check on stderr.  The oracles here (the order of ``r_1 r_2`` by
+matrix powers, Bruhat order by the subword property) share no code path
+with what they check.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 from . import ranktwo
-from .ffield import Fp2Element, multiplicative_order, quadratic_field, quadratic_roots
 from .gcm import (
     coxeter_exponent,
     derived_realization,
@@ -21,7 +29,7 @@ from .gcm import (
     validate_gcm,
 )
 from .intmat import identity, mat_mul
-from .polyring import WeightRing
+from .polyring import WeightRing, monomial_exponents
 from .rings import GF, QQ, ZZ
 from .schubert import SchubertVector, nil_a, nil_aw, peterson_coproduct
 from .weyl import (
@@ -33,54 +41,16 @@ from .weyl import (
     simple_reflection,
 )
 
-SAMPLE_GCMS = {
-    "A(1,1)": rank_two(1, 1),
-    "B2-type": rank_two(2, 1),
-    "A(2,2)": rank_two(2, 2),
-    "affine-A2": validate_gcm([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]),
-}
+
+def _elements(g, max_len):
+    return [w for level in enumerate_by_length(g, max_len) for w in level]
 
 
-def gcm_selftest():
-    checks = []
-    ok = True
-    for g in SAMPLE_GCMS.values():
-        poset = spherical_poset(g)
-        members = set(poset.subsets)
-        for sub in members:
-            ok &= all(
-                tuple(sorted(set(sub) - {x})) in members for x in sub
-            )
-    checks.append(("spherical poset downward closed", ok))
-    ok = True
-    pairs = [(0, 0)] + [(a, b) for a in range(1, 4) for b in range(1, 4)]
-    for a, b in pairs:
-        g = rank_two(a, b)
-        finite = is_finite_type(g, (1, 2))
-        ok &= finite == (a * b < 4)
-        ok &= (coxeter_exponent(g, 1, 2) is not None) == finite
-        order = _dihedral_order(g, bound=60)
-        ok &= (order is not None) == finite
-    checks.append(("rank-two calibration (minors, exponent, closure)", ok))
-    ok = True
-    for g in SAMPLE_GCMS.values():
-        for real in (standard_realization(g), derived_realization(g)):
-            for i in range(g.size):
-                for j in range(g.size):
-                    pair = sum(
-                        x * y
-                        for x, y in zip(real.root_functionals[j], real.coroots[i])
-                    )
-                    ok &= pair == g.a(i + 1, j + 1)
-                    dual = sum(
-                        x * y for x, y in zip(real.dual_basis[i], real.coroots[j])
-                    )
-                    ok &= dual == (1 if i == j else 0)
-    checks.append(("realization pairings", ok))
-    return checks
+# -- oracles and random inputs ---------------------------------------------
 
 
-def _dihedral_order(g, bound):
+def dihedral_order(g, bound):
+    """Order of r_1 r_2 by repeated matrix products, or None past ``bound``."""
     m = mat_mul(reflection_matrix(g, 1), reflection_matrix(g, 2))
     cur = m
     for k in range(1, bound + 1):
@@ -90,244 +60,311 @@ def _dihedral_order(g, bound):
     return None
 
 
-def weyl_selftest(max_len: int = 5):
-    checks = []
-    ok = True
-    for g in SAMPLE_GCMS.values():
-        for i in range(1, g.size + 1):
-            s = simple_reflection(g, i)
-            ok &= multiply(s, s) == identity_element(g)
-    checks.append(("involutions", ok))
-    ok = True
-    for g in SAMPLE_GCMS.values():
-        for level in enumerate_by_length(g, max_len):
-            for w in level:
-                for i in range(1, g.size + 1):
-                    ok &= multiply(w, simple_reflection(g, i)).length in (
-                        w.length - 1,
-                        w.length + 1,
-                    )
-    checks.append(("length changes by one", ok))
-    ok = True
-    for g in (SAMPLE_GCMS["A(1,1)"], SAMPLE_GCMS["A(2,2)"]):
-        elems = [w for level in enumerate_by_length(g, 4) for w in level]
-        for v in elems:
-            for w in elems:
-                ok &= bruhat_leq(v, w) == _bruhat_subword_oracle(v, w)
-    checks.append(("bruhat order matches subword oracle", ok))
-    return checks
+def subword_set(w):
+    """Every element with a reduced word that is a subword of ``w.word``.
 
-
-def _bruhat_subword_oracle(v, w):
+    By the subword property (Bjorner-Brenti, GTM 231) this is the Bruhat
+    interval below ``w``; it is built letter by letter with ``multiply``.
+    """
     reachable = {identity_element(w.gcm)}
     for i in w.word:
         s = simple_reflection(w.gcm, i)
-        extra = set()
-        for u in reachable:
-            u2 = multiply(u, s)
-            if u2.length > u.length:
-                extra.add(u2)
-        reachable |= extra
-    return v in reachable
+        steps = [(u, multiply(u, s)) for u in reachable]
+        reachable |= {u2 for u, u2 in steps if u2.length > u.length}
+    return reachable
 
 
-def schubert_selftest(max_len: int = 4):
-    checks = []
-    ok = True
-    for g in SAMPLE_GCMS.values():
-        basis = [w for level in enumerate_by_length(g, max_len) for w in level]
-        for w in basis:
-            vec = SchubertVector.basis(ZZ, w)
-            for i in range(1, g.size + 1):
-                ok &= nil_a(i, nil_a(i, vec)).is_zero()
-    checks.append(("square-zero operators", ok))
-    ok = True
-    for name, g in SAMPLE_GCMS.items():
-        for i in range(1, g.size + 1):
-            for j in range(i + 1, g.size + 1):
-                m = coxeter_exponent(g, i, j)
-                if m is None:
-                    continue
-                w1 = _alternating(i, j, m)
-                w2 = _alternating(j, i, m)
-                for level in enumerate_by_length(g, max_len):
-                    for w in level:
-                        vec = SchubertVector.basis(ZZ, w)
-                        ok &= nil_aw(w1, vec) == nil_aw(w2, vec)
-    checks.append(("braid independence on the basis", ok))
-    ok = True
-    for g in (SAMPLE_GCMS["A(1,1)"], rank_two(2, 3)):
-        for level in enumerate_by_length(g, 3):
-            for w in level:
-                cop = peterson_coproduct(w)
-                ok &= all(
-                    u.length + v.length == w.length for (u, v) in cop.coeffs
-                )
-    checks.append(("coproduct grading", ok))
-    return checks
+def random_poly(model, rng, degrees, density=0.5, bound=4, denominators=1):
+    """A random polynomial of ``model`` with terms of the given degrees.
 
-
-def _alternating(i, j, count):
-    return tuple(i if t % 2 == 0 else j for t in range(count))
-
-
-def polyring_selftest():
-    rng = random.Random(11)
-    checks = []
-    ok = True
-    for g in (rank_two(2, 3), SAMPLE_GCMS["A(2,2)"]):
-        model = WeightRing(g, QQ)
-        for _ in range(6):
-            f = _random_poly(model, rng, 3)
-            h = _random_poly(model, rng, 2)
-            for i in range(1, g.size + 1):
-                ok &= model.weyl_act(i, model.weyl_act(i, f)) == f
-                lhs = model.divided_difference(i, f * h)
-                rhs = model.divided_difference(i, f) * model.weyl_act(i, h) + (
-                    f * model.divided_difference(i, h)
-                )
-                ok &= lhs == rhs
-                ok &= model.divided_difference(
-                    i, model.divided_difference(i, f)
-                ).is_zero()
-    checks.append(("involution, twisted Leibniz, square zero", ok))
-    ok = True
-    for g in (rank_two(2, 3), SAMPLE_GCMS["A(1,1)"]):
-        model = WeightRing(g, QQ)
-        for i in range(1, g.size + 1):
-            ok &= model.characteristic_map(model.coroot_dual(i)) == (
-                SchubertVector.basis(QQ, simple_reflection(g, i))
-            )
-        for _ in range(4):
-            f = _random_homogeneous(model, rng, 3)
-            for i in range(1, g.size + 1):
-                ok &= model.characteristic_map(
-                    model.divided_difference(i, f)
-                ) == nil_a(i, model.characteristic_map(f))
-    checks.append(("characteristic map and operator commutation", ok))
-    ok = True
-    for p in (2, 3):
-        model = WeightRing(rank_two(2, 3), GF(p))
-        for _ in range(4):
-            f = _random_poly(model, rng, 3)
-            for i in (1, 2):
-                ok &= model.steenrod_commutation_check(i, f)
-    checks.append(("total Steenrod commutation", ok))
-    return checks
-
-
-def _random_poly(model, rng, deg):
+    Each monomial enters with probability ``density`` and a coefficient
+    drawn from -bound..bound, divided by one drawn from 1..denominators when
+    that exceeds 1.  A draw that is zero in the ring gives the first monomial
+    of the last degree instead.
+    """
     pairs = []
-    from .polyring import monomial_exponents
-
-    for d in range(deg + 1):
+    for d in degrees:
         for exps in monomial_exponents(model.nvars, d):
-            if rng.random() < 0.4:
-                pairs.append((exps, rng.randint(-3, 3)))
-    return model.from_terms(pairs)
+            if rng.random() < density:
+                c = rng.randint(-bound, bound)
+                if denominators > 1:
+                    c = Fraction(c, rng.randint(1, denominators))
+                pairs.append((exps, c))
+    f = model.from_terms(pairs)
+    return model.monomial(monomial_exponents(model.nvars, degrees[-1])[0]) if f.is_zero() else f
 
 
-def _random_homogeneous(model, rng, deg):
-    from .polyring import monomial_exponents
-
-    pairs = [
-        (exps, rng.randint(-3, 3))
-        for exps in monomial_exponents(model.nvars, deg)
-        if rng.random() < 0.7
-    ]
-    if not pairs:
-        pairs = [(monomial_exponents(model.nvars, deg)[0], 1)]
-    return model.from_terms(pairs)
+# -- gcm -------------------------------------------------------------------
 
 
-def ffield_selftest():
-    rng = random.Random(7)
-    checks = []
-    ok = True
-    for p in (2, 3, 7):
-        field = quadratic_field(p)
-        elems = [
-            Fp2Element(field, rng.randrange(p), rng.randrange(p)) for _ in range(8)
-        ]
-        for x in elems:
-            for y in elems:
-                for z in elems:
-                    ok &= (x * y) * z == x * (y * z)
-                    ok &= x * (y + z) == x * y + x * z
-        for x in elems:
-            for y in elems:
-                ok &= (x + y) ** p == x ** p + y ** p
-            ok &= (x ** p == x) == x.in_prime_field()
-    checks.append(("field axioms and Frobenius", ok))
-    ok = True
-    for p in (3, 5, 13):
-        for _ in range(10):
-            b, c = rng.randrange(p), rng.randrange(p)
-            r1, r2 = quadratic_roots(b, c, p)
-            ok &= (r1 * r2).x == c % p and (r1 * r2).y == 0
-        r1, r2 = quadratic_roots((-(2 * 3 - 2)) % p, 1, p)
-        if not r1.is_zero():
-            ok &= multiplicative_order(r1) == multiplicative_order(r2)
-    checks.append(("quadratic roots and paired orders", ok))
-    return checks
+def poset_downward_closed(gcms):
+    """Dropping one index keeps a subset spherical: [(g, subset, index)]."""
+    failures = []
+    for g in gcms:
+        subsets = spherical_poset(g).subsets
+        members = set(subsets)
+        failures += [(g, sub, x) for sub in subsets for x in sub
+                     if tuple(y for y in sub if y != x) not in members]
+    return failures
 
 
-def ranktwo_selftest():
-    checks = []
-    ok = True
-    rng = random.Random(3)
-    for _ in range(8):
-        a, b = rng.randint(1, 9), rng.randint(1, 9)
+def rank_two_calibration(pairs, bound):
+    """For rank_two(a, b): finite type iff ab < 4 iff r_1 r_2 has finite
+    order, and ``coxeter_exponent`` is that order (searched up to
+    ``bound``): [(a, b)]."""
+    failures = []
+    for a, b in pairs:
+        g = rank_two(a, b)
+        order = dihedral_order(g, bound)
+        if not (is_finite_type(g, (1, 2)) == (a * b < 4) == (order is not None)
+                and coxeter_exponent(g, 1, 2) == order):
+            failures.append((a, b))
+    return failures
+
+
+def realization_pairings(gcms):
+    """In both realizations the roots pair with the coroots by the matrix and
+    the dual basis is dual to the coroots: [(g, realization, i, j)]."""
+    failures = []
+    for g in gcms:
+        for name, real in (("standard", standard_realization(g)),
+                           ("derived", derived_realization(g))):
+            for i in range(g.size):
+                for j in range(g.size):
+                    pair = sum(x * y for x, y in zip(real.root_functionals[j], real.coroots[i]))
+                    dual = sum(x * y for x, y in zip(real.dual_basis[i], real.coroots[j]))
+                    if pair != g.a(i + 1, j + 1) or dual != int(i == j):
+                        failures.append((g, name, i + 1, j + 1))
+    return failures
+
+
+# -- weyl ------------------------------------------------------------------
+
+
+def reflections_are_involutions(gcms):
+    """r_i r_i = e: [(g, i)]."""
+    return [(g, i) for g in gcms for i in g.index_set
+            if multiply(simple_reflection(g, i), simple_reflection(g, i)) != identity_element(g)]
+
+
+def length_changes_by_one(gcms, max_len):
+    """l(w r_i) = l(w) +- 1 for every w up to ``max_len``: [(g, w.word, i)]."""
+    return [(g, w.word, i) for g in gcms for w in _elements(g, max_len) for i in g.index_set
+            if abs(multiply(w, simple_reflection(g, i)).length - w.length) != 1]
+
+
+def bruhat_matches_subword(gcms, max_len):
+    """``bruhat_leq`` agrees with the subword property on all pairs up to
+    ``max_len``: [(g, v.word, w.word)]."""
+    failures = []
+    for g in gcms:
+        elems = _elements(g, max_len)
+        for w in elems:
+            below = subword_set(w)
+            failures += [(g, v.word, w.word) for v in elems if bruhat_leq(v, w) != (v in below)]
+    return failures
+
+
+# -- schubert --------------------------------------------------------------
+
+
+def nil_a_square_zero(gcms, max_len):
+    """A_i A_i = 0 on every basis class up to ``max_len``: [(g, w.word, i)]."""
+    return [(g, w.word, i) for g in gcms for w in _elements(g, max_len) for i in g.index_set
+            if not nil_a(i, nil_a(i, SchubertVector.basis(ZZ, w))).is_zero()]
+
+
+def braid_relations_on_basis(gcms, max_len):
+    """A_i A_j A_i ... = A_j A_i A_j ... (m_ij letters each) on every basis
+    class up to ``max_len``: [(g, i, j, w.word)]."""
+    failures = []
+    for g in gcms:
+        elems = _elements(g, max_len)
+        for i, j in combinations(g.index_set, 2):
+            m = coxeter_exponent(g, i, j)
+            if m is None:
+                continue
+            w1 = tuple((i, j)[t % 2] for t in range(m))
+            w2 = tuple((j, i)[t % 2] for t in range(m))
+            for w in elems:
+                vec = SchubertVector.basis(ZZ, w)
+                if nil_aw(w1, vec) != nil_aw(w2, vec):
+                    failures.append((g, i, j, w.word))
+    return failures
+
+
+def coproduct_grading(gcms, max_len):
+    """Each term u (x) v of the coproduct of w has l(u) + l(v) = l(w), for
+    every w up to ``max_len``: [(g, w.word, u.word, v.word)]."""
+    return [(g, w.word, u.word, v.word) for g in gcms for w in _elements(g, max_len)
+            for u, v in peterson_coproduct(w).coeffs if u.length + v.length != w.length]
+
+
+# -- poly ------------------------------------------------------------------
+
+
+def operator_identities(gcms, rings, trials, degree, seed):
+    """r_i r_i f = f, A_i(f h) = A_i(f) r_i(h) + f A_i(h) and A_i A_i f = 0,
+    for random f of degree <= ``degree`` and h of degree <= 2:
+    [(g, ring, f, h, i)]."""
+    rng = random.Random(seed)
+    failures = []
+    for g in gcms:
+        for ring in rings:
+            model = WeightRing(g, ring)
+            act, dd = model.weyl_act, model.divided_difference
+            for _ in range(trials):
+                f = random_poly(model, rng, range(degree + 1))
+                h = random_poly(model, rng, range(3))
+                failures += [(g, ring.name, f, h, i) for i in g.index_set
+                             if act(i, act(i, f)) != f
+                             or dd(i, f * h) != dd(i, f) * act(i, h) + f * dd(i, h)
+                             or not dd(i, dd(i, f)).is_zero()]
+    return failures
+
+
+def characteristic_map_commutes(gcms, rings, degrees, trials, seed):
+    """psi(h_i*) is the class of r_i, and psi(A_i f) = A_i psi(f) for random
+    homogeneous f of each degree: [(g, ring, f, i)]."""
+    rng = random.Random(seed)
+    failures = []
+    for g in gcms:
+        for ring in rings:
+            model = WeightRing(g, ring)
+            psi = model.characteristic_map
+            failures += [(g, ring.name, model.coroot_dual(i), i) for i in g.index_set
+                         if psi(model.coroot_dual(i))
+                         != SchubertVector.basis(ring, simple_reflection(g, i))]
+            for _ in range(trials):
+                for deg in degrees:
+                    f = random_poly(model, rng, (deg,), density=0.7)
+                    image = psi(f)
+                    failures += [(g, ring.name, f, i) for i in g.index_set
+                                 if psi(model.divided_difference(i, f)) != nil_a(i, image)]
+    return failures
+
+
+def steenrod_commutation(gcms, primes, trials, seed):
+    """A_i P(f) = (1 + alpha_i^(p-1)) P(A_i f) over F_p, for f = h_1*, f = 1
+    and random f of degree <= 3: [(g, p, f, i)]."""
+    rng = random.Random(seed)
+    failures = []
+    for g in gcms:
+        for p in primes:
+            model = WeightRing(g, GF(p))
+            polys = [model.coroot_dual(1), model.constant(1)]
+            polys += [random_poly(model, rng, range(4)) for _ in range(trials)]
+            failures += [(g, p, f, i) for f in polys for i in g.index_set
+                         if not model.steenrod_commutation_check(i, f)]
+    return failures
+
+
+# -- rank2 -----------------------------------------------------------------
+
+
+def symbolic_low_rows(trials, max_entry, seed):
+    """Rows 0 to 4 of c, d and g_4 against their closed forms in a and b, for
+    random 1 <= a, b <= ``max_entry`` with ab >= 4: [(a, b)]."""
+    rng = random.Random(seed)
+    failures = []
+    for _ in range(trials):
+        a, b = rng.randint(1, max_entry), rng.randint(1, max_entry)
         if a * b < 4:
             continue
         t = ranktwo.cd_sequences(a, b, 4)
-        ok &= t.c[2] == a and t.d[2] == b
-        ok &= t.c[3] == t.d[3] == a * b - 1
-        ok &= t.c[4] == a * (a * b - 2) and t.d[4] == b * (a * b - 2)
-    checks.append(("symbolic low rows", ok))
-    ok = True
-    for a, b in ((2, 2), (2, 3), (1, 5)):
-        t = ranktwo.cd_sequences(a, b, 16)
-        table = ranktwo.leibniz_cup_solver(a, b, 8)
-        for n in range(1, 8):
-            for kind in (ranktwo.DELTA, ranktwo.TAU):
-                for gen in (ranktwo.DELTA, ranktwo.TAU):
-                    ok &= table.constants(gen, 1, kind, n) == (
-                        ranktwo.closed_generator_product(t, gen, kind, n)
-                    )
-    checks.append(("solver matches closed products", ok))
-    grid = [
-        (a, b, p)
-        for a in range(1, 6)
-        for b in range(1, 6)
-        if a * b >= 4
-        for p in (2, 3, 5, 7)
-    ]
+        if (t.c[:5] != (0, 1, a, a * b - 1, a * (a * b - 2))
+                or t.d[:5] != (0, 1, b, a * b - 1, b * (a * b - 2))
+                or t.g[4] != gcd(a, b) * (a * b - 2)):
+            failures.append((a, b))
+    return failures
 
-    def agree(item):
-        a, b, p = item
-        closed = ranktwo.prime_order_closed(a, b, p).k
-        scan = ranktwo.prime_order_scan(a, b, p, 60)
-        good = scan.k == closed and scan.pattern_consistent
-        if p != 2:
-            good &= ranktwo.matrix_order_method(a, b, p) == closed
-        return good
 
-    checks.append(("prime order methods agree", all([agree(item) for item in grid])))
-    ok = True
-    for a, b, p in ((2, 2, 2), (2, 3, 3), (1, 5, 2)):
-        ok &= ranktwo.bockstein_valuation_check(a, b, p, 10)
-        ok &= ranktwo.hk_modp_crosscheck(a, b, p, 30)
-        ok &= ranktwo.dual_polynomial_check(a, b, p, 5)
-    checks.append(("valuations, homology series, dual generator", ok))
-    return checks
+def solver_matches_closed_products(pairs, degree):
+    """The Leibniz solver's product of each degree-2 generator with each
+    class of degree 1..degree-1 equals its closed form:
+    [(a, b, generator, kind, n)]."""
+    kinds = (ranktwo.DELTA, ranktwo.TAU)
+    failures = []
+    for a, b in pairs:
+        t = ranktwo.cd_sequences(a, b, degree)
+        table = ranktwo.leibniz_cup_solver(a, b, degree)
+        failures += [(a, b, gen, kind, n) for n in range(1, degree)
+                     for gen in kinds for kind in kinds
+                     if table.constants(gen, 1, kind, n)
+                     != ranktwo.closed_generator_product(t, gen, kind, n)]
+    return failures
 
+
+def prime_order_methods_agree(entries, primes, scan_bound):
+    """The closed form, the scan of g_n up to ``scan_bound`` (with its
+    divisibility pattern consistent) and, for odd p, the matrix order give
+    the same least k with p | g_k, for a, b in ``entries`` with ab >= 4:
+    [(a, b, p)]."""
+    failures = []
+    for a in entries:
+        for b in entries:
+            if a * b < 4:
+                continue
+            for p in primes:
+                closed = ranktwo.prime_order_closed(a, b, p).k
+                scan = ranktwo.prime_order_scan(a, b, p, scan_bound)
+                if (scan.k != closed or not scan.pattern_consistent
+                        or p != 2 and ranktwo.matrix_order_method(a, b, p) != closed):
+                    failures.append((a, b, p))
+    return failures
+
+
+def mod_p_identities(bockstein=(), hk_modp=(), dual_polynomial=()):
+    """The ``ranktwo`` checks of the valuation identity for g along multiples
+    of k, of the two mod-p homology series and of the polynomial dual, each
+    on its own (a, b, p, bound) cases: [(check name, case)]."""
+    checks = ((ranktwo.bockstein_valuation_check, bockstein),
+              (ranktwo.hk_modp_crosscheck, hk_modp),
+              (ranktwo.dual_polynomial_check, dual_polynomial))
+    return [(check.__name__, case) for check, cases in checks for case in cases
+            if not check(*case)]
+
+
+# -- the command-line suites ----------------------------------------------
+
+A11, B2, A22, A23 = rank_two(1, 1), rank_two(2, 1), rank_two(2, 2), rank_two(2, 3)
+SAMPLE_GCMS = (A11, B2, A22, validate_gcm([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]))
 
 SUITES = {
-    "gcm": gcm_selftest,
-    "weyl": weyl_selftest,
-    "schubert": schubert_selftest,
-    "poly": polyring_selftest,
-    "ffield": ffield_selftest,
-    "rank2": ranktwo_selftest,
+    "gcm": [
+        ("spherical poset downward closed", poset_downward_closed, {"gcms": SAMPLE_GCMS}),
+        ("rank-two calibration (minors, exponent, closure)", rank_two_calibration,
+         {"pairs": [(0, 0)] + [(a, b) for a in range(1, 4) for b in range(1, 4)], "bound": 60}),
+        ("realization pairings", realization_pairings, {"gcms": SAMPLE_GCMS}),
+    ],
+    "weyl": [
+        ("involutions", reflections_are_involutions, {"gcms": SAMPLE_GCMS}),
+        ("length changes by one", length_changes_by_one, {"gcms": SAMPLE_GCMS, "max_len": 5}),
+        ("bruhat order matches subword oracle", bruhat_matches_subword,
+         {"gcms": (A11, A22), "max_len": 4}),
+    ],
+    "schubert": [
+        ("square-zero operators", nil_a_square_zero, {"gcms": SAMPLE_GCMS, "max_len": 4}),
+        ("braid independence on the basis", braid_relations_on_basis,
+         {"gcms": SAMPLE_GCMS, "max_len": 4}),
+        ("coproduct grading", coproduct_grading, {"gcms": (A11, A23), "max_len": 3}),
+    ],
+    "poly": [
+        ("involution, twisted Leibniz, square zero", operator_identities,
+         {"gcms": (A23, A22), "rings": (QQ,), "trials": 6, "degree": 3, "seed": 11}),
+        ("characteristic map and operator commutation", characteristic_map_commutes,
+         {"gcms": (A23, A11), "rings": (QQ,), "degrees": (3,), "trials": 4, "seed": 11}),
+        ("total Steenrod commutation", steenrod_commutation,
+         {"gcms": (A23,), "primes": (2, 3), "trials": 4, "seed": 11}),
+    ],
+    "rank2": [
+        ("symbolic low rows", symbolic_low_rows, {"trials": 8, "max_entry": 9, "seed": 3}),
+        ("solver matches closed products", solver_matches_closed_products,
+         {"pairs": ((2, 2), (2, 3), (1, 5)), "degree": 8}),
+        ("prime order methods agree", prime_order_methods_agree,
+         {"entries": range(1, 6), "primes": (2, 3, 5, 7), "scan_bound": 60}),
+        ("valuations, homology series, dual generator", mod_p_identities,
+         {name: [(a, b, p, bound) for a, b, p in ((2, 2, 2), (2, 3, 3), (1, 5, 2))]
+          for name, bound in (("bockstein", 10), ("hk_modp", 30), ("dual_polynomial", 5))}),
+    ],
 }

@@ -142,26 +142,23 @@ def enumerate_by_length(gcm: GeneralizedCartanMatrix, max_len: int):
     """Lists W_0, ..., W_max_len of all elements of each exact length.
 
     Breadth-first closure under right multiplication by generators,
-    deduplicated by matrix.  Levels past the end of a finite group are empty
-    lists.
+    deduplicated by matrix.  An ascent ``w r_i`` of ``w`` in W_l lies in
+    W_(l+1), and its parents are the ``(w r_j, j)`` over its right descents
+    ``j``, so the least candidate word ``w.word + (i,)`` is its lex-least
+    reduced word.  Candidates arrive in lex order (W_l is sorted and ``i``
+    ascends), so the first one is kept and the level comes out sorted.
+    Levels past the end of a finite group are empty lists.
     """
     levels = _LEVELS.setdefault(gcm, [[identity_element(gcm)]])
-    seen: set[Matrix] | None = None
+    reflections = [reflection_matrix(gcm, i) for i in gcm.index_set]
     while len(levels) <= max_len:
-        if seen is None:
-            seen = {w.matrix for level in levels for w in level}
-        nxt = []
+        words: dict[Matrix, tuple[int, ...]] = {}
         for w in levels[-1]:
-            for i in range(1, gcm.size + 1):
-                if right_descent(w, i):
-                    continue
-                m2 = intmat.mat_mul(w.matrix, reflection_matrix(gcm, i))
-                if m2 in seen:
-                    continue
-                seen.add(m2)
-                nxt.append(element_from_matrix(gcm, m2))
-        nxt.sort(key=lambda w: w.word)
-        levels.append(nxt)
+            for i, r in enumerate(reflections, 1):
+                if not right_descent(w, i):
+                    words.setdefault(intmat.mat_mul(w.matrix, r), w.word + (i,))
+        length = len(levels)
+        levels.append([WeylElement(gcm, m, length, word) for m, word in words.items()])
     return [list(level) for level in levels[: max_len + 1]]
 
 
@@ -199,26 +196,19 @@ def min_coset_reps(gcm: GeneralizedCartanMatrix, subset, max_len: int):
 
 
 def longest_element(gcm: GeneralizedCartanMatrix, subset) -> WeylElement:
-    """The unique maximal-length element of a finite parabolic subgroup."""
+    """The unique maximal-length element of a finite parabolic subgroup.
+
+    Climbs from ``e`` by the least ascent in ``subset`` until every
+    generator of ``subset`` is a right descent, which in a finite parabolic
+    subgroup only its longest element satisfies.
+    """
     subset = sorted(set(subset))
     if not is_finite_type(gcm, subset):
         raise NotSpherical(f"subset {subset} generates an infinite group")
-    level = [identity_element(gcm)]
-    seen = {level[0].matrix}
-    while True:
-        nxt = []
-        for w in level:
-            for i in subset:
-                if right_descent(w, i):
-                    continue
-                m2 = intmat.mat_mul(w.matrix, reflection_matrix(gcm, i))
-                if m2 not in seen:
-                    seen.add(m2)
-                    nxt.append(element_from_matrix(gcm, m2))
-        if not nxt:
-            assert len(level) == 1
-            return level[0]
-        level = nxt
+    m = intmat.identity(gcm.size)
+    while (i := next((i for i in subset if not _is_negative_column(m, i)), None)) is not None:
+        m = intmat.mat_mul(m, reflection_matrix(gcm, i))
+    return element_from_matrix(gcm, m)
 
 
 def to_dict(w: WeylElement) -> dict:

@@ -8,11 +8,12 @@ from schubert_kit.gcm import rank_two, validate_gcm
 
 AFFINE_A2 = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
 B2_INSIDE_RANK3 = [[2, -2, 0], [-1, 2, -1], [0, -1, 2]]
+SEED = 20260808
 
 
 @pytest.fixture
 def rng():
-    return random.Random(20260808)
+    return random.Random(SEED)
 
 
 @pytest.fixture

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from schubert_kit import cli
+from schubert_kit import cli, selftests
 from schubert_kit.errors import NonIntegral
+from schubert_kit.gcm import rank_two
 
 
 def run(capsys, argv):
@@ -186,8 +187,39 @@ def test_selftest_flag(capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
 
 
+SELFTEST_STDOUT = {
+    "gcm": """\
+[PASS] gcm: spherical poset downward closed
+[PASS] gcm: rank-two calibration (minors, exponent, closure)
+[PASS] gcm: realization pairings
+""",
+    "weyl": """\
+[PASS] weyl: involutions
+[PASS] weyl: length changes by one
+[PASS] weyl: bruhat order matches subword oracle
+""",
+    "schubert": """\
+[PASS] schubert: square-zero operators
+[PASS] schubert: braid independence on the basis
+[PASS] schubert: coproduct grading
+""",
+    "poly": """\
+[PASS] poly: involution, twisted Leibniz, square zero
+[PASS] poly: characteristic map and operator commutation
+[PASS] poly: total Steenrod commutation
+""",
+    "rank2": """\
+[PASS] rank2: symbolic low rows
+[PASS] rank2: solver matches closed products
+[PASS] rank2: prime order methods agree
+[PASS] rank2: valuations, homology series, dual generator
+""",
+}
+
+
 def test_selftest_flag_everywhere(capsys):
     for argv in (
+        ["gcm", "poset", "--selftest"],
         ["weyl", "bruhat", "--selftest"],
         ["schubert", "act", "--selftest"],
         ["poly", "psi", "--selftest"],
@@ -195,7 +227,22 @@ def test_selftest_flag_everywhere(capsys):
     ):
         code, out = run(capsys, argv)
         assert code == 0, argv
-        assert "[FAIL]" not in out
+        assert out == SELFTEST_STDOUT[argv[0]]
+
+
+def test_selftest_reports_a_broken_check(monkeypatch, capsys):
+    # a Bruhat order that holds for every pair: the 17 of the 36 pairs of
+    # W(A2) that are not comparable fail, first s_1 against e
+    monkeypatch.setattr(selftests, "bruhat_leq", lambda v, w: True)
+    failures = selftests.bruhat_matches_subword([rank_two(1, 1)], 3)
+    assert len(failures) == 17 and failures[0] == (rank_two(1, 1), (1,), ())
+    code = cli.main(["weyl", "enum", "--selftest"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == SELFTEST_STDOUT["weyl"].replace(
+        "[PASS] weyl: bruhat", "[FAIL] weyl: bruhat")
+    assert captured.err == ("weyl: bruhat order matches subword oracle: "
+                            "first failing input (GCM(2,-1;-1,2), (1,), ())\n")
 
 
 def test_theorem_violation_exit_code(monkeypatch, capsys):
@@ -225,9 +272,18 @@ def test_usage_error_exit_code(capsys):
     ["weyl", "enum", "--gcm", "2,-2;-2,2", "--max-len", "-2"],
     ["rank2", "hk", "-N", "-3"],
     ["rank2", "products", "-N", "-1"],
+    ["schubert", "act", "--gcm", "2,-1;-1,2", "--class", '[{"word": [1], "coefficient": true}]'],
+    ["poly", "psi", "--gcm", "2,-1;-1,2", "--poly",
+     '[{"exponents": [1, 0], "coefficient": false}]'],
+    ["schubert", "act", "--gcm", "2,-1;-1,2", "--ring", "F2", "--class",
+     '[{"word": [1], "coefficient": "1/2"}]'],
+    ["poly", "psi", "--gcm", "2,-1;-1,2", "--field", "F2", "--poly",
+     '[{"exponents": [1, 0], "coefficient": "1/2"}]'],
+    ["schubert", "act", "--gcm", "2,-1;-1,2", "--class", '[{"word": [true], "coefficient": 1}]'],
 ], ids=["S-zero", "class-missing-key", "poly-missing-key", "class-word-not-list",
         "poly-float-coefficient", "missing-file", "negative-max-len", "hk-negative-N",
-        "products-negative-N"])
+        "products-negative-N", "class-bool-coefficient", "poly-bool-coefficient",
+        "class-F2-half", "poly-F2-half", "class-bool-word"])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     argv = [str(tmp_path / "absent.json") if a == "MISSING" else a for a in argv]
     try:

@@ -74,8 +74,9 @@ def test_vieta_random():
         assert r1 * r2 == embed(field, c)
 
 
-def test_field_axioms_exhaustive_p3():
-    elems = all_elements(3)
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_field_axioms_exhaustive(p):
+    elems = all_elements(p)
     for x in elems:
         for y in elems:
             assert x * y == y * x
@@ -92,7 +93,7 @@ def test_inverses(p=7):
 
 
 def test_frobenius_fixes_exactly_prime_field():
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7):
         for x in all_elements(p):
             assert (x ** p == x) == x.in_prime_field()
             for y in all_elements(p):

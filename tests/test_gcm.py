@@ -7,7 +7,6 @@ import pytest
 from schubert_kit.errors import DiagonalNotTwo, PositiveOffDiagonal, ZeroAsymmetry
 from schubert_kit.gcm import (
     coxeter_exponent,
-    derived_realization,
     gcm_from_dict,
     gcm_from_file,
     is_finite_type,
@@ -17,8 +16,11 @@ from schubert_kit.gcm import (
     standard_realization,
     validate_gcm,
 )
-from schubert_kit.intmat import identity, mat_mul
-from schubert_kit.weyl import reflection_matrix
+from schubert_kit.selftests import (
+    poset_downward_closed,
+    rank_two_calibration,
+    realization_pairings,
+)
 
 from conftest import AFFINE_A2, leibniz_det
 
@@ -61,23 +63,12 @@ def test_gcm_file_roundtrip(tmp_path):
     assert gcm_from_file(path) == g
 
 
-def _matrix_order(g, bound=100):
-    m = mat_mul(reflection_matrix(g, 1), reflection_matrix(g, 2))
-    cur = m
-    for k in range(1, bound + 1):
-        if cur == identity(g.size):
-            return k
-        cur = mat_mul(cur, m)
-    return None
-
-
 @pytest.mark.parametrize(
     "a,b",
     [(0, 0), (1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (2, 3), (1, 4), (3, 3)],
 )
 def test_coxeter_exponent_matches_matrix_order(a, b):
-    g = rank_two(a, b)
-    assert coxeter_exponent(g, 1, 2) == _matrix_order(g)
+    assert rank_two_calibration([(a, b)], bound=100) == []
 
 
 def test_coxeter_exponent_values():
@@ -93,11 +84,7 @@ def test_coxeter_exponent_values():
 @pytest.mark.parametrize("a", range(1, 5))
 @pytest.mark.parametrize("b", range(1, 5))
 def test_finite_type_rank_two_calibration(a, b):
-    g = rank_two(a, b)
-    finite = is_finite_type(g, (1, 2))
-    assert finite == (a * b < 4)
-    assert finite == (coxeter_exponent(g, 1, 2) is not None)
-    assert finite == (_matrix_order(g) is not None)
+    assert rank_two_calibration([(a, b)], bound=100) == []
 
 
 def test_finite_type_trivial_cases(gcm_affine_a2):
@@ -108,12 +95,7 @@ def test_finite_type_trivial_cases(gcm_affine_a2):
 
 
 def test_finite_type_downward_closed(gcm_affine_a2, gcm_a22, gcm_a11):
-    for g in (gcm_affine_a2, gcm_a22, gcm_a11):
-        poset = spherical_poset(g)
-        members = set(poset.subsets)
-        for sub in members:
-            for x in sub:
-                assert tuple(sorted(set(sub) - {x})) in members
+    assert poset_downward_closed((gcm_affine_a2, gcm_a22, gcm_a11)) == []
 
 
 def test_spherical_poset_examples(gcm_a22, gcm_a11):
@@ -171,10 +153,6 @@ def test_spherical_poset_affine_a9_counts():
     assert len(poset.covers) == n * 2 ** (n - 1) - n
 
 
-def _pairing(real, i, j):
-    return sum(x * y for x, y in zip(real.root_functionals[j], real.coroots[i]))
-
-
 def test_standard_realization_nonsingular(gcm_a11):
     real = standard_realization(gcm_a11)
     assert real.torus_rank == 2
@@ -189,15 +167,7 @@ def test_standard_realization_singular(gcm_a22):
 
 @pytest.mark.parametrize("rows", [[[2, -2], [-3, 2]], [[2, -2], [-2, 2]], AFFINE_A2])
 def test_realization_pairings_exhaustive(rows):
-    g = validate_gcm(rows)
-    for real in (standard_realization(g), derived_realization(g)):
-        for i in range(g.size):
-            for j in range(g.size):
-                assert _pairing(real, i, j) == g.a(i + 1, j + 1)
-                dual = sum(
-                    x * y for x, y in zip(real.dual_basis[i], real.coroots[j])
-                )
-                assert dual == (1 if i == j else 0)
+    assert realization_pairings([validate_gcm(rows)]) == []
 
 
 def _has_full_rank(vectors):

@@ -1,4 +1,3 @@
-import random
 import sys
 
 import pytest
@@ -8,39 +7,25 @@ from schubert_kit.gcm import derived_realization, rank_two, validate_gcm
 from schubert_kit.linalg import kernel_basis
 from schubert_kit.polyring import WeightRing, monomial_exponents
 from schubert_kit.rings import GF, QQ, ZZ
-from schubert_kit.schubert import SchubertVector, nil_a
+from schubert_kit.schubert import SchubertVector
+from schubert_kit.selftests import (
+    characteristic_map_commutes,
+    operator_identities,
+    random_poly,
+    steenrod_commutation,
+)
 from schubert_kit.weyl import simple_reflection
 
-from conftest import AFFINE_A2, stack_depth
+from conftest import AFFINE_A2, SEED, stack_depth
 
-SAMPLE_ROWS = [
-    [[2, -1], [-1, 2]],
-    [[2, -2], [-3, 2]],
-    [[2, -2], [-2, 2]],
-    AFFINE_A2,
+SAMPLE_GCMS = [
+    validate_gcm(rows)
+    for rows in ([[2, -1], [-1, 2]], [[2, -2], [-3, 2]], [[2, -2], [-2, 2]], AFFINE_A2)
 ]
 
 
-def random_poly(model, rng, deg, density=0.5):
-    pairs = []
-    for d in range(deg + 1):
-        for exps in monomial_exponents(model.nvars, d):
-            if rng.random() < density:
-                pairs.append((exps, rng.randint(-4, 4)))
-    return model.from_terms(pairs)
-
-
-def random_homogeneous(model, rng, deg):
-    exponents = monomial_exponents(model.nvars, deg)
-    pairs = [(e, rng.randint(-4, 4)) for e in exponents if rng.random() < 0.7]
-    if not all(c == 0 for _, c in pairs):
-        return model.from_terms(pairs)
-    return model.monomial(exponents[0])
-
-
 def test_weyl_act_on_linear_forms():
-    for rows in SAMPLE_ROWS:
-        g = validate_gcm(rows)
+    for g in SAMPLE_GCMS:
         model = WeightRing(g, ZZ)
         for i in range(1, g.size + 1):
             for j in range(1, g.size + 1):
@@ -54,14 +39,8 @@ def test_weyl_act_on_linear_forms():
                 assert model.weyl_act(i, model.root(j)) == expected
 
 
-def test_weyl_act_is_involution(rng):
-    for rows in SAMPLE_ROWS:
-        g = validate_gcm(rows)
-        model = WeightRing(g, QQ)
-        for _ in range(5):
-            f = random_poly(model, rng, 3)
-            for i in range(1, g.size + 1):
-                assert model.weyl_act(i, model.weyl_act(i, f)) == f
+def test_weyl_act_is_involution():
+    assert operator_identities(SAMPLE_GCMS, (QQ,), trials=5, degree=3, seed=SEED) == []
 
 
 def test_divided_difference_on_linear_forms(gcm_a23):
@@ -85,31 +64,13 @@ def test_divided_difference_pth_power(p):
             assert lhs == rhs
 
 
-def test_divided_difference_square_zero(rng):
-    for rows in SAMPLE_ROWS:
-        g = validate_gcm(rows)
-        for ring in (ZZ, QQ, GF(2), GF(3)):
-            model = WeightRing(g, ring)
-            f = random_poly(model, rng, 4)
-            for i in range(1, g.size + 1):
-                dd = model.divided_difference
-                assert dd(i, dd(i, f)).is_zero()
+def test_divided_difference_square_zero():
+    rings = (ZZ, QQ, GF(2), GF(3))
+    assert operator_identities(SAMPLE_GCMS, rings, trials=1, degree=4, seed=SEED) == []
 
 
-def test_twisted_leibniz(rng):
-    for rows in SAMPLE_ROWS:
-        g = validate_gcm(rows)
-        for ring in (ZZ, GF(3)):
-            model = WeightRing(g, ring)
-            for _ in range(4):
-                f = random_poly(model, rng, 3)
-                h = random_poly(model, rng, 2)
-                for i in range(1, g.size + 1):
-                    lhs = model.divided_difference(i, f * h)
-                    rhs = model.divided_difference(i, f) * model.weyl_act(i, h) + (
-                        f * model.divided_difference(i, h)
-                    )
-                    assert lhs == rhs
+def test_twisted_leibniz():
+    assert operator_identities(SAMPLE_GCMS, (ZZ, GF(3)), trials=4, degree=3, seed=SEED) == []
 
 
 def test_operator_word_independence(rng, gcm_a11, gcm_b2):
@@ -120,7 +81,7 @@ def test_operator_word_independence(rng, gcm_a11, gcm_b2):
     ):
         model = WeightRing(g, QQ)
         for _ in range(5):
-            f = random_poly(model, rng, 5)
+            f = random_poly(model, rng, range(6))
             assert model.operator_word(w1, f) == model.operator_word(w2, f)
 
 
@@ -155,17 +116,9 @@ def test_characteristic_map_rejects_inhomogeneous(gcm_a22):
         model.characteristic_map(model.one() + model.gen(1))
 
 
-def test_characteristic_map_commutes_with_operators(rng):
-    for rows in SAMPLE_ROWS[:3]:
-        g = validate_gcm(rows)
-        for ring in (QQ, GF(2)):
-            model = WeightRing(g, ring)
-            for deg in (1, 2, 3):
-                f = random_homogeneous(model, rng, deg)
-                for i in range(1, g.size + 1):
-                    lhs = model.characteristic_map(model.divided_difference(i, f))
-                    rhs = nil_a(i, model.characteristic_map(f))
-                    assert lhs == rhs
+def test_characteristic_map_commutes_with_operators():
+    assert characteristic_map_commutes(SAMPLE_GCMS[:3], (QQ, GF(2)), degrees=(1, 2, 3),
+                                       trials=1, seed=SEED) == []
 
 
 def test_generalized_invariants_low_degrees(gcm_a11, gcm_a22):
@@ -289,17 +242,8 @@ def test_total_steenrod_rules(gcm_a23):
     assert model2.total_steenrod(t * t) == t ** 2 + t ** 4
 
 
-def test_steenrod_commutation(rng):
-    for rows in SAMPLE_ROWS:
-        g = validate_gcm(rows)
-        for p in (2, 3, 5):
-            model = WeightRing(g, GF(p))
-            assert model.steenrod_commutation_check(1, model.coroot_dual(1))
-            assert model.steenrod_commutation_check(1, model.constant(1))
-            for _ in range(5):
-                f = random_poly(model, rng, 3)
-                for i in range(1, g.size + 1):
-                    assert model.steenrod_commutation_check(i, f)
+def test_steenrod_commutation():
+    assert steenrod_commutation(SAMPLE_GCMS, (2, 3, 5), trials=5, seed=SEED) == []
 
 
 def test_steenrod_sides_on_dual_generator(gcm_a23):

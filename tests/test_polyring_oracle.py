@@ -16,6 +16,7 @@ from schubert_kit.gcm import derived_realization, standard_realization, validate
 from schubert_kit.polyring import WeightRing, monomial_exponents
 from schubert_kit.rings import GF, QQ, ZZ
 from schubert_kit.schubert import nil_a
+from schubert_kit.selftests import random_poly
 from schubert_kit.weyl import enumerate_by_length
 
 from conftest import AFFINE_A2
@@ -128,18 +129,6 @@ def _lift(f):
     return {e: Fraction(c) for e, c in f.terms.items()}
 
 
-def _random_poly(model, rng, deg, fractions=False):
-    pairs = []
-    for d in range(deg + 1):
-        for e in monomial_exponents(model.nvars, d):
-            if rng.random() < 0.5:
-                c = rng.randint(-9, 9)
-                if fractions:
-                    c = Fraction(c, rng.randint(1, 5))
-                pairs.append((e, c))
-    return model.from_terms(pairs)
-
-
 @pytest.mark.parametrize("real_name", sorted(REALIZATIONS))
 @pytest.mark.parametrize("name,rows,top", MATRICES, ids=[m[0] for m in MATRICES])
 def test_monomial_images_match_oracle(name, rows, top, real_name):
@@ -163,7 +152,7 @@ def test_operators_match_oracle(name, rows, top, real_name, rng):
     for ring in (ZZ, QQ, GF(2), GF(3)):
         model = WeightRing(g, ring, real)
         for _ in range(3):
-            f = _random_poly(model, rng, 4, fractions=ring is QQ)
+            f = random_poly(model, rng, range(5), bound=9, denominators=5 if ring is QQ else 1)
             for i in range(1, g.size + 1):
                 want = model.from_terms(oracle_reflect(real, i, _lift(f)).items())
                 assert model.weyl_act(i, f) == want, (name, ring.name, i)

@@ -1,4 +1,4 @@
-from math import comb, gcd
+from math import comb
 
 import pytest
 
@@ -8,22 +8,20 @@ from schubert_kit.polyring import WeightRing
 from schubert_kit.ranktwo import DELTA, TAU, UNIT
 from schubert_kit.rings import GF, QQ, ZZ
 from schubert_kit.schubert import SchubertVector, peterson_coproduct
+from schubert_kit.selftests import (
+    mod_p_identities,
+    prime_order_methods_agree,
+    solver_matches_closed_products,
+    symbolic_low_rows,
+)
+
+from conftest import SEED
 
 PAIRS = [(2, 2), (2, 3), (1, 5), (3, 3), (1, 4), (4, 1)]
 
 
-def test_sequences_symbolic_rows(rng):
-    for _ in range(20):
-        a, b = rng.randint(1, 30), rng.randint(1, 30)
-        if a * b < 4:
-            continue
-        t = ranktwo.cd_sequences(a, b, 4)
-        assert t.c[:2] == (0, 1) and t.d[:2] == (0, 1)
-        assert (t.c[2], t.d[2]) == (a, b)
-        assert t.c[3] == t.d[3] == a * b - 1
-        assert t.c[4] == a * (a * b - 2)
-        assert t.d[4] == b * (a * b - 2)
-        assert t.g[4] == gcd(a, b) * (a * b - 2)
+def test_sequences_symbolic_rows():
+    assert symbolic_low_rows(trials=20, max_entry=30, seed=SEED) == []
 
 
 def test_sequences_special_values():
@@ -88,16 +86,11 @@ def test_classify_roundtrip(gcm_a23):
 
 
 def test_solver_unit_and_closed_forms():
-    for a, b in ((2, 2), (2, 3), (1, 5), (3, 3)):
-        t = ranktwo.cd_sequences(a, b, 14)
+    pairs = ((2, 2), (2, 3), (1, 5), (3, 3))
+    for a, b in pairs:
         table = ranktwo.leibniz_cup_solver(a, b, 12)
         assert table.product(UNIT, (DELTA, 4)) == {(DELTA, 4): 1}
-        for n in range(1, 12):
-            for gen in (DELTA, TAU):
-                for kind in (DELTA, TAU):
-                    assert table.constants(gen, 1, kind, n) == (
-                        ranktwo.closed_generator_product(t, gen, kind, n)
-                    )
+    assert solver_matches_closed_products(pairs, 12) == []
 
 
 def test_solver_commutative_and_associative():
@@ -235,17 +228,7 @@ def test_matrix_method():
 
 
 def test_three_way_agreement_small_grid():
-    for a in range(1, 7):
-        for b in range(1, 7):
-            if a * b < 4:
-                continue
-            for p in (2, 3, 5, 7, 11):
-                closed = ranktwo.prime_order_closed(a, b, p)
-                scan = ranktwo.prime_order_scan(a, b, p, 80)
-                assert scan.k == closed.k, (a, b, p)
-                assert scan.pattern_consistent
-                if p != 2:
-                    assert ranktwo.matrix_order_method(a, b, p) == closed.k
+    assert prime_order_methods_agree(range(1, 7), (2, 3, 5, 7, 11), scan_bound=80) == []
 
 
 def test_valuation():
@@ -257,20 +240,15 @@ def test_valuation():
 
 
 def test_bockstein_identity():
-    assert ranktwo.bockstein_valuation_check(2, 2, 3, 30)
-    assert ranktwo.bockstein_valuation_check(2, 3, 3, 30)
-    assert ranktwo.bockstein_valuation_check(1, 5, 2, 20)
     # s = 1 reduces to a tautology but must still pass through the machinery
-    assert ranktwo.bockstein_valuation_check(3, 3, 5, 1)
+    cases = [(2, 2, 3, 30), (2, 3, 3, 30), (1, 5, 2, 20), (3, 3, 5, 1)]
+    assert mod_p_identities(bockstein=cases) == []
 
 
 def test_bockstein_identity_odd_primes_on_grid():
-    for a in range(1, 9):
-        for b in range(1, 9):
-            if a * b < 4:
-                continue
-            for p in (3, 5, 7, 11, 13, 17, 19, 23):
-                assert ranktwo.bockstein_valuation_check(a, b, p, 12), (a, b, p)
+    cases = [(a, b, p, 12) for a in range(1, 9) for b in range(1, 9) if a * b >= 4
+             for p in (3, 5, 7, 11, 13, 17, 19, 23)]
+    assert mod_p_identities(bockstein=cases) == []
 
 
 def test_bockstein_p2_exceptional_cases():
@@ -309,24 +287,23 @@ def test_quotient_functional_normalization():
 
 
 def test_dual_polynomial_check():
-    assert ranktwo.dual_polynomial_check(2, 2, 3, 10)
-    assert ranktwo.dual_polynomial_check(2, 3, 3, 8)
-    assert ranktwo.dual_polynomial_check(1, 5, 2, 8)
-    assert ranktwo.dual_polynomial_check(2, 2, 2, 10)
+    cases = [(2, 2, 3, 10), (2, 3, 3, 8), (1, 5, 2, 8), (2, 2, 2, 10)]
+    assert mod_p_identities(dual_polynomial=cases) == []
 
 
 def test_hk_modp_crosscheck():
-    for a, b, p in ((2, 2, 2), (2, 2, 3), (2, 3, 3), (1, 5, 2)):
-        assert ranktwo.hk_modp_crosscheck(a, b, p, 40)
+    cases = [(2, 2, 2, 40), (2, 2, 3, 40), (2, 3, 3, 40), (1, 5, 2, 40)]
+    assert mod_p_identities(hk_modp=cases) == []
 
 
 def test_modp_structure_survives_valuation_anomaly():
     # the p = 2 cases where the valuation law fails still have the expected
     # additive mod-p structure: both dimension-series computations agree and
     # the dual stays polynomial on one generator
-    for a, b in ((1, 7), (3, 5), (5, 7)):
-        assert ranktwo.hk_modp_crosscheck(a, b, 2, 40)
-        assert ranktwo.dual_polynomial_check(a, b, 2, 8)
+    pairs = ((1, 7), (3, 5), (5, 7))
+    assert mod_p_identities(hk_modp=[(a, b, 2, 40) for a, b in pairs],
+                            dual_polynomial=[(a, b, 2, 8) for a, b in pairs]) == []
+    for a, b in pairs:
         ranktwo.hopf_afp_series(a, b, 2, 30)  # internal theorem assert
 
 

@@ -4,8 +4,14 @@ import pytest
 
 from schubert_kit.errors import NotInGroup, NotSpherical
 from schubert_kit.gcm import rank_two, validate_gcm
+from schubert_kit.selftests import (
+    bruhat_matches_subword,
+    length_changes_by_one,
+    reflections_are_involutions,
+)
 from schubert_kit.weyl import (
     bruhat_leq,
+    element_from_matrix,
     enumerate_by_length,
     from_dict,
     from_word,
@@ -19,7 +25,7 @@ from schubert_kit.weyl import (
     to_dict,
 )
 
-from conftest import B2_INSIDE_RANK3, stack_depth
+from conftest import AFFINE_A2, B2_INSIDE_RANK3, stack_depth
 
 
 def test_simple_reflection_matrix(gcm_a22):
@@ -30,10 +36,7 @@ def test_simple_reflection_matrix(gcm_a22):
 
 
 def test_reflections_are_involutions(gcm_a23, gcm_affine_a2):
-    for g in (gcm_a23, gcm_affine_a2):
-        for i in range(1, g.size + 1):
-            s = simple_reflection(g, i)
-            assert multiply(s, s) == identity_element(g)
+    assert reflections_are_involutions((gcm_a23, gcm_affine_a2)) == []
 
 
 def test_braid_order_three(gcm_a11):
@@ -106,6 +109,26 @@ def test_canonical_word_against_full_enumeration(gcm_a11, gcm_b2, gcm_affine_a2)
                 assert all(len(word) == w.length for word in words)
 
 
+@pytest.mark.parametrize("rows,max_len", [
+    ([[2, -2, -2], [-2, 2, -2], [-2, -2, 2]], 9),
+    (AFFINE_A2, 10),
+    ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 7),
+    (B2_INSIDE_RANK3, 10),
+    ([[2, -1], [-3, 2]], 7),
+    ([[2, -2], [-3, 2]], 60),
+    ([[2, -2], [-2, 2]], 300),
+], ids=["hyperbolic-rank-3", "affine-A2", "A3", "B2-in-rank-3", "G2", "2-3", "affine-A1"])
+def test_enumeration_matches_element_from_matrix(rows, max_len):
+    # the breadth-first search builds words from its parents; stripping
+    # each matrix from scratch must give the same length and word, and
+    # each level stays sorted by word
+    for level in enumerate_by_length(validate_gcm(rows), max_len):
+        assert [w.word for w in level] == sorted(w.word for w in level)
+        for w in level:
+            u = element_from_matrix(w.gcm, w.matrix)
+            assert (u.length, u.word) == (w.length, w.word)
+
+
 def test_enumerate_counts(gcm_a11, gcm_a22, gcm_affine_a2):
     assert [len(l) for l in enumerate_by_length(gcm_a11, 5)] == [1, 2, 2, 1, 0, 0]
     assert [len(l) for l in enumerate_by_length(gcm_a22, 6)] == [1, 2, 2, 2, 2, 2, 2]
@@ -119,26 +142,7 @@ def test_noncompact_growth_is_two_per_length(a, b):
 
 
 def test_exactly_one_length_change(gcm_affine_a2):
-    for level in enumerate_by_length(gcm_affine_a2, 5):
-        for w in level:
-            for i in range(1, 4):
-                up = multiply(w, simple_reflection(gcm_affine_a2, i))
-                assert abs(up.length - w.length) == 1
-
-
-def _subword_set(w):
-    """Dynamic programming over the canonical word of w: collect every
-    element some reduced word of which embeds as a subword."""
-    reachable = {identity_element(w.gcm)}
-    for i in w.word:
-        s = simple_reflection(w.gcm, i)
-        new = set()
-        for u in reachable:
-            u2 = multiply(u, s)
-            if u2.length > u.length:
-                new.add(u2)
-        reachable |= new
-    return reachable
+    assert length_changes_by_one([gcm_affine_a2], 5) == []
 
 
 def test_bruhat_trivial_cases(gcm_a22):
@@ -159,12 +163,7 @@ def test_bruhat_trivial_cases(gcm_a22):
     ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], 6),
 ])
 def test_bruhat_matches_subword_oracle(rows, max_len):
-    g = validate_gcm(rows)
-    elems = [w for level in enumerate_by_length(g, max_len) for w in level]
-    for w in elems:
-        below = _subword_set(w)
-        for v in elems:
-            assert bruhat_leq(v, w) == (v in below)
+    assert bruhat_matches_subword([validate_gcm(rows)], max_len) == []
 
 
 def test_bruhat_independent_of_recursion_limit(gcm_a22):
@@ -211,6 +210,15 @@ def test_longest_elements(gcm_a11, gcm_a22):
     assert w0.length == 3
     b2 = validate_gcm(B2_INSIDE_RANK3)
     assert longest_element(b2, (1, 2)).length == 4
+    # F4, D5 and A4: the number of positive roots
+    for rows, length in (
+        ([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]], 24),
+        ([[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1], [0, 0, -1, 2, 0],
+          [0, 0, -1, 0, 2]], 20),
+        ([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]], 10),
+    ):
+        g = validate_gcm(rows)
+        assert longest_element(g, g.index_set).length == length
     with pytest.raises(NotSpherical):
         longest_element(gcm_a22, (1, 2))
 
