@@ -28,10 +28,10 @@ from .gcm import (
     standard_realization,
     validate_gcm,
 )
-from .intmat import identity, mat_mul
+from .intmat import identity, integer_inverse, mat_mul
 from .polyring import WeightRing, monomial_exponents
 from .rings import GF, QQ, ZZ
-from .schubert import SchubertVector, nil_a, nil_aw, peterson_coproduct
+from .schubert import SchubertVector, TensorVector, nil_a, nil_aw, peterson_coproduct
 from .weyl import (
     bruhat_leq,
     enumerate_by_length,
@@ -72,6 +72,24 @@ def subword_set(w):
         steps = [(u, multiply(u, s)) for u in reachable]
         reachable |= {u2 for u, u2 in steps if u2.length > u.length}
     return reachable
+
+
+def definitional_coproduct(w):
+    """The coproduct of ``w`` from its definition: u (x) v for every u of
+    length at most l(w) whose complement v = u^-1 w has l(u) + l(v) = l(w).
+
+    Runs over the whole ball of radius l(w), inverts every element in it and
+    finds v in the ball by its matrix, so the words of both factors are the
+    ones enumeration gives.  Shares no code with the weak-order walk of
+    ``peterson_coproduct``.
+    """
+    ball = {u.matrix: u for u in _elements(w.gcm, w.length)}
+    out = {}
+    for u in ball.values():
+        v = ball.get(mat_mul(integer_inverse(u.matrix), w.matrix))
+        if v is not None and u.length + v.length == w.length:
+            out[(u, v)] = ZZ.one
+    return TensorVector(ZZ, out)
 
 
 def random_poly(model, rng, degrees, density=0.5, bound=4, denominators=1):
@@ -198,6 +216,22 @@ def coproduct_grading(gcms, max_len):
     every w up to ``max_len``: [(g, w.word, u.word, v.word)]."""
     return [(g, w.word, u.word, v.word) for g in gcms for w in _elements(g, max_len)
             for u, v in peterson_coproduct(w).coeffs if u.length + v.length != w.length]
+
+
+def coproduct_matches_definition(gcms, max_len):
+    """``peterson_coproduct`` equals the definitional coproduct, with the same
+    lengths and words in the same support order, for every w up to
+    ``max_len``: [(g, w.word)]."""
+    def terms(t):
+        return [(u.length, u.word, v.length, v.word) for u, v in t.support()]
+
+    failures = []
+    for g in gcms:
+        for w in _elements(g, max_len):
+            got, want = peterson_coproduct(w), definitional_coproduct(w)
+            if got != want or terms(got) != terms(want):
+                failures.append((g, w.word))
+    return failures
 
 
 # -- poly ------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import pytest
 
 from schubert_kit.errors import NotReduced
-from schubert_kit.gcm import validate_gcm
+from schubert_kit.gcm import rank_two, validate_gcm
 from schubert_kit.rings import GF, QQ, ZZ
 from schubert_kit.selftests import (
     braid_relations_on_basis,
     coproduct_grading,
+    coproduct_matches_definition,
     nil_a_square_zero,
 )
 from schubert_kit.schubert import (
@@ -31,6 +32,9 @@ from schubert_kit.weyl import (
 )
 
 from conftest import AFFINE_A2
+
+HYPERBOLIC_RANK3 = [[2, -2, -2], [-2, 2, -2], [-2, -2, 2]]
+B4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -2, 2]]
 
 
 def basis(g, word, ring=ZZ):
@@ -141,6 +145,16 @@ def test_coproduct_grading_and_counit(gcm_a23, gcm_a11):
                 cop = peterson_coproduct(w)
                 assert counit_collapse(cop, "left") == SchubertVector.basis(ZZ, w)
                 assert counit_collapse(cop, "right") == SchubertVector.basis(ZZ, w)
+
+
+@pytest.mark.parametrize("gcm, max_len", [
+    (validate_gcm(AFFINE_A2), 6),
+    (validate_gcm(HYPERBOLIC_RANK3), 5),
+    (rank_two(2, 3), 30),
+    (validate_gcm(B4), 16),  # every element: the longest has length 16
+], ids=["affine-A2", "hyperbolic-rank-3", "2-3", "B4"])
+def test_coproduct_matches_definition(gcm, max_len):
+    assert coproduct_matches_definition([gcm], max_len) == []
 
 
 def _triple_left(w):
