@@ -36,6 +36,7 @@ from .gcm import (
 from .polyring import WeightRing
 from .rings import parse_ring
 from .schubert import (
+    check_operator_word,
     nil_aw,
     peterson_coproduct,
     schubert_from_jsonable,
@@ -234,7 +235,9 @@ def cmd_schubert_act(args):
     g = _gcm_from_args(args)
     ring = parse_ring(args.ring)
     vec = schubert_from_jsonable(g, ring, _json_entries(args.cls, "word"))
-    result = nil_aw(_word_arg(args.word), vec)
+    word = _word_arg(args.word)
+    check_operator_word(g, word)
+    result = nil_aw(word, vec)
     payload = schubert_to_jsonable(result)
     rows = [
         {"word": ",".join(map(str, entry["word"])) or "e",

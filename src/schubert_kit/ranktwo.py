@@ -22,12 +22,13 @@ equations (the independent solver), and once from the closed forms
 which the test suite requires to agree.  The closed forms are assertions
 about the solver, never inputs to it.
 
-Coproduct note: enumerating length-additive factorizations of the rigid
-alternating words puts the type alternation on the LEFT tensor factor:
+Coproduct note: the length-additive factorizations of the rigid
+alternating words put the type alternation on the LEFT tensor factor:
 the factorizations of delta_n are x_i (x) delta_{n-i} with x_i = delta_i
 when i = n (mod 2) and x_i = tau_i otherwise (symmetrically for tau_n).
-The enumeration is authoritative and is what ``peterson_coproduct``
-returns.
+This module never uses that rule: ``peterson_coproduct`` computes the
+factorizations in the group, by walking the weak-order interval below the
+class, and its result is authoritative.
 
 Degree bookkeeping is by half-degree n (topological degree 2n) except in
 ``hk_integral`` and the homology crosschecks, which speak in topological
@@ -575,8 +576,8 @@ def dual_polynomial_check(a: int, b: int, p: int, n_max: int) -> bool:
     non-trivially with a generator in degree 2nk, which happens exactly
     when the coefficient of tau_k (x) tau_{(n-1)k} in the coproduct of
     tau_{nk}, rewritten through the quotient functionals, is nonzero
-    mod p.  Uses the definitional coproduct enumeration, not any closed
-    form.
+    mod p.  The coproduct comes from ``peterson_coproduct``, which walks the
+    weak-order interval in the group, not from any closed form.
     """
     k = prime_order_closed(a, b, p).k
     tables = cd_sequences(a, b, n_max * k + 1)

@@ -5,27 +5,29 @@ group elements, graded by twice the length.  The annihilation operator for
 generator ``i`` sends the class of ``w`` to the class of ``w r_i`` when that
 is shorter and to zero otherwise; composites along reduced words give the
 full operator basis.  The coproduct of a basis class sums the tensors over
-all length-additive factorizations of its element.
+all length-additive factorizations of its element, read off the right
+weak-order interval below it.
 
 All operators here act by these combinatorial rules; no topology is ever
 materialized.  Operations that lower degree are exact on any truncation,
-and the coproduct of a class only needs elements of smaller length, so it
-is always exact.
+and the coproduct of a class only touches the elements below it in the
+weak order, so it is always exact.
 """
 
 from __future__ import annotations
 
+from . import intmat
 from .errors import NotReduced
 from .gcm import GeneralizedCartanMatrix
 from .rings import ZZ
 from .weyl import (
     WeylElement,
-    enumerate_by_length,
+    _is_negative_column,
     from_word,
     identity_element,
-    inverse,
     min_coset_reps,
     multiply,
+    reflection_matrix,
     right_descent,
     simple_reflection,
 )
@@ -153,27 +155,40 @@ class TensorVector:
 
 
 def nil_a(i: int, v: SchubertVector) -> SchubertVector:
-    """The degree-lowering operator for generator ``i``, extended linearly."""
+    """The degree-lowering operator for generator ``i``, extended linearly.
+
+    Raises ValueError if ``i`` is outside the index set of a nonzero ``v``.
+    """
     out = {}
     ring = v.ring
+    if not v.coeffs:
+        return SchubertVector(ring)
+    r = simple_reflection(next(iter(v.coeffs)).gcm, i)
     for w, c in v.coeffs.items():
         if right_descent(w, i):
-            img = multiply(w, simple_reflection(w.gcm, i))
+            img = multiply(w, r)
             out[img] = ring.add(out.get(img, ring.zero), c)
     return SchubertVector(ring, out)
+
+
+def check_operator_word(gcm: GeneralizedCartanMatrix, word) -> None:
+    """Raise ValueError for a letter outside the index set of ``gcm`` and
+    NotReduced if ``word`` is not a reduced expression."""
+    if from_word(gcm, word).length != len(word):
+        raise NotReduced(f"word {list(word)} is not reduced")
 
 
 def nil_aw(word, v: SchubertVector) -> SchubertVector:
     """Composite operator along a reduced word (rightmost letter acts first).
 
     Raises NotReduced if the word is not a reduced expression; composites
-    along any two reduced words of the same element agree.
+    along any two reduced words of the same element agree.  The zero vector
+    names no group, so its word is not checked here; a caller that knows
+    the group checks it with ``check_operator_word``.
     """
     word = tuple(int(i) for i in word)
     if v.coeffs:
-        gcm = next(iter(v.coeffs)).gcm
-        if from_word(gcm, word).length != len(word):
-            raise NotReduced(f"word {list(word)} is not reduced")
+        check_operator_word(next(iter(v.coeffs)).gcm, word)
     out = v
     for i in reversed(word):
         out = nil_a(i, out)
@@ -190,16 +205,40 @@ def l_functional(w: WeylElement, v: SchubertVector):
 def peterson_coproduct(w: WeylElement, ring=ZZ) -> TensorVector:
     """Sum of tensors over all length-additive factorizations of ``w``.
 
-    Computed by running the left factor over all elements of length at most
-    ``l(w)`` and keeping those whose complementary factor has complementary
-    length.  Exact: only lengths up to ``l(w)`` are ever touched.
+    The left factors ``u`` of ``w = u v`` with ``l(u) + l(v) = l(w)`` are the
+    right weak-order interval ``[e, w]``, walked level by level from
+    ``(e, w)``: each left descent ``i`` of ``v`` (a nonpositive column ``i``
+    of ``v^-1``) steps to ``(u r_i, r_i v)``.  The interval is closed under
+    prefixes and each level is walked in word order with ``i`` ascending, so
+    the first word reaching a new ``u`` is its lex-least reduced word.  The
+    word of ``v`` is its least left descent followed by the word of
+    ``r_i v``, filled in from the far end of the walk.  The cost is about the
+    interval's size times the rank, and only elements below ``w`` are
+    touched, so the result is exact.
     """
-    out = {}
-    for level in enumerate_by_length(w.gcm, w.length):
-        for u in level:
-            v = multiply(inverse(u), w)
-            if u.length + v.length == w.length:
-                out[(u, v)] = ring.one
+    g = w.gcm
+    refl = {i: reflection_matrix(g, i) for i in g.index_set}
+    # per level, u matrix -> (u word, v matrix, v^-1 matrix)
+    level = {intmat.identity(g.size): ((), w.matrix, intmat.integer_inverse(w.matrix))}
+    levels, least_step = [], {}
+    while level:
+        levels.append(level)
+        nxt = {}
+        for um, (uword, vm, vinv) in level.items():
+            for i, r in refl.items():
+                if _is_negative_column(vinv, i):
+                    child = intmat.mat_mul(um, r)
+                    least_step.setdefault(um, (i, child))
+                    if child not in nxt:
+                        nxt[child] = (uword + (i,), intmat.mat_mul(r, vm), intmat.mat_mul(vinv, r))
+        level = nxt
+    out, vwords = {}, {}
+    for length in reversed(range(len(levels))):
+        for um, (uword, vm, _) in levels[length].items():
+            step = least_step.get(um)
+            vword = vwords[um] = (step[0],) + vwords[step[1]] if step else ()
+            u = WeylElement(g, um, length, uword)
+            out[(u, WeylElement(g, vm, len(vword), vword))] = ring.one
     return TensorVector(ring, out)
 
 

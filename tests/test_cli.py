@@ -280,10 +280,13 @@ def test_usage_error_exit_code(capsys):
     ["poly", "psi", "--gcm", "2,-1;-1,2", "--field", "F2", "--poly",
      '[{"exponents": [1, 0], "coefficient": "1/2"}]'],
     ["schubert", "act", "--gcm", "2,-1;-1,2", "--class", '[{"word": [true], "coefficient": 1}]'],
+    ["schubert", "act", "--gcm", "2,-1;-1,2", "--class", "[]", "--word", "1,1"],
+    ["schubert", "act", "--gcm", "2,-1;-1,2", "--class", "[]", "--word", "7"],
 ], ids=["S-zero", "class-missing-key", "poly-missing-key", "class-word-not-list",
         "poly-float-coefficient", "missing-file", "negative-max-len", "hk-negative-N",
         "products-negative-N", "class-bool-coefficient", "poly-bool-coefficient",
-        "class-F2-half", "poly-F2-half", "class-bool-word"])
+        "class-F2-half", "poly-F2-half", "class-bool-word", "zero-class-word-not-reduced",
+        "zero-class-letter-out-of-range"])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     argv = [str(tmp_path / "absent.json") if a == "MISSING" else a for a in argv]
     try:

@@ -58,6 +58,13 @@ def test_nil_a_square_zero():
     assert nil_a_square_zero(gcms, 5) == []
 
 
+def test_nil_a_rejects_generator_out_of_range(gcm_a11):
+    v = basis(gcm_a11, (2, 1))
+    for i in (0, 3):
+        with pytest.raises(ValueError):
+            nil_a(i, v)
+
+
 def test_nil_aw_single_letter(gcm_a23):
     v = basis(gcm_a23, (1, 2))
     assert nil_aw((2,), v) == nil_a(2, v)
@@ -155,6 +162,21 @@ def test_coproduct_grading_and_counit(gcm_a23, gcm_a11):
 ], ids=["affine-A2", "hyperbolic-rank-3", "2-3", "B4"])
 def test_coproduct_matches_definition(gcm, max_len):
     assert coproduct_matches_definition([gcm], max_len) == []
+
+
+@pytest.mark.parametrize("gcm, word", [
+    (validate_gcm(HYPERBOLIC_RANK3), (1, 2, 3, 2, 1, 3, 1, 2) * 5),
+    (rank_two(2, 3), (1, 2) * 100),
+], ids=["hyperbolic-rank-3-length-40", "2-3-length-200"])
+def test_coproduct_of_long_words(gcm, word):
+    # reduced words are unique in both groups, so the terms are the l + 1 splits of the word
+    w = from_word(gcm, word)
+    assert w.word == word
+    terms = peterson_coproduct(w).support()
+    assert len(terms) == len(word) + 1
+    for u, v in terms:
+        assert u.word + v.word == word
+        assert len(u.word) == u.length and len(v.word) == v.length
 
 
 def _triple_left(w):
