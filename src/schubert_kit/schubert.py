@@ -159,11 +159,11 @@ def nil_a(i: int, v: SchubertVector) -> SchubertVector:
 
     Raises ValueError if ``i`` is outside the index set of a nonzero ``v``.
     """
-    out = {}
     ring = v.ring
     if not v.coeffs:
         return SchubertVector(ring)
     r = simple_reflection(next(iter(v.coeffs)).gcm, i)
+    out = {}
     for w, c in v.coeffs.items():
         if right_descent(w, i):
             img = multiply(w, r)
