@@ -75,9 +75,5 @@ class NonIntegral(TheoremViolation):
     """A generalized binomial coefficient failed to be an integer."""
 
 
-class InexactDivision(TheoremViolation):
-    """Division by a linear form left a remainder."""
-
-
 class UnderdeterminedSystem(TheoremViolation):
     """The degree-by-degree product solver hit an inconsistent system."""

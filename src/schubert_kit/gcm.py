@@ -16,9 +16,8 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import intmat, linalg
+from . import intmat
 from .errors import DiagonalNotTwo, PositiveOffDiagonal, ZeroAsymmetry
-from .rings import QQ
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -196,20 +195,18 @@ def standard_realization(gcm: GeneralizedCartanMatrix) -> Realization:
     functional starts as column j of the matrix; when the matrix is singular
     the rows are completed to full row rank by standard basis covectors
     chosen greedily by lowest index, which appends the missing coordinates.
+    Those covectors ``e_k`` are the pivot columns ``n + k`` of one
+    elimination of ``[A^T | I]``, whose first ``n`` columns are the rows.
     The dual basis is fixed as the first ``n`` standard dual covectors.
     """
     n = gcm.size
+    pivots, _ = intmat._eliminate(
+        [[row[i] for row in gcm.entries] + [int(i == k) for k in range(n)]
+         for i in range(n)], 2 * n)
+    assert len(pivots) == n  # the stacked rows below have rank n
     stacked = [list(row) for row in gcm.entries]
-    r = linalg.rank(stacked, QQ)
-    torus_rank = 2 * n - r
-    for k in range(n):
-        if r == n:
-            break
-        cand = [1 if t == k else 0 for t in range(n)]
-        if linalg.rank(stacked + [cand], QQ) > r:
-            stacked.append(cand)
-            r += 1
-    assert len(stacked) == torus_rank and linalg.rank(stacked, QQ) == n
+    stacked += [[int(t == c - n) for t in range(n)] for c in pivots if c >= n]
+    torus_rank = len(stacked)
     coroots = tuple(
         tuple(1 if t == i else 0 for t in range(torus_rank)) for i in range(n)
     )

@@ -1,4 +1,5 @@
-"""Small exact integer-matrix helpers (tuples of tuples, row major)."""
+"""Small exact integer-matrix helpers (tuples of tuples, row major), and the
+one elimination routine behind ``det``, ``integer_inverse`` and ``linalg``."""
 
 from __future__ import annotations
 
@@ -17,43 +18,53 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def _eliminate(rows: list[list[int]], n: int) -> int:
-    """Fraction-free Gauss-Jordan on the first ``n`` columns, in place.
+def _eliminate(rows: list[list[int]], ncols: int, p: int = 0):
+    """Fraction-free Gauss-Jordan on the first ``ncols`` columns, in place.
 
-    Returns the determinant of the leading n x n block ``M``.  Each step
-    replaces every non-pivot row by ``(pivot * row - f * pivot_row) /
-    previous_pivot``, a division that is always exact (Bareiss 1968), and a
-    row swap negates one of the two rows so that no step changes the
-    determinant.  When ``d = det(M)`` is nonzero the leading block ends as
-    ``d * I`` and every further column ``c`` as ``d * M^-1 c``.
+    Returns the pivot columns and the last pivot ``d`` (1 if none); a column
+    with no pivot is skipped.  Each step replaces every other row by
+    ``(pivot * row - f * pivot_row) / previous_pivot``, a division that is
+    exact over Z (Bareiss 1968) and a product by the inverse over F_p, for
+    rows reduced mod ``p``.  A row swap negates one row, so a square matrix
+    with a full set of pivots has determinant ``d``.  Every pivot ends equal
+    to ``d``: a row divided by ``d`` is that row of the reduced row echelon
+    form, and a further column ``c`` of an invertible block ``M`` ends as
+    ``d * M^-1 c``.
     """
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if rows[i][k]), None)
-        if p is None:
-            return 0
-        if p != k:
-            rows[k], rows[p] = rows[p], [-x for x in rows[k]]
-        pivot_row = rows[k]
-        piv = pivot_row[k]
-        for i in range(n):
-            if i != k:
-                f = rows[i][k]
-                rows[i] = [(piv * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
+    pivots, prev = [], 1
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        if k != r:
+            rows[r], rows[k] = rows[k], [-x for x in rows[r]]
+        pivot_row = rows[r]
+        piv = pivot_row[c]
+        inv = pow(prev, -1, p) if p else 0
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                if p:
+                    rows[i] = [(piv * x - f * y) * inv % p for x, y in zip(row, pivot_row)]
+                else:
+                    rows[i] = [(piv * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        pivots.append(c)
         prev = piv
-    return prev
+    return pivots, prev
 
 
 def det(m) -> int:
     """Exact determinant of a square integer matrix."""
-    return _eliminate([list(row) for row in m], len(m))
+    pivots, d = _eliminate([list(row) for row in m], len(m))
+    return d if len(pivots) == len(m) else 0
 
 
 def integer_inverse(m: Matrix):
     """Inverse of a unimodular integer matrix, or None."""
     n = len(m)
     rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    d = _eliminate(rows, n)
-    if d not in (1, -1):
+    pivots, d = _eliminate(rows, n)
+    if len(pivots) < n or d not in (1, -1):
         return None
     return tuple(tuple(d * x for x in row[n:]) for row in rows)

@@ -1,50 +1,45 @@
-"""Exact Gaussian elimination over a coefficient field."""
+"""Rank and kernel bases of integer matrices over Q or a prime field.
+
+Both are read off ``intmat._eliminate``: over Q on the integers, over F_p on
+residues.  Entries must be integers (``operator.index``); a ``Fraction`` or
+any other entry raises ``TypeError``.  Only ``ring.char`` selects the field.
+"""
 
 from __future__ import annotations
 
+from fractions import Fraction
+from operator import index
 
-def _rref(mat, ring):
-    """Reduced row echelon form in place; returns pivot column list."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if not ring.is_zero(mat[i][c])), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv_lead = mat[r][c]
-        mat[r] = [ring.div(x, inv_lead) for x in mat[r]]
-        for i in range(nrows):
-            if i != r and not ring.is_zero(mat[i][c]):
-                f = mat[i][c]
-                mat[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
+from .intmat import _eliminate
+
+
+def _integer_rows(matrix, p):
+    if p:
+        return [[index(x) % p for x in row] for row in matrix]
+    return [[index(x) for x in row] for row in matrix]
 
 
 def rank(matrix, ring) -> int:
-    mat = [[ring.promote(x) for x in row] for row in matrix]
-    return len(_rref(mat, ring))
+    rows = _integer_rows(matrix, ring.char)
+    return len(_eliminate(rows, len(rows[0]) if rows else 0, ring.char)[0])
 
 
 def kernel_basis(matrix, ncols, ring):
-    """Basis of {v : M v = 0} for M given as rows; deterministic order."""
-    mat = [[ring.promote(x) for x in row] for row in matrix]
-    for row in mat:
+    """Basis of {v : M v = 0} for M given as rows, read off the reduced row
+    echelon form: one vector per non-pivot column, in increasing order, with
+    ``Fraction`` entries over Q and ``int`` entries in ``0..p-1`` over F_p."""
+    p = ring.char
+    rows = _integer_rows(matrix, p)
+    for row in rows:
         assert len(row) == ncols
-    pivots = _rref(mat, ring)
+    pivots, d = _eliminate(rows, ncols, p)
+    inv = pow(d, -1, p) if p else 0
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivot_set):
         v = [ring.zero] * ncols
         v[fc] = ring.one
-        for r, pc in enumerate(pivots):
-            v[pc] = ring.neg(mat[r][fc])
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc] * inv % p if p else Fraction(-row[fc], d)
         basis.append(tuple(v))
     return basis

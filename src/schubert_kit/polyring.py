@@ -8,8 +8,10 @@ t(h_i) * alpha_i`` on linear forms, the divided difference operators
 expansion of ``f`` along the coroot (no division, integer coefficients),
 the characteristic homomorphism into the Schubert basis, computed over the
 integers by a recursion over right descents one degree at a time, the
-ideal of generalized invariants computed degreewise as a kernel, and the
-total Steenrod operation over a prime field.
+ideal of generalized invariants computed degreewise as the kernel of the
+integer evaluation matrix (and the image series as its rank, both by the
+fraction-free elimination of ``intmat`` through ``linalg``), and the total
+Steenrod operation over a prime field.
 
 Internally everything is graded by polynomial degree; the topological
 degree ``2d`` appears only at the interface.
@@ -74,12 +76,6 @@ class GradedPolynomial:
         if len(degrees) > 1:
             raise NotHomogeneous(f"mixed degrees {sorted(degrees)}")
         return degrees.pop() if degrees else 0
-
-    def is_homogeneous(self) -> bool:
-        return len({sum(e) for e in self.terms}) <= 1
-
-    def constant_coefficient(self):
-        return self.terms.get((0,) * self.nvars, self.ring.zero)
 
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), self.ring.zero)
@@ -417,14 +413,15 @@ class WeightRing:
     # -- generalized invariants ----------------------------------------
 
     def _evaluation_matrix(self, half_degree: int):
-        """Rows indexed by length-d elements, columns by degree-d monomials."""
+        """Rows indexed by length-d elements, columns by degree-d monomials.
+
+        The entries are the integer images of ``_integer_images``, already
+        reduced mod p over F_p, read straight into ``linalg``.
+        """
         monos = monomial_exponents(self.nvars, half_degree)
-        elements = enumerate_by_length(self.gcm, half_degree)[half_degree]
-        columns = [self._psi_monomial(e) for e in monos]
-        matrix = [
-            [col.coefficient(w) for col in columns] for w in elements
-        ]
-        return monos, matrix
+        levels = enumerate_by_length(self.gcm, half_degree)
+        images = self._integer_images(levels)[half_degree]
+        return monos, list(zip(*(images[m] for m in monos)))
 
     def generalized_invariants(self, degree: int):
         """Kernel of the characteristic map in one topological degree.

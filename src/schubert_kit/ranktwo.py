@@ -78,10 +78,6 @@ class RankTwoTables:
     d: tuple[int, ...]
     g: tuple[int, ...]
 
-    @property
-    def max_index(self) -> int:
-        return len(self.c) - 1
-
 
 def _require_noncompact(a: int, b: int):
     if a < 1 or b < 1 or a * b < 4:

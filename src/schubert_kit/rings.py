@@ -37,20 +37,11 @@ class IntegerRing:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
     def neg(self, a):
         return -a
-
-    def div(self, a, b):
-        q, r = divmod(a, b)
-        if r:
-            raise ValueError(f"{a} is not divisible by {b} in Z")
-        return q
 
     def is_zero(self, a):
         return a == 0
@@ -77,17 +68,11 @@ class RationalRing:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
     def neg(self, a):
         return -a
-
-    def div(self, a, b):
-        return a / b
 
     def is_zero(self, a):
         return a == 0
@@ -132,19 +117,11 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 
     def neg(self, a):
         return (-a) % self.p
-
-    def div(self, a, b):
-        if b % self.p == 0:
-            raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return a * pow(b, -1, self.p) % self.p
 
     def is_zero(self, a):
         return a % self.p == 0

@@ -1,5 +1,6 @@
 import random
 import sys
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -60,3 +61,38 @@ def stack_depth():
     while frame is not None:
         frame, depth = frame.f_back, depth + 1
     return depth
+
+
+def oracle_rref(matrix, ncols, p):
+    """Pivot columns and reduced rows over Q (p = 0) or F_p."""
+    if p:
+        rows = [[x % p for x in row] for row in matrix]
+
+        def div(a, b):
+            return a * pow(b, -1, p) % p
+
+        def sub(a, b):
+            return (a - b) % p
+    else:
+        rows = [[Fraction(x) for x in row] for row in matrix]
+
+        def div(a, b):
+            return a / b
+
+        def sub(a, b):
+            return a - b
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        lead = rows[r][c]
+        rows[r] = [div(x, lead) for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [sub(x, f * y) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots, rows

@@ -22,7 +22,7 @@ from schubert_kit.selftests import (
     realization_pairings,
 )
 
-from conftest import AFFINE_A2, leibniz_det
+from conftest import AFFINE_A2, SEED, leibniz_det, oracle_rref
 
 
 def test_validate_accepts_rank_two_hyperbolic():
@@ -184,6 +184,50 @@ def test_standard_realization_roots_independent(gcm_a22, gcm_affine_a2):
         real = standard_realization(g)
         assert _has_full_rank(real.root_functionals)
         assert _has_full_rank(real.coroots)
+
+
+def _rank(rows):
+    return len(oracle_rref(rows, len(rows[0]), 0)[0])
+
+
+def _block_sum(*blocks):
+    n = sum(len(b) for b in blocks)
+    rows, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at:at + len(b)] = row
+        at += len(b)
+    return rows
+
+
+def test_standard_realization_completes_by_lowest_index():
+    # the rows of A, then each e_k in index order that raises the rank
+    rng = random.Random(SEED)
+    affine_a1 = [[2, -2], [-2, 2]]
+    cases = [_block_sum(affine_a1, affine_a1), _block_sum(affine_a1, AFFINE_A2),
+             _block_sum([[2]], affine_a1, [[2, -1], [-4, 2]])]
+    for trial in range(150):
+        n = rng.randint(1, 5)
+        rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < (0.3 if trial % 2 else 0.8):
+                    a, b = rng.choice([(-2, -2), (-1, -4), (-1, -1), (-1, -2), (-3, -1)])
+                    rows[i][j], rows[j][i] = a, b
+        cases.append(rows)
+    coranks = []
+    for rows in cases:
+        g = validate_gcm(rows)
+        stacked = [list(row) for row in g.entries]
+        for k in range(g.size):
+            cand = [int(t == k) for t in range(g.size)]
+            if _rank(stacked + [cand]) > _rank(stacked):
+                stacked.append(cand)
+        coranks.append(len(stacked) - g.size)
+        real = standard_realization(g)
+        assert real.torus_rank == len(stacked)
+        assert real.root_functionals == tuple(zip(*stacked)), rows
+    assert coranks[:3] == [2, 2, 2] and coranks.count(1) >= 10
 
 
 def test_affine_a2_torus_rank(gcm_affine_a2):

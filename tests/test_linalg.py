@@ -1,11 +1,12 @@
 """Rank and kernel bases against a reduced row echelon form oracle.
 
-The oracle below shares no code with the package: it is the textbook
-Gauss-Jordan elimination, scaling each pivot row to 1 and clearing its
-column, over ``Fraction`` for Q and over ``int`` mod p for F_p.  Kernel
-vectors are read off the unique reduced form, one per free column in
-increasing order, so they are compared with the package's element by
-element, including whether each entry is a ``Fraction`` or an ``int``.
+The oracle (``conftest.oracle_rref``) shares no code with the package: it
+is the textbook Gauss-Jordan elimination, scaling each pivot row to 1 and
+clearing its column, over ``Fraction`` for Q and over ``int`` mod p for
+F_p.  Kernel vectors are read off the unique reduced form, one per free
+column in increasing order, so they are compared with the package's
+element by element, including whether each entry is a ``Fraction`` or an
+``int``.
 """
 
 import random
@@ -18,44 +19,9 @@ from schubert_kit.linalg import kernel_basis, rank
 from schubert_kit.polyring import WeightRing
 from schubert_kit.rings import GF, QQ
 
-from conftest import AFFINE_A2
+from conftest import AFFINE_A2, oracle_rref
 
 FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F7": GF(7)}
-
-
-def oracle_rref(matrix, ncols, p):
-    """Pivot columns and reduced rows over Q (p = 0) or F_p."""
-    if p:
-        rows = [[x % p for x in row] for row in matrix]
-
-        def div(a, b):
-            return a * pow(b, -1, p) % p
-
-        def sub(a, b):
-            return (a - b) % p
-    else:
-        rows = [[Fraction(x) for x in row] for row in matrix]
-
-        def div(a, b):
-            return a / b
-
-        def sub(a, b):
-            return a - b
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if k is None:
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        lead = rows[r][c]
-        rows[r] = [div(x, lead) for x in rows[r]]
-        for i in range(len(rows)):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = [sub(x, f * y) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return pivots, rows
 
 
 def oracle_kernel(matrix, ncols, p):
@@ -134,3 +100,12 @@ def test_evaluation_matrices_match_oracle(name, rows, max_degree, realization, f
         _check(matrix, len(monos), model.ring)
         assert image_dim == len(oracle_rref(matrix, len(monos), model.ring.char)[0])
         assert kernel_dim == len(monos) - image_dim
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_non_integer_entries_rejected(field):
+    matrix = [[1, 2], [3, Fraction(1, 2)]]
+    with pytest.raises(TypeError):
+        rank(matrix, FIELDS[field])
+    with pytest.raises(TypeError):
+        kernel_basis(matrix, 2, FIELDS[field])
