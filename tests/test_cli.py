@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -319,3 +322,18 @@ def test_rank2_rejects_compact_pairs(capsys):
     code = cli.main(["rank2", "table", "-a", "1", "-b", "3", "-N", "5"])
     assert code == 2
     assert "ab < 4" in capsys.readouterr().err
+
+
+def test_plain_command_does_not_import_selftests():
+    src = Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from schubert_kit import cli\n"
+        "assert cli.main(['gcm', 'check', '2,-1;-1,2']) == 0\n"
+        "print('schubert_kit.selftests' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

@@ -2,7 +2,9 @@
 
 ``data/readme_cli.json`` maps each example, as written in the README's
 "Command line" block (continuation lines joined), to its standard output.
-Refactors must leave every byte of it unchanged.
+``data/readme_cli_formats.json`` maps the same examples to their output with
+``--format csv`` and with ``--format json``.  Refactors must leave every
+byte of both unchanged.
 """
 
 import json
@@ -16,6 +18,7 @@ from schubert_kit import cli
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = json.loads((HERE / "data" / "readme_cli.json").read_text(encoding="utf-8"))
+FORMATS = json.loads((HERE / "data" / "readme_cli_formats.json").read_text(encoding="utf-8"))
 
 
 def readme_commands():
@@ -27,6 +30,7 @@ def readme_commands():
 
 def test_golden_covers_every_readme_example():
     assert list(GOLDEN) == readme_commands()
+    assert list(FORMATS) == readme_commands()
 
 
 @pytest.mark.parametrize("command", list(GOLDEN),
@@ -36,3 +40,11 @@ def test_readme_example_stdout(command, capsys):
     assert argv[0] == "schubert-kit"
     assert cli.main(argv[1:]) == 0
     assert capsys.readouterr().out == GOLDEN[command]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(FORMATS),
+                         ids=[f"example{k:02d}" for k in range(len(FORMATS))])
+def test_readme_example_stdout_in_format(command, fmt, capsys):
+    assert cli.main(shlex.split(command)[1:] + ["--format", fmt]) == 0
+    assert capsys.readouterr().out == FORMATS[command][fmt]
