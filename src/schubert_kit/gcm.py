@@ -13,6 +13,7 @@ Generator indices are 1-based throughout the public API.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -80,13 +81,20 @@ class SphericalPoset:
         return tuple(sorted(subset)) in set(self.subsets)
 
 
+def _entry(x) -> int:
+    if isinstance(x, bool) or not hasattr(x, "__index__"):
+        raise ValueError(f"matrix entry {x!r} is not an integer")
+    return operator.index(x)
+
+
 def validate_gcm(matrix, labels=None) -> GeneralizedCartanMatrix:
     """Validate the three Cartan axioms and freeze the matrix.
 
     Raises DiagonalNotTwo, PositiveOffDiagonal or ZeroAsymmetry naming the
-    first offending entry.
+    first offending entry, and ValueError for an entry that is not an
+    integer (a float or a boolean is not).
     """
-    rows = [tuple(int(x) for x in row) for row in matrix]
+    rows = [tuple(_entry(x) for x in row) for row in matrix]
     n = len(rows)
     for row in rows:
         if len(row) != n:
@@ -122,8 +130,18 @@ def parse_gcm(text: str) -> GeneralizedCartanMatrix:
 
 
 def gcm_from_dict(data: dict) -> GeneralizedCartanMatrix:
-    """Build from the structured form {"labels": [...], "rows": [[...]]}."""
-    return validate_gcm(data["rows"], data.get("labels"))
+    """Build from the structured form {"labels": [...], "rows": [[...]]}.
+
+    Raises ValueError for any other shape: the rows must be a list of lists
+    of integers and the labels, when given, a list.
+    """
+    rows = data.get("rows") if isinstance(data, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError('expected {"labels": [...], "rows": [[...], ...]} with a list of rows')
+    labels = data.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise ValueError("labels must be a list")
+    return validate_gcm(rows, labels)
 
 
 def gcm_from_file(path) -> GeneralizedCartanMatrix:

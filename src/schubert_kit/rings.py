@@ -14,6 +14,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+def _fraction(x) -> Fraction:
+    """``Fraction(x)``, with a zero denominator reported as a ValueError."""
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{x!r} has a zero denominator") from None
+
+
 @dataclass(frozen=True)
 class IntegerRing:
     name = "Z"
@@ -28,7 +36,7 @@ class IntegerRing:
         if isinstance(x, int):
             return x
         if isinstance(x, (Fraction, str)):
-            q = Fraction(x)
+            q = _fraction(x)
             if q.denominator != 1:
                 raise ValueError(f"{x!r} is not an integer")
             return q.numerator
@@ -62,7 +70,7 @@ class RationalRing:
         if isinstance(x, bool):
             raise TypeError("booleans are not ring elements")
         if isinstance(x, (int, Fraction, str)):
-            return Fraction(x)
+            return _fraction(x)
         raise TypeError(f"cannot coerce {x!r} into Q")
 
     def add(self, a, b):
@@ -107,7 +115,7 @@ class PrimeField:
         if isinstance(x, int):
             return x % self.p
         if isinstance(x, (Fraction, str)):
-            q = Fraction(x)
+            q = _fraction(x)
             if q.denominator % self.p == 0:
                 raise ValueError(f"{x!r} has no image in F_{self.p}: "
                                  f"its denominator is divisible by {self.p}")

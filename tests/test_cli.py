@@ -285,13 +285,43 @@ def test_usage_error_exit_code(capsys):
     ["schubert", "act", "--gcm", "2,-1;-1,2", "--class", '[{"word": [true], "coefficient": 1}]'],
     ["schubert", "act", "--gcm", "2,-1;-1,2", "--class", "[]", "--word", "1,1"],
     ["schubert", "act", "--gcm", "2,-1;-1,2", "--class", "[]", "--word", "7"],
+    ["gcm", "check", "--gcm-file", ('{"labels": ["1", "2"]}',)],
+    ["gcm", "check", "--gcm-file", ("[[2, -1], [-1, 2]]",)],
+    ["weyl", "enum", "--gcm-file", ('{"rows": null}',)],
+    ["weyl", "enum", "--gcm-file", ('{"rows": [2, -1]}',)],
+    ["gcm", "check", "--gcm-file", ('{"rows": [[2, -1.5], [-1, 2]]}',)],
+    ["gcm", "poset", "--gcm-file", ('{"rows": [[2, false], [false, 2]]}',)],
+    ["gcm", "check", "--gcm-file", ('{"labels": "ab", "rows": [[2, -1], [-1, 2]]}',)],
+    ["schubert", "act", "--gcm", "2,-1;-1,2", "--class",
+     '[{"word": [1], "coefficient": "1/0"}]'],
+    ["schubert", "act", "--gcm", "2,-1;-1,2", "--ring", "Q", "--class",
+     '[{"word": [1], "coefficient": "1/0"}]'],
+    ["schubert", "act", "--gcm", "2,-1;-1,2", "--ring", "F3", "--class",
+     '[{"word": [1], "coefficient": "1/0"}]'],
+    ["poly", "psi", "--gcm", "2,-1;-1,2", "--field", "Z", "--poly",
+     '[{"exponents": [1, 0], "coefficient": "1/0"}]'],
+    ["poly", "psi", "--gcm", "2,-1;-1,2", "--poly",
+     '[{"exponents": [1, 0], "coefficient": "1/0"}]'],
+    ["poly", "psi", "--gcm", "2,-1;-1,2", "--field", "F3", "--poly",
+     '[{"exponents": [1, 0], "coefficient": "1/0"}]'],
 ], ids=["S-zero", "class-missing-key", "poly-missing-key", "class-word-not-list",
         "poly-float-coefficient", "missing-file", "negative-max-len", "hk-negative-N",
         "products-negative-N", "class-bool-coefficient", "poly-bool-coefficient",
         "class-F2-half", "poly-F2-half", "class-bool-word", "zero-class-word-not-reduced",
-        "zero-class-letter-out-of-range"])
+        "zero-class-letter-out-of-range", "gcm-file-no-rows", "gcm-file-top-level-list",
+        "gcm-file-null-rows", "gcm-file-flat-rows", "gcm-file-float-entry",
+        "gcm-file-bool-entry", "gcm-file-string-labels", "class-Z-zero-denominator",
+        "class-Q-zero-denominator", "class-F3-zero-denominator", "poly-Z-zero-denominator",
+        "poly-Q-zero-denominator", "poly-F3-zero-denominator"])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
-    argv = [str(tmp_path / "absent.json") if a == "MISSING" else a for a in argv]
+    # "MISSING" names a file that does not exist; a 1-tuple holds the
+    # contents of a file to pass in its place
+    gcm_file = tmp_path / "gcm.json"
+    for a in argv:
+        if isinstance(a, tuple):
+            gcm_file.write_text(a[0])
+    argv = [str(tmp_path / "absent.json") if a == "MISSING"
+            else str(gcm_file) if isinstance(a, tuple) else a for a in argv]
     try:
         code = cli.main(argv)
     except SystemExit as exc:  # argparse rejects the value while parsing
