@@ -14,6 +14,13 @@ Every subcommand accepts --selftest.  It runs its group's invariant checks
 from ``selftests``, the functions the unit tests call, at reduced bounds:
 one [PASS] or [FAIL] line per check on stdout, the first failing input of a
 failed check on stderr, and exit 3 if any check fails.
+
+The parser is declared once, by the ``COMMANDS`` table: each command group
+with its help text and, for each subcommand, its handler, help text and
+options.  ``build_parser`` adds --format, --output and --selftest to every
+subcommand.  Handlers pass rows of plain values to ``_emit``; a list-valued
+cell is a word, shown as ``1,2,1`` (or ``e`` when empty) in table and CSV
+and kept as a list in JSON.
 """
 
 from __future__ import annotations
@@ -50,22 +57,19 @@ EXIT_USAGE = 2
 EXIT_THEOREM = 3
 
 
-def _emit(args, params: dict, bounds: dict, columns, rows, extras=None,
-          json_rows=None):
-    """Render rows (list of dicts) in the selected format, deterministically.
+def _word_text(word) -> str:
+    return ",".join(map(str, word)) or "e"
 
-    ``json_rows`` overrides the row payload for JSON so structured fields
-    (word lists, exponent vectors) round-trip through the documented
-    schemas instead of the flat display strings.
-    """
+
+def _emit(args, params: dict, bounds: dict, columns, rows, extras=None):
+    """Render rows (list of dicts) in the selected format, deterministically."""
+    cells = [
+        [_word_text(row[c]) if isinstance(row[c], list) else row[c] for c in columns]
+        for row in rows
+    ]
     out = io.StringIO()
     if args.format == "json":
-        doc = {
-            "params": params,
-            "bounds": bounds,
-            "results": {"rows": json_rows if json_rows is not None else rows,
-                        **(extras or {})},
-        }
+        doc = {"params": params, "bounds": bounds, "results": {"rows": rows, **(extras or {})}}
         out.write(json.dumps(doc, indent=2))
         out.write("\n")
     elif args.format == "csv":
@@ -77,24 +81,17 @@ def _emit(args, params: dict, bounds: dict, columns, rows, extras=None,
             )
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] for c in columns])
+        writer.writerows(cells)
     else:
         meta = {**params, **bounds}
         if meta:
             out.write(
                 "# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items())) + "\n"
             )
-        widths = {
-            c: max(len(str(c)), *(len(str(r[c])) for r in rows)) if rows else len(str(c))
-            for c in columns
-        }
-        out.write("  ".join(str(c).ljust(widths[c]) for c in columns).rstrip() + "\n")
-        for row in rows:
-            out.write(
-                "  ".join(str(row[c]).ljust(widths[c]) for c in columns).rstrip()
-                + "\n"
-            )
+        lines = [list(map(str, columns))] + [list(map(str, cell)) for cell in cells]
+        widths = [max(len(line[i]) for line in lines) for i in range(len(columns))]
+        for line in lines:
+            out.write("  ".join(x.ljust(w) for x, w in zip(line, widths)).rstrip() + "\n")
         for k, v in (extras or {}).items():
             out.write(f"{k}: {v}\n")
     text = out.getvalue()
@@ -120,9 +117,11 @@ def _run_selftest(group: str) -> int:
 
 
 def _gcm_from_args(args):
-    if getattr(args, "gcm_file", None):
+    if getattr(args, "matrix", None):
+        return parse_gcm(args.matrix)
+    if args.gcm_file:
         return gcm_from_file(args.gcm_file)
-    if getattr(args, "gcm", None):
+    if args.gcm:
         return parse_gcm(args.gcm)
     raise SchubertKitError("a Cartan matrix is required (--gcm or --gcm-file)")
 
@@ -160,7 +159,7 @@ def _fmt_subset(subset) -> str:
 
 
 def cmd_gcm_check(args):
-    g = parse_gcm(args.matrix) if args.matrix else _gcm_from_args(args)
+    g = _gcm_from_args(args)
     poset = spherical_poset(g)
     rows = [{"subset": _fmt_subset(s), "size": len(s)} for s in poset.subsets]
     _emit(
@@ -175,7 +174,7 @@ def cmd_gcm_check(args):
 
 
 def cmd_gcm_poset(args):
-    g = parse_gcm(args.matrix) if args.matrix else _gcm_from_args(args)
+    g = _gcm_from_args(args)
     poset = spherical_poset(g)
     rows = [
         {"subset": _fmt_subset(sub), "covered_by": _fmt_subset(sup)}
@@ -217,13 +216,7 @@ def cmd_weyl_bruhat(args):
     g = _gcm_from_args(args)
     u = from_word(g, _word_arg(args.u))
     v = from_word(g, _word_arg(args.v))
-    rows = [
-        {
-            "u": ",".join(map(str, u.word)) or "e",
-            "v": ",".join(map(str, v.word)) or "e",
-            "u_leq_v": bruhat_leq(u, v),
-        }
-    ]
+    rows = [{"u": _word_text(u.word), "v": _word_text(v.word), "u_leq_v": bruhat_leq(u, v)}]
     _emit(args, {"matrix": repr(g)}, {}, ["u", "v", "u_leq_v"], rows)
     return EXIT_OK
 
@@ -237,20 +230,12 @@ def cmd_schubert_act(args):
     vec = schubert_from_jsonable(g, ring, _json_entries(args.cls, "word"))
     word = _word_arg(args.word)
     check_operator_word(g, word)
-    result = nil_aw(word, vec)
-    payload = schubert_to_jsonable(result)
-    rows = [
-        {"word": ",".join(map(str, entry["word"])) or "e",
-         "coefficient": entry["coefficient"]}
-        for entry in payload
-    ]
     _emit(
         args,
         {"matrix": repr(g), "operator_word": args.word, "ring": ring.name},
         {},
         ["word", "coefficient"],
-        rows,
-        json_rows=payload,
+        schubert_to_jsonable(nil_aw(word, vec)),
     )
     return EXIT_OK
 
@@ -258,24 +243,14 @@ def cmd_schubert_act(args):
 def cmd_schubert_coproduct(args):
     g = _gcm_from_args(args)
     w = from_word(g, _word_arg(args.word))
-    cop = peterson_coproduct(w)
-    payload = tensor_to_jsonable(cop)
-    rows = [
-        {
-            "left_word": ",".join(map(str, entry["left_word"])) or "e",
-            "right_word": ",".join(map(str, entry["right_word"])) or "e",
-            "coefficient": entry["coefficient"],
-        }
-        for entry in payload
-    ]
+    rows = tensor_to_jsonable(peterson_coproduct(w))
     _emit(
         args,
-        {"matrix": repr(g), "word": ",".join(map(str, w.word)) or "e"},
+        {"matrix": repr(g), "word": _word_text(w.word)},
         {},
         ["left_word", "right_word", "coefficient"],
         rows,
         {"terms": len(rows)},
-        json_rows=payload,
     )
     return EXIT_OK
 
@@ -297,13 +272,6 @@ def cmd_poly_psi(args):
     ring = parse_ring(args.field)
     model = _model_from_args(args, g, ring)
     f = model.from_jsonable(_json_entries(args.poly, "exponents"))
-    image = model.characteristic_map(f)
-    payload = schubert_to_jsonable(image)
-    rows = [
-        {"word": ",".join(map(str, entry["word"])) or "e",
-         "coefficient": entry["coefficient"]}
-        for entry in payload
-    ]
     _emit(
         args,
         {
@@ -314,8 +282,7 @@ def cmd_poly_psi(args):
         },
         {},
         ["word", "coefficient"],
-        rows,
-        json_rows=payload,
+        schubert_to_jsonable(model.characteristic_map(f)),
     )
     return EXIT_OK
 
@@ -456,22 +423,17 @@ def cmd_rank2_prime_order(args):
 
 def cmd_rank2_bockstein(args):
     k = ranktwo.prime_order_closed(args.a, args.b, args.p).k
-    t = ranktwo.cd_sequences(args.a, args.b, args.S * k)
-    base = ranktwo.p_adic_valuation(t.g[k], p=args.p)
-    rows = []
-    all_ok = True
-    for s in range(1, args.S + 1):
-        lhs = ranktwo.p_adic_valuation(t.g[s * k], args.p)
-        rhs = ranktwo.p_adic_valuation(s, args.p) + base
-        all_ok &= lhs == rhs
-        rows.append({"s": s, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs})
+    rows = [
+        {"s": s, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
+        for s, lhs, rhs in ranktwo._valuation_rows(args.a, args.b, args.p, args.S)
+    ]
     _emit(
         args,
         {"a": args.a, "b": args.b, "p": args.p, "k": k},
         {"S": args.S},
         ["s", "lhs", "rhs", "equal"],
         rows,
-        {"identity_holds": all_ok},
+        {"identity_holds": all(row["equal"] for row in rows)},
     )
     return EXIT_OK
 
@@ -520,19 +482,77 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_common(p):
-    p.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    p.add_argument("--output", default="-", help="destination path or - for stdout")
-    p.add_argument(
-        "--selftest",
-        action="store_true",
-        help="run this group's invariant checks at reduced bounds and exit",
-    )
+def _opt(*flags, **kwargs):
+    """One ``add_argument`` call, as data."""
+    return flags, kwargs
 
 
-def _add_gcm_opts(p):
-    p.add_argument("--gcm", help='inline matrix, e.g. "2,-2;-1,2"')
-    p.add_argument("--gcm-file", help="JSON file with {labels, rows}")
+_GCM = (
+    _opt("--gcm", help='inline matrix, e.g. "2,-2;-1,2"'),
+    _opt("--gcm-file", help="JSON file with {labels, rows}"),
+)
+_AB = (_opt("-a", type=int, default=2), _opt("-b", type=int, default=3))
+_P = _opt("-p", type=int, default=2)
+_REALIZATION = _opt("--realization", choices=["standard", "derived"], default="standard")
+_COMMON = (
+    _opt("--format", choices=["table", "csv", "json"], default="table"),
+    _opt("--output", default="-", help="destination path or - for stdout"),
+    _opt("--selftest", action="store_true",
+         help="run this group's invariant checks at reduced bounds and exit"),
+)
+
+# group -> (help, {subcommand -> (handler, help, options)}); the order of
+# the options is the order of --help.
+COMMANDS = {
+    "gcm": ("Cartan matrix checks", {
+        "check": (cmd_gcm_check, "validate a matrix and list spherical subsets",
+                  (_opt("matrix", nargs="?", help='inline matrix "2,-a;-b,2"'), *_GCM)),
+        "poset": (cmd_gcm_poset, "the poset of spherical subsets with covers",
+                  (_opt("matrix", nargs="?"), *_GCM)),
+    }),
+    "weyl": ("Weyl group combinatorics", {
+        "enum": (cmd_weyl_enum, "enumerate elements by length",
+                 (*_GCM, _opt("--max-len", type=_int_at_least(0), default=8))),
+        "bruhat": (cmd_weyl_bruhat, "compare two elements in Bruhat order",
+                   (*_GCM, _opt("--u", default="", help='word "1,2,1"'),
+                    _opt("--v", default="", help='word "1,2"'))),
+    }),
+    "schubert": ("Schubert module operators", {
+        "act": (cmd_schubert_act, "apply a composite operator to a vector",
+                (*_GCM, _opt("--word", default="", help="operator word"),
+                 _opt("--class", dest="cls", default='[{"word": [], "coefficient": 1}]',
+                      help="JSON list of {word, coefficient}"),
+                 _opt("--ring", default="Z"))),
+        "coproduct": (cmd_schubert_coproduct, "length-additive coproduct of a class",
+                      (*_GCM, _opt("--word", default=""))),
+    }),
+    "poly": ("torus polynomial algebra", {
+        "psi": (cmd_poly_psi, "characteristic map of a homogeneous polynomial",
+                (*_GCM, _opt("--poly", default='[{"exponents": [], "coefficient": 1}]',
+                            help="JSON list of {exponents, coefficient}"),
+                 _opt("--field", default="Q"), _REALIZATION)),
+        "invariants": (cmd_poly_invariants, "kernel/image dimensions by degree",
+                       (*_GCM, _opt("--field", default="Q"),
+                        _opt("--max-deg", type=int, default=16,
+                             help="topological degree bound (even)"),
+                        _REALIZATION)),
+    }),
+    "rank2": ("rank-two tables and theorems", {
+        "table": (cmd_rank2_table, "the c, d, g sequences",
+                  (*_AB, _opt("-N", type=int, default=20))),
+        "products": (cmd_rank2_products, "cup-product structure constants",
+                     (*_AB, _opt("-N", type=_int_at_least(0), default=20))),
+        "hk": (cmd_rank2_hk, "integral cohomology of the group",
+               (*_AB, _opt("-N", type=_int_at_least(0), default=20))),
+        "prime-order": (cmd_rank2_prime_order, "least k with p | g_k, by all three methods",
+                        (*_AB, _P, _opt("-N", type=int, default=200))),
+        "bockstein": (cmd_rank2_bockstein,
+                      "the valuation identity for g along multiples of k",
+                      (*_AB, _P, _opt("-S", type=_int_at_least(1), default=20))),
+        "hopf": (cmd_rank2_hopf, "mod-p image Hopf algebra series and duals",
+                 (*_AB, _P, _opt("-N", type=int, default=20))),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -540,121 +560,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="schubert-kit",
         description="Exact Schubert calculus for Kac-Moody flag varieties.",
     )
-    top = parser.add_subparsers(dest="group", required=True)
-
-    g = top.add_parser("gcm", help="Cartan matrix checks").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = g.add_parser("check", help="validate a matrix and list spherical subsets")
-    p.add_argument("matrix", nargs="?", help='inline matrix "2,-a;-b,2"')
-    _add_gcm_opts(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_gcm_check)
-    p = g.add_parser("poset", help="the poset of spherical subsets with covers")
-    p.add_argument("matrix", nargs="?")
-    _add_gcm_opts(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_gcm_poset)
-
-    w = top.add_parser("weyl", help="Weyl group combinatorics").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = w.add_parser("enum", help="enumerate elements by length")
-    _add_gcm_opts(p)
-    p.add_argument("--max-len", type=_int_at_least(0), default=8)
-    _add_common(p)
-    p.set_defaults(func=cmd_weyl_enum)
-    p = w.add_parser("bruhat", help="compare two elements in Bruhat order")
-    _add_gcm_opts(p)
-    p.add_argument("--u", required=False, default="", help='word "1,2,1"')
-    p.add_argument("--v", required=False, default="", help='word "1,2"')
-    _add_common(p)
-    p.set_defaults(func=cmd_weyl_bruhat)
-
-    s = top.add_parser("schubert", help="Schubert module operators").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = s.add_parser("act", help="apply a composite operator to a vector")
-    _add_gcm_opts(p)
-    p.add_argument("--word", required=False, default="", help="operator word")
-    p.add_argument(
-        "--class",
-        dest="cls",
-        default='[{"word": [], "coefficient": 1}]',
-        help="JSON list of {word, coefficient}",
-    )
-    p.add_argument("--ring", default="Z")
-    _add_common(p)
-    p.set_defaults(func=cmd_schubert_act)
-    p = s.add_parser("coproduct", help="length-additive coproduct of a class")
-    _add_gcm_opts(p)
-    p.add_argument("--word", required=False, default="")
-    _add_common(p)
-    p.set_defaults(func=cmd_schubert_coproduct)
-
-    q = top.add_parser("poly", help="torus polynomial algebra").add_subparsers(
-        dest="cmd", required=True
-    )
-    p = q.add_parser("psi", help="characteristic map of a homogeneous polynomial")
-    _add_gcm_opts(p)
-    p.add_argument("--poly", required=False,
-                   default='[{"exponents": [], "coefficient": 1}]',
-                   help="JSON list of {exponents, coefficient}")
-    p.add_argument("--field", default="Q")
-    p.add_argument("--realization", choices=["standard", "derived"],
-                   default="standard")
-    _add_common(p)
-    p.set_defaults(func=cmd_poly_psi)
-    p = q.add_parser("invariants", help="kernel/image dimensions by degree")
-    _add_gcm_opts(p)
-    p.add_argument("--field", default="Q")
-    p.add_argument("--max-deg", type=int, default=16,
-                   help="topological degree bound (even)")
-    p.add_argument("--realization", choices=["standard", "derived"],
-                   default="standard")
-    _add_common(p)
-    p.set_defaults(func=cmd_poly_invariants)
-
-    r = top.add_parser("rank2", help="rank-two tables and theorems").add_subparsers(
-        dest="cmd", required=True
-    )
-
-    def rank2_parser(name, help_text, **extra):
-        p = r.add_parser(name, help=help_text)
-        p.add_argument("-a", type=int, default=2)
-        p.add_argument("-b", type=int, default=3)
-        for flag, kw in extra.items():
-            p.add_argument(flag, **kw)
-        _add_common(p)
-        return p
-
-    p = rank2_parser("table", "the c, d, g sequences",
-                     **{"-N": {"type": int, "default": 20}})
-    p.set_defaults(func=cmd_rank2_table)
-    p = rank2_parser("products", "cup-product structure constants",
-                     **{"-N": {"type": _int_at_least(0), "default": 20}})
-    p.set_defaults(func=cmd_rank2_products)
-    p = rank2_parser("hk", "integral cohomology of the group",
-                     **{"-N": {"type": _int_at_least(0), "default": 20}})
-    p.set_defaults(func=cmd_rank2_hk)
-    p = rank2_parser(
-        "prime-order",
-        "least k with p | g_k, by all three methods",
-        **{"-p": {"type": int, "default": 2}, "-N": {"type": int, "default": 200}},
-    )
-    p.set_defaults(func=cmd_rank2_prime_order)
-    p = rank2_parser(
-        "bockstein",
-        "the valuation identity for g along multiples of k",
-        **{"-p": {"type": int, "default": 2}, "-S": {"type": _int_at_least(1), "default": 20}},
-    )
-    p.set_defaults(func=cmd_rank2_bockstein)
-    p = rank2_parser(
-        "hopf",
-        "mod-p image Hopf algebra series and duals",
-        **{"-p": {"type": int, "default": 2}, "-N": {"type": int, "default": 20}},
-    )
-    p.set_defaults(func=cmd_rank2_hopf)
+    groups = parser.add_subparsers(dest="group", required=True)
+    for group, (group_help, commands) in COMMANDS.items():
+        subcommands = groups.add_parser(group, help=group_help).add_subparsers(
+            dest="cmd", required=True
+        )
+        for name, (func, help_text, options) in commands.items():
+            p = subcommands.add_parser(name, help=help_text)
+            for flags, kwargs in (*options, *_COMMON):
+                p.add_argument(*flags, **kwargs)
+            p.set_defaults(func=func)
     return parser
 
 

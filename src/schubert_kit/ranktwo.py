@@ -506,14 +506,18 @@ def bockstein_valuation_check(a: int, b: int, p: int, s_max: int) -> bool:
     degree-6 mod-2 homology generator fails to be primitive, so the
     height-one Bockstein does not force the rest of the tower.
     """
+    return all(lhs == rhs for _, lhs, rhs in _valuation_rows(a, b, p, s_max))
+
+
+def _valuation_rows(a: int, b: int, p: int, s_max: int) -> list[tuple[int, int, int]]:
+    """The rows ``(s, v_p(g_{s k}), v_p(s) + v_p(g_k))`` for s = 1 .. s_max."""
     k = prime_order_closed(a, b, p).k
     c, d = _cd_lists(a, b, s_max * k)
     base = p_adic_valuation(gcd(c[k], d[k]), p)
-    return all(
-        p_adic_valuation(gcd(c[s * k], d[s * k]), p)
-        == p_adic_valuation(s, p) + base
+    return [
+        (s, p_adic_valuation(gcd(c[s * k], d[s * k]), p), p_adic_valuation(s, p) + base)
         for s in range(1, s_max + 1)
-    )
+    ]
 
 
 def hopf_afp_series(a: int, b: int, p: int, n_max: int) -> PoincareSeries:
