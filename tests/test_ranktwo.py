@@ -93,6 +93,53 @@ def test_solver_unit_and_closed_forms():
     assert solver_matches_closed_products(pairs, 12) == []
 
 
+def _associativity_table(a, b, n_max):
+    """x_m y_n from the four generator products and associativity alone.
+
+    delta_m = delta delta_{m-1} / d_m and tau_m = tau tau_{m-1} / c_m, so
+    x_m y_n is the generator times x_{m-1} y_n, divided exactly.
+    """
+    c, d = [0, 1], [0, 1]
+    for j in range(1, n_max + 1):
+        c.append(a * d[j] - c[j - 1])
+        d.append(b * c[j] - d[j - 1])
+
+    def gen_times(gen, pq, k):
+        # gen cup (P delta_k + Q tau_k) in degree k + 1
+        p, q = pq
+        if gen == DELTA:
+            return (p * d[k + 1] + q, q * d[k])
+        return (p * c[k], p + q * c[k + 1])
+
+    table = {}
+    for s in range(2, n_max + 1):
+        for m in range(1, s):
+            n = s - m
+            for k1 in (DELTA, TAU):
+                for k2 in (DELTA, TAU):
+                    if m == 1:
+                        pq = (1, 0) if k2 == DELTA else (0, 1)
+                    else:
+                        pq = table[(k1, m - 1, k2, n)]
+                    p, q = gen_times(k1, pq, s - 1)
+                    div = d[m] if k1 == DELTA else c[m]
+                    assert p % div == 0 and q % div == 0
+                    table[(k1, m, k2, n)] = (p // div, q // div)
+    return table
+
+
+@pytest.mark.parametrize("a, b, n_max", [
+    (2, 3, 40), (3, 2, 40), (1, 5, 30), (5, 1, 30), (3, 3, 30),
+    (2, 2, 30), (1, 4, 25), (4, 1, 25), (7, 9, 20),
+])
+def test_solver_matches_associativity_oracle(a, b, n_max):
+    table = ranktwo.leibniz_cup_solver(a, b, n_max)
+    want = _associativity_table(a, b, n_max)
+    assert len(want) == 2 * n_max * (n_max - 1)
+    for (k1, m, k2, n), pq in want.items():
+        assert table.constants(k1, m, k2, n) == pq, (k1, m, k2, n)
+
+
 def test_solver_commutative_and_associative():
     table = ranktwo.leibniz_cup_solver(2, 3, 10)
     kinds = (DELTA, TAU)
