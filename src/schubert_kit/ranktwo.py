@@ -39,7 +39,7 @@ infinite cyclic summand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from math import gcd
 
 from .errors import (
@@ -78,6 +78,16 @@ class RankTwoTables:
     d: tuple[int, ...]
     g: tuple[int, ...]
 
+    @cached_property
+    def _c_prefix(self) -> tuple[int, ...]:
+        """(1, c_1, c_1 c_2, ...): the products the C binomials divide."""
+        return _prefix_products(self.c)
+
+    @cached_property
+    def _d_prefix(self) -> tuple[int, ...]:
+        """The same running products of the d sequence."""
+        return _prefix_products(self.d)
+
 
 def _require_noncompact(a: int, b: int):
     if a < 1 or b < 1 or a * b < 4:
@@ -110,18 +120,16 @@ def cd_sequences(a: int, b: int, n_max: int) -> RankTwoTables:
     return RankTwoTables(a, b, tuple(c), tuple(d), tuple(g))
 
 
-@lru_cache(maxsize=64)
-def _prefix_products(seq: tuple) -> tuple:
+def _prefix_products(seq) -> tuple[int, ...]:
     out = [1]
     for x in seq[1:]:
         out.append(out[-1] * x)
     return tuple(out)
 
 
-def _binomial_from(seq, n: int, m: int, label: str) -> int:
-    if n < 0 or m < 0 or n + m >= len(seq):
+def _binomial_from(pre: tuple[int, ...], n: int, m: int, label: str) -> int:
+    if n < 0 or m < 0 or n + m >= len(pre):
         raise ValueError("indices out of table range")
-    pre = _prefix_products(seq)
     q, r = divmod(pre[n + m], pre[n] * pre[m])
     if r:
         raise NonIntegral(f"{label}({n},{m}) is not an integer")
@@ -130,12 +138,12 @@ def _binomial_from(seq, n: int, m: int, label: str) -> int:
 
 def generalized_binomial_C(tables: RankTwoTables, n: int, m: int) -> int:
     """C(n, m) = (c_{n+m} ... c_1) / ((c_n ... c_1)(c_m ... c_1)), exactly."""
-    return _binomial_from(tables.c, n, m, "C")
+    return _binomial_from(tables._c_prefix, n, m, "C")
 
 
 def generalized_binomial_D(tables: RankTwoTables, n: int, m: int) -> int:
     """D(n, m), the same ratio built from the d sequence."""
-    return _binomial_from(tables.d, n, m, "D")
+    return _binomial_from(tables._d_prefix, n, m, "D")
 
 
 # -- the basis bookkeeping ---------------------------------------------
@@ -164,22 +172,6 @@ def classify_element(w: WeylElement):
     if w.length == 0:
         return UNIT
     return (DELTA if w.word[-1] == 1 else TAU, w.length)
-
-
-def _key(kind: str, n: int):
-    return UNIT if n == 0 else (kind, n)
-
-
-def _nil(op: int, key):
-    """Action of the two annihilation operators on basis keys (or None)."""
-    if key == UNIT:
-        return None
-    kind, n = key
-    if op == 1 and kind == DELTA:
-        return _key(TAU, n - 1)
-    if op == 2 and kind == TAU:
-        return _key(DELTA, n - 1)
-    return None
 
 
 class RankTwoProductTable:
@@ -233,82 +225,78 @@ def leibniz_cup_solver(a: int, b: int, n_max: int) -> RankTwoProductTable:
     """Determine all structure constants from the twisted Leibniz rule.
 
     Both annihilation operators act injectively on the span of a positive
-    degree in the sense that the pair of their values pins down any class,
-    so applying each operator to x cup y and expanding the right side with
-    the Leibniz rule over already-known lower degrees yields the two
-    coefficients of the product.  The reflection action needed on the way
-    is recovered from alpha_i cup A_i(y) = y - r_i(y), whose right side
-    only involves known products.
+    degree in the sense that the pair of their values pins down any class:
+    A_1(P delta_s + Q tau_s) = P tau_{s-1} and A_2 of it is Q delta_{s-1}.
+    So applying each operator to x cup y and expanding the right side of
+    A_i(x y) = A_i(x) r_i(y) + x A_i(y) over already-known lower degrees
+    yields the two coefficients of the product.  Every factor there is a
+    basis class or the unit, and every image in degree s-1 is a pair
+    (delta_{s-1}, tau_{s-1}) of integers, so the solver works on such pairs
+    and reads the known products from the table under construction.  The
+    reflection r_i(y) = y - alpha_i cup A_i(y) only involves products of
+    lower degree; it is computed once for each class, as soon as its
+    degree is complete.  The coordinate an operator must kill (delta_{s-1}
+    for A_1, tau_{s-1} for A_2) is checked on every image, and a nonzero
+    value raises UnderdeterminedSystem.
 
     This solver is the independent oracle for the closed-form product
     families; it never consults them.
     """
     _require_noncompact(a, b)
-    # degree-2 root classes: alpha_1 = 2 delta - b tau, alpha_2 = -a delta + 2 tau
-    alpha = {
-        1: {(DELTA, 1): 2, (TAU, 1): -b},
-        2: {(DELTA, 1): -a, (TAU, 1): 2},
-    }
     constants: dict = {}
-    table = RankTwoProductTable(a, b, n_max, constants)
-
-    def vec_scale_add(acc, vec, factor):
-        for key, c in vec.items():
-            val = acc.get(key, 0) + factor * c
-            if val:
-                acc[key] = val
-            else:
-                acc.pop(key, None)
-
-    def key_times_vec(key, vec):
-        out: dict = {}
-        for k2, c in vec.items():
-            vec_scale_add(out, table.product(key, k2), c)
-        return out
-
-    def reflected(op, key):
-        # r_i(y) = y - alpha_i cup A_i(y)
-        out = {key: 1}
-        t = _nil(op, key)
-        if t is not None:
-            correction: dict = {}
-            for akey, c in alpha[op].items():
-                vec_scale_add(correction, table.product(akey, t), c)
-            vec_scale_add(out, correction, -1)
-        return out
+    basis = {DELTA: (1, 0), TAU: (0, 1)}
+    # per operator: the kind it lowers (the other kind it kills), the kind
+    # of its image, and alpha_i = 2 delta - b tau or -a delta + 2 tau
+    ops = ((1, DELTA, TAU, (2, -b)), (2, TAU, DELTA, (-a, 2)))
+    # (op, kind, n) -> r_op(kind_n) as a pair in degree n
+    reflection: dict = {}
 
     for s in range(2, n_max + 1):
+        # degree s - 1 is complete: reflect its two classes
+        for op, low, high, (al_d, al_t) in ops:
+            if s == 2:  # A_op(low_1) is the unit
+                cor_d, cor_t = al_d, al_t
+            else:
+                p1, q1 = constants[(DELTA, 1, high, s - 2)]
+                p2, q2 = constants[(TAU, 1, high, s - 2)]
+                cor_d, cor_t = al_d * p1 + al_t * p2, al_d * q1 + al_t * q2
+            ld, lt = basis[low]
+            reflection[(op, low, s - 1)] = (ld - cor_d, lt - cor_t)
+            reflection[(op, high, s - 1)] = basis[high]
         for m in range(1, s):
             n = s - m
             for k1 in (DELTA, TAU):
                 for k2 in (DELTA, TAU):
-                    x = (k1, m)
-                    y = (k2, n)
                     coeffs = {}
-                    for op, diag_kind, read_kind in (
-                        (1, DELTA, TAU),
-                        (2, TAU, DELTA),
-                    ):
-                        # apply the operator to x cup y via Leibniz
-                        image: dict = {}
-                        ax = _nil(op, x)
-                        if ax is not None:
-                            vec_scale_add(
-                                image, key_times_vec(ax, reflected(op, y)), 1
+                    for op, low, high, _alpha in ops:
+                        # A_op(x y) = A_op(x) r_op(y) + x A_op(y) in degree s-1
+                        img_d = img_t = 0
+                        if k1 == low:
+                            r_d, r_t = reflection[(op, k2, n)]
+                            if m == 1:  # A_op(x) is the unit
+                                img_d, img_t = r_d, r_t
+                            else:
+                                p1, q1 = constants[(high, m - 1, DELTA, n)]
+                                p2, q2 = constants[(high, m - 1, TAU, n)]
+                                img_d = r_d * p1 + r_t * p2
+                                img_t = r_d * q1 + r_t * q2
+                        if k2 == low:
+                            if n == 1:  # A_op(y) is the unit
+                                x_d, x_t = basis[k1]
+                            else:
+                                x_d, x_t = constants[(k1, m, high, n - 1)]
+                            img_d += x_d
+                            img_t += x_t
+                        # the operator kills the low line and shifts the other
+                        kill, read = (img_d, img_t) if low == DELTA else (img_t, img_d)
+                        if kill:
+                            raise UnderdeterminedSystem(
+                                f"operator {op} image of {(k1, m)} cup {(k2, n)} "
+                                f"has an unexpected component {(low, s - 1)}"
                             )
-                        ay = _nil(op, y)
-                        if ay is not None:
-                            vec_scale_add(image, table.product(x, ay), 1)
-                        # the operator kills one basis line and shifts the other
-                        for key, c in image.items():
-                            if key != (read_kind, s - 1):
-                                raise UnderdeterminedSystem(
-                                    f"operator {op} image of {x} cup {y} has "
-                                    f"an unexpected component {key}"
-                                )
-                        coeffs[diag_kind] = image.get((read_kind, s - 1), 0)
+                        coeffs[low] = read
                     constants[(k1, m, k2, n)] = (coeffs[DELTA], coeffs[TAU])
-    return table
+    return RankTwoProductTable(a, b, n_max, constants)
 
 
 def closed_generator_product(tables: RankTwoTables, gen_kind: str,

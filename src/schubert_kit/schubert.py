@@ -154,11 +154,19 @@ class TensorVector:
         return " + ".join(parts) if parts else "0"
 
 
+def _check_letter_positive(i: int) -> None:
+    if i < 1:
+        raise ValueError(f"generator index {i} out of range: indices start at 1")
+
+
 def nil_a(i: int, v: SchubertVector) -> SchubertVector:
     """The degree-lowering operator for generator ``i``, extended linearly.
 
-    Raises ValueError if ``i`` is outside the index set of a nonzero ``v``.
+    Raises ValueError if ``i < 1``, or if ``i`` is outside the index set of
+    a nonzero ``v``.  The zero vector names no group, so a letter above its
+    rank cannot be checked there.
     """
+    _check_letter_positive(i)
     ring = v.ring
     if not v.coeffs:
         return SchubertVector(ring)
@@ -181,14 +189,19 @@ def check_operator_word(gcm: GeneralizedCartanMatrix, word) -> None:
 def nil_aw(word, v: SchubertVector) -> SchubertVector:
     """Composite operator along a reduced word (rightmost letter acts first).
 
-    Raises NotReduced if the word is not a reduced expression; composites
-    along any two reduced words of the same element agree.  The zero vector
-    names no group, so its word is not checked here; a caller that knows
-    the group checks it with ``check_operator_word``.
+    Raises ValueError for a letter below 1 or outside the index set, and
+    NotReduced if the word is not a reduced expression; composites along
+    any two reduced words of the same element agree.  The zero vector names
+    no group, so on it letters above the rank and non-reduced words cannot
+    be checked; a caller that knows the group checks them with
+    ``check_operator_word``.
     """
     word = tuple(int(i) for i in word)
     if v.coeffs:
         check_operator_word(next(iter(v.coeffs)).gcm, word)
+    else:
+        for i in word:
+            _check_letter_positive(i)
     out = v
     for i in reversed(word):
         out = nil_a(i, out)

@@ -63,6 +63,12 @@ def test_nil_a_rejects_generator_out_of_range(gcm_a11):
     for i in (0, 3):
         with pytest.raises(ValueError):
             nil_a(i, v)
+    # the zero vector names no group, but a letter below 1 is never valid
+    for i in (0, -3):
+        with pytest.raises(ValueError):
+            nil_a(i, SchubertVector.zero(ZZ))
+        with pytest.raises(ValueError):
+            nil_aw((i, 1), SchubertVector.zero(ZZ))
 
 
 def test_nil_aw_single_letter(gcm_a23):
