@@ -245,8 +245,9 @@ def leibniz_cup_solver(a: int, b: int, n_max: int) -> RankTwoProductTable:
     _require_noncompact(a, b)
     constants: dict = {}
     basis = {DELTA: (1, 0), TAU: (0, 1)}
-    # per operator: the kind it lowers (the other kind it kills), the kind
-    # of its image, and alpha_i = 2 delta - b tau or -a delta + 2 tau
+    # per operator: the kind it lowers, the kind of the result (A_1 delta_n
+    # = tau_{n-1}, A_2 tau_n = delta_{n-1}, and each kills the other kind),
+    # and alpha_i = 2 delta - b tau or -a delta + 2 tau
     ops = ((1, DELTA, TAU, (2, -b)), (2, TAU, DELTA, (-a, 2)))
     # (op, kind, n) -> r_op(kind_n) as a pair in degree n
     reflection: dict = {}
@@ -287,7 +288,8 @@ def leibniz_cup_solver(a: int, b: int, n_max: int) -> RankTwoProductTable:
                                 x_d, x_t = constants[(k1, m, high, n - 1)]
                             img_d += x_d
                             img_t += x_t
-                        # the operator kills the low line and shifts the other
+                        # A_op(P delta_s + Q tau_s) has no low coordinate, and
+                        # its high one is the low coefficient of x y
                         kill, read = (img_d, img_t) if low == DELTA else (img_t, img_d)
                         if kill:
                             raise UnderdeterminedSystem(
