@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -85,11 +86,25 @@ def test_field_axioms_exhaustive(p):
                 assert x * (y + z) == x * y + x * z
 
 
-def test_inverses(p=7):
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_inverses(p):
     for e in all_elements(p):
         if e.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                e.inverse()
             continue
         assert e * e.inverse() == one(e.field)
+        for n in range(1, 2 * p * p):
+            assert e ** -n * e ** n == one(e.field)
+            assert e ** -n == e.inverse() ** n
+
+
+def test_mixed_fields_rejected():
+    x = Fp2Element(quadratic_field(5), 1, 2)
+    y = Fp2Element(quadratic_field(7), 1, 2)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError):
+            op(x, y)
 
 
 def test_frobenius_fixes_exactly_prime_field():

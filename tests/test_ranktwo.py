@@ -333,6 +333,33 @@ def test_quotient_functional_normalization():
     assert phi_t != 0
 
 
+def _brute_force_functional(c, d, p, m):
+    """The first nonzero (x, y) in F_p^2, in lex order, that kills the four
+    product columns of degree 2m, scaled so its first nonzero entry is 1."""
+    cols = [(d[m] % p, 0), (1, d[m - 1] % p), (0, c[m] % p), (c[m - 1] % p, 1)]
+    for x in range(p):
+        for y in range(p):
+            if (x, y) != (0, 0) and all((x * u + y * v) % p == 0 for u, v in cols):
+                inv = pow(x or y, -1, p)
+                return (x * inv % p, y * inv % p)
+    return None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
+def test_quotient_functional_matches_brute_force(p):
+    found = 0
+    for a in range(1, 6):
+        for b in range(1, 6):
+            if a * b < 4:
+                continue
+            t = ranktwo.cd_sequences(a, b, 40)
+            for m in range(1, 40):
+                phi = ranktwo.quotient_functional(t, p, m)
+                assert phi == _brute_force_functional(t.c, t.d, p, m), (a, b, p, m)
+                found += phi is not None
+    assert 0 < found < 20 * 39
+
+
 def test_dual_polynomial_check():
     cases = [(2, 2, 3, 10), (2, 3, 3, 8), (1, 5, 2, 8), (2, 2, 2, 10)]
     assert mod_p_identities(dual_polynomial=cases) == []
