@@ -44,7 +44,7 @@ def quadratic_field(p: int) -> QuadraticField:
 
 @dataclass(frozen=True)
 class Fp2Element:
-    """x + y*theta with components reduced modulo p."""
+    """x + y*theta with components reduced modulo p, by ``__post_init__`` only."""
 
     field: QuadraticField
     x: int
@@ -69,33 +69,19 @@ class Fp2Element:
         self._check(other)
         return Fp2Element(self.field, self.x - other.x, self.y - other.y)
 
-    def __neg__(self) -> "Fp2Element":
-        return Fp2Element(self.field, -self.x, -self.y)
-
     def __mul__(self, other: "Fp2Element") -> "Fp2Element":
         self._check(other)
-        p, u, v = self.field.p, self.field.u, self.field.v
+        u, v = self.field.u, self.field.v
         x1, y1, x2, y2 = self.x, self.y, other.x, other.y
-        cross = x1 * y2 + x2 * y1
         sq = y1 * y2  # coefficient of theta^2 = u*theta + v
-        return Fp2Element(self.field, (x1 * x2 + sq * v) % p, (cross + sq * u) % p)
-
-    def conjugate(self) -> "Fp2Element":
-        # the other root of the modulus is u - theta
-        return Fp2Element(self.field, self.x + self.y * self.field.u, -self.y)
-
-    def norm(self) -> int:
-        p = self.field.p
-        prod = self * self.conjugate()
-        assert prod.y == 0
-        return prod.x % p
+        return Fp2Element(self.field, x1 * x2 + sq * v, x1 * y2 + x2 * y1 + sq * u)
 
     def inverse(self) -> "Fp2Element":
+        """``self ** (p^2 - 2)``: the multiplicative group has order p^2 - 1."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        n_inv = pow(self.norm(), -1, self.field.p)
-        conj = self.conjugate()
-        return Fp2Element(self.field, conj.x * n_inv, conj.y * n_inv)
+        p = self.field.p
+        return self ** (p * p - 2)
 
     def __pow__(self, n: int) -> "Fp2Element":
         base = self
@@ -111,7 +97,8 @@ class Fp2Element:
         return out
 
     def _check(self, other):
-        if self.field != other.field:
+        # ``quadratic_field`` interns one descriptor per prime
+        if self.field is not other.field:
             raise ValueError("elements from different fields")
 
     def __str__(self) -> str:
@@ -121,10 +108,6 @@ class Fp2Element:
 
 def embed(field: QuadraticField, x: int) -> Fp2Element:
     return Fp2Element(field, x, 0)
-
-
-def zero(field: QuadraticField) -> Fp2Element:
-    return Fp2Element(field, 0, 0)
 
 
 def one(field: QuadraticField) -> Fp2Element:

@@ -58,8 +58,9 @@ from .ffield import (
     sqrt_fp2,
 )
 from .gcm import GeneralizedCartanMatrix, rank_two
+from .linalg import kernel_basis
 from .poincare import PoincareSeries
-from .rings import _is_prime
+from .rings import GF, _is_prime
 from .schubert import SchubertVector, peterson_coproduct
 from .weyl import WeylElement, from_word
 
@@ -329,19 +330,9 @@ def cup_schubert(table: RankTwoProductTable, gcm: GeneralizedCartanMatrix,
     """Cup product of two rank-two Schubert vectors through the table."""
     if u.ring != v.ring:
         raise ValueError("coefficient rings differ")
-    ring = u.ring
-    acc: dict = {}
-    for w1, c1 in u.coeffs.items():
-        for w2, c2 in v.coeffs.items():
-            prod = table.product(classify_element(w1), classify_element(w2))
-            factor = ring.mul(c1, c2)
-            for key, c in prod.items():
-                kind, n = key if key != UNIT else (DELTA, 0)
-                elem = basis_element(gcm, kind, n)
-                val = ring.add(acc.get(elem, ring.zero),
-                               ring.mul(factor, ring.promote(c)))
-                acc[elem] = val
-    return SchubertVector(ring, acc)
+    prod = table.cup(schubert_to_pairs(u), schubert_to_pairs(v))
+    # UNIT = ("one", 0) maps to the identity: every word of length 0 is empty
+    return SchubertVector(u.ring, {basis_element(gcm, *key): c for key, c in prod.items()})
 
 
 # -- integral cohomology of the group ----------------------------------
@@ -536,27 +527,18 @@ def quotient_functional(tables: RankTwoTables, p: int, m: int):
     The quotient of the degree-2m span by products of positive-degree image
     classes is the cokernel of the four multiplication columns
     delta*delta_{m-1}, delta*tau_{m-1}, tau*tau_{m-1}, tau*delta_{m-1}.
-    Returns (phi_delta, phi_tau), the left kernel normalized to phi_delta
-    = 1 or phi_tau = 1, or None when the quotient is zero.
+    Returns (phi_delta, phi_tau), the left kernel read off
+    ``linalg.kernel_basis`` and normalized to phi_delta = 1 or phi_tau = 1,
+    or None when the quotient is zero.
     """
     c, d = tables.c, tables.d
-    cols = [
-        (d[m] % p, 0),
-        (1, d[m - 1] % p),
-        (0, c[m] % p),
-        (c[m - 1] % p, 1),
-    ]
-    for x in range(p):
-        for y in range(p):
-            if x == 0 and y == 0:
-                continue
-            if all((x * u + y * v) % p == 0 for u, v in cols):
-                if x:
-                    inv = pow(x, -1, p)
-                else:
-                    inv = pow(y, -1, p)
-                return (x * inv % p, y * inv % p)
-    return None
+    cols = [(d[m], 0), (1, d[m - 1]), (0, c[m]), (c[m - 1], 1)]
+    basis = kernel_basis(cols, 2, GF(p))
+    if not basis:
+        return None
+    x, y = basis[-1]  # the last vector is (0, 1) when every column is zero
+    inv = pow(x or y, -1, p)
+    return (x * inv % p, y * inv % p)
 
 
 def dual_polynomial_check(a: int, b: int, p: int, n_max: int) -> bool:

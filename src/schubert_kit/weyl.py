@@ -167,21 +167,20 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
 
     For a right descent ``i`` of ``w``: ``v <= w`` iff ``v r_i <= w r_i``
     when ``i`` is also a descent of ``v``, and iff ``v <= w r_i`` otherwise.
-    Each step is one matrix product per element and lowers its length by
-    one, so the words are never recomputed.
+    The last letter of a reduced word is a right descent, and dropping it
+    leaves a reduced word of ``w r_i`` (Bjorner-Brenti, Prop. 2.2.7), so the
+    descents of ``w`` are read off ``reversed(w.word)`` and only ``v``'s
+    matrix is multiplied, once per descent it shares.
     """
     if v.gcm != w.gcm:
         raise ValueError("elements belong to different groups")
-    vm, vl, wm, wl = v.matrix, v.length, w.matrix, w.length
-    while vl <= wl:
-        if wl == 0:
-            return True
-        i = next(i for i in range(1, w.gcm.size + 1) if _is_negative_column(wm, i))
-        r = reflection_matrix(w.gcm, i)
+    if v.length > w.length:
+        return False
+    vm, vl = v.matrix, v.length
+    for i in reversed(w.word):
         if _is_negative_column(vm, i):
-            vm, vl = intmat.mat_mul(vm, r), vl - 1
-        wm, wl = intmat.mat_mul(wm, r), wl - 1
-    return False
+            vm, vl = intmat.mat_mul(vm, reflection_matrix(w.gcm, i)), vl - 1
+    return vl == 0
 
 
 def min_coset_reps(gcm: GeneralizedCartanMatrix, subset, max_len: int):
