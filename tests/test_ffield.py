@@ -86,17 +86,17 @@ def test_field_axioms_exhaustive(p):
                 assert x * (y + z) == x * y + x * z
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_inverses(p):
-    for e in all_elements(p):
-        if e.is_zero():
-            with pytest.raises(ZeroDivisionError):
-                e.inverse()
-            continue
-        assert e * e.inverse() == one(e.field)
-        for n in range(1, 2 * p * p):
-            assert e ** -n * e ** n == one(e.field)
-            assert e ** -n == e.inverse() ** n
+def test_inverses():
+    for p in (2, 3, 5, 7):
+        for e in all_elements(p):
+            if e.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    e.inverse()
+                continue
+            assert e * e.inverse() == one(e.field)
+            for n in range(1, 2 * p * p):
+                assert e ** -n * e ** n == one(e.field)
+                assert e ** -n == e.inverse() ** n
 
 
 def test_mixed_fields_rejected():
