@@ -252,7 +252,7 @@ def test_theorem_violation_exit_code(monkeypatch, capsys):
     def boom(a, b, n):
         raise NonIntegral("forced for the exit-code contract")
 
-    monkeypatch.setattr(cli.ranktwo, "cd_sequences", boom)
+    monkeypatch.setattr("schubert_kit.ranktwo.cd_sequences", boom)
     code = cli.main(["rank2", "table", "-a", "2", "-b", "2", "-N", "3"])
     assert code == 3
     assert "theorem violation" in capsys.readouterr().err
