@@ -20,7 +20,8 @@ with its help text and, for each subcommand, its handler, help text and
 options.  ``build_parser`` adds --format, --output and --selftest to every
 subcommand.  Handlers pass rows of plain values to ``_emit``; a list-valued
 cell is a word, shown as ``1,2,1`` (or ``e`` when empty) in table and CSV
-and kept as a list in JSON.
+and kept as a list in JSON.  Each handler imports the modules it uses, so a
+command loads only what its group needs.
 """
 
 from __future__ import annotations
@@ -31,26 +32,7 @@ import io
 import json
 import sys
 
-from . import ranktwo
 from .errors import SchubertKitError, TheoremViolation
-from .gcm import (
-    derived_realization,
-    gcm_from_file,
-    parse_gcm,
-    spherical_poset,
-    standard_realization,
-)
-from .polyring import WeightRing
-from .rings import parse_ring
-from .schubert import (
-    check_operator_word,
-    nil_aw,
-    peterson_coproduct,
-    schubert_from_jsonable,
-    schubert_to_jsonable,
-    tensor_to_jsonable,
-)
-from .weyl import bruhat_leq, enumerate_by_length, from_word
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -117,6 +99,8 @@ def _run_selftest(group: str) -> int:
 
 
 def _gcm_from_args(args):
+    from .gcm import gcm_from_file, parse_gcm
+
     if getattr(args, "matrix", None):
         return parse_gcm(args.matrix)
     if args.gcm_file:
@@ -159,6 +143,8 @@ def _fmt_subset(subset) -> str:
 
 
 def cmd_gcm_check(args):
+    from .gcm import spherical_poset
+
     g = _gcm_from_args(args)
     poset = spherical_poset(g)
     rows = [{"subset": _fmt_subset(s), "size": len(s)} for s in poset.subsets]
@@ -174,6 +160,8 @@ def cmd_gcm_check(args):
 
 
 def cmd_gcm_poset(args):
+    from .gcm import spherical_poset
+
     g = _gcm_from_args(args)
     poset = spherical_poset(g)
     rows = [
@@ -195,6 +183,8 @@ def cmd_gcm_poset(args):
 
 
 def cmd_weyl_enum(args):
+    from .weyl import enumerate_by_length
+
     g = _gcm_from_args(args)
     levels = enumerate_by_length(g, args.max_len)
     rows = []
@@ -213,6 +203,8 @@ def cmd_weyl_enum(args):
 
 
 def cmd_weyl_bruhat(args):
+    from .weyl import bruhat_leq, from_word
+
     g = _gcm_from_args(args)
     u = from_word(g, _word_arg(args.u))
     v = from_word(g, _word_arg(args.v))
@@ -225,6 +217,14 @@ def cmd_weyl_bruhat(args):
 
 
 def cmd_schubert_act(args):
+    from .rings import parse_ring
+    from .schubert import (
+        check_operator_word,
+        nil_aw,
+        schubert_from_jsonable,
+        schubert_to_jsonable,
+    )
+
     g = _gcm_from_args(args)
     ring = parse_ring(args.ring)
     vec = schubert_from_jsonable(g, ring, _json_entries(args.cls, "word"))
@@ -241,6 +241,9 @@ def cmd_schubert_act(args):
 
 
 def cmd_schubert_coproduct(args):
+    from .schubert import peterson_coproduct, tensor_to_jsonable
+    from .weyl import from_word
+
     g = _gcm_from_args(args)
     w = from_word(g, _word_arg(args.word))
     rows = tensor_to_jsonable(peterson_coproduct(w))
@@ -259,6 +262,9 @@ def cmd_schubert_coproduct(args):
 
 
 def _model_from_args(args, g, ring):
+    from .gcm import derived_realization, standard_realization
+    from .polyring import WeightRing
+
     real = (
         derived_realization(g)
         if args.realization == "derived"
@@ -268,6 +274,9 @@ def _model_from_args(args, g, ring):
 
 
 def cmd_poly_psi(args):
+    from .rings import parse_ring
+    from .schubert import schubert_to_jsonable
+
     g = _gcm_from_args(args)
     ring = parse_ring(args.field)
     model = _model_from_args(args, g, ring)
@@ -288,6 +297,8 @@ def cmd_poly_psi(args):
 
 
 def cmd_poly_invariants(args):
+    from .rings import parse_ring
+
     g = _gcm_from_args(args)
     ring = parse_ring(args.field)
     model = _model_from_args(args, g, ring)
@@ -319,6 +330,8 @@ def cmd_poly_invariants(args):
 
 
 def cmd_rank2_table(args):
+    from . import ranktwo
+
     t = ranktwo.cd_sequences(args.a, args.b, args.N)
     rows = [
         {"n": n, "c": str(t.c[n]), "d": str(t.d[n]), "g": str(t.g[n])}
@@ -335,6 +348,8 @@ def cmd_rank2_table(args):
 
 
 def cmd_rank2_products(args):
+    from . import ranktwo
+
     table = ranktwo.leibniz_cup_solver(args.a, args.b, args.N)
     rows = []
     for s in range(2, args.N + 1):
@@ -366,6 +381,8 @@ def cmd_rank2_products(args):
 
 
 def cmd_rank2_hk(args):
+    from . import ranktwo
+
     rows = [
         {
             "degree": deg,
@@ -385,6 +402,8 @@ def cmd_rank2_hk(args):
 
 
 def cmd_rank2_prime_order(args):
+    from . import ranktwo
+
     closed = ranktwo.prime_order_closed(args.a, args.b, args.p)
     scan = ranktwo.prime_order_scan(args.a, args.b, args.p, args.N)
     rows = [
@@ -422,6 +441,8 @@ def cmd_rank2_prime_order(args):
 
 
 def cmd_rank2_bockstein(args):
+    from . import ranktwo
+
     k = ranktwo.prime_order_closed(args.a, args.b, args.p).k
     rows = [
         {"s": s, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
@@ -439,6 +460,8 @@ def cmd_rank2_bockstein(args):
 
 
 def cmd_rank2_hopf(args):
+    from . import ranktwo
+
     k = ranktwo.prime_order_closed(args.a, args.b, args.p).k
     series = ranktwo.hopf_afp_series(args.a, args.b, args.p, args.N)
     rows = [

@@ -57,12 +57,12 @@ from .ffield import (
     quadratic_roots,
     sqrt_fp2,
 )
-from .gcm import GeneralizedCartanMatrix, rank_two
 from .linalg import kernel_basis
 from .poincare import PoincareSeries
 from .rings import GF, _is_prime
-from .schubert import SchubertVector, peterson_coproduct
-from .weyl import WeylElement, from_word
+
+# gcm, schubert and weyl are imported inside the three functions that call
+# them, so the sequence commands load none of them; annotations are strings
 
 DELTA = "delta"
 TAU = "tau"
@@ -163,6 +163,8 @@ def basis_word(kind: str, n: int) -> tuple[int, ...]:
 
 
 def basis_element(gcm: GeneralizedCartanMatrix, kind: str, n: int) -> WeylElement:
+    from .weyl import from_word
+
     if gcm.size != 2:
         raise ValueError("rank-two basis elements need a rank-two matrix")
     return from_word(gcm, basis_word(kind, n))
@@ -328,6 +330,8 @@ def schubert_to_pairs(v: SchubertVector) -> dict:
 def cup_schubert(table: RankTwoProductTable, gcm: GeneralizedCartanMatrix,
                  u: SchubertVector, v: SchubertVector) -> SchubertVector:
     """Cup product of two rank-two Schubert vectors through the table."""
+    from .schubert import SchubertVector
+
     if u.ring != v.ring:
         raise ValueError("coefficient rings differ")
     prod = table.cup(schubert_to_pairs(u), schubert_to_pairs(v))
@@ -551,6 +555,9 @@ def dual_polynomial_check(a: int, b: int, p: int, n_max: int) -> bool:
     mod p.  The coproduct comes from ``peterson_coproduct``, which walks the
     weak-order interval in the group, not from any closed form.
     """
+    from .gcm import rank_two
+    from .schubert import peterson_coproduct
+
     k = prime_order_closed(a, b, p).k
     tables = cd_sequences(a, b, n_max * k + 1)
     gcm = rank_two(a, b)

@@ -354,16 +354,35 @@ def test_rank2_rejects_compact_pairs(capsys):
     assert "ab < 4" in capsys.readouterr().err
 
 
+# modules that each one-shot command must not load, beyond selftests
+_NOT_WEYL = ("polyring", "ranktwo", "ffield", "schubert", "rings", "linalg")
+PLAIN_COMMANDS = [
+    (["gcm", "check", "2,-1;-1,2"], _NOT_WEYL),
+    (["weyl", "enum", "--gcm", "2,-1;-1,2", "--max-len", "3"], _NOT_WEYL),
+    (["weyl", "bruhat", "--gcm", "2,-1;-1,2", "--u", "1", "--v", "1,2"], _NOT_WEYL),
+    (["--help"], _NOT_WEYL),
+    (["rank2", "table", "-N", "5"], ("polyring", "schubert", "weyl", "gcm")),
+    (["schubert", "coproduct", "--gcm", "2,-1;-1,2", "--word", "1,2"],
+     ("polyring", "ranktwo", "ffield")),
+]
+
+
 def test_plain_command_does_not_import_selftests():
     src = Path(cli.__file__).resolve().parents[1]
-    script = (
-        "import sys\n"
-        f"sys.path.insert(0, {str(src)!r})\n"
-        "from schubert_kit import cli\n"
-        "assert cli.main(['gcm', 'check', '2,-1;-1,2']) == 0\n"
-        "print('schubert_kit.selftests' in sys.modules)\n"
-    )
-    done = subprocess.run([sys.executable, "-S", "-c", script],
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    for argv, absent in PLAIN_COMMANDS:
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "from schubert_kit import cli\n"
+            "try:\n"
+            f"    assert cli.main({argv!r}) == 0\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0\n"
+            "print('schubert_kit.selftests' in sys.modules)\n"
+            f"print(sorted(m for m in {absent!r} if 'schubert_kit.' + m in sys.modules))\n"
+        )
+        done = subprocess.run([sys.executable, "-S", "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, (argv, done.stderr)
+        assert done.stdout.splitlines()[-2] == "False", argv
+        assert done.stdout.splitlines()[-1] == "[]", argv

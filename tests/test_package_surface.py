@@ -1,6 +1,9 @@
 """The public surface of ``import schubert_kit``: names, objects and star-import."""
 
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,3 +69,21 @@ def test_submodules_import_from_the_package():
 
     assert ranktwo is importlib.import_module("schubert_kit.ranktwo")
     assert selftests is importlib.import_module("schubert_kit.selftests")
+
+
+def test_bare_import_loads_only_errors():
+    src = Path(schubert_kit.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import schubert_kit\n"
+        "print(sorted(m for m in sys.modules if m.startswith('schubert_kit')))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "['schubert_kit', 'schubert_kit.errors']"
+
+
+def test_dir_lists_every_public_name():
+    assert set(schubert_kit.__all__) <= set(dir(schubert_kit))
