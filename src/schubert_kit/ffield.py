@@ -32,6 +32,8 @@ class QuadraticField:
         return f"theta^2={self.u}*theta+{self.v}"
 
 
+# unbounded on purpose: it interns one descriptor per prime, and
+# ``Fp2Element._check`` compares fields by identity
 @lru_cache(maxsize=None)
 def quadratic_field(p: int) -> QuadraticField:
     if not _is_prime(p):

@@ -153,7 +153,9 @@ ZZ = IntegerRing()
 QQ = RationalRing()
 
 
-@lru_cache(maxsize=None)
+# capped: a PrimeField compares by value, so an evicted field's elements
+# still meet a fresh GF(p) on equal terms
+@lru_cache(maxsize=64)
 def GF(p: int) -> PrimeField:
     return PrimeField(p)
 

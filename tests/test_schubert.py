@@ -250,3 +250,15 @@ def test_tensor_vector_zero_pruning(gcm_a22):
     e = identity_element(gcm_a22)
     t = TensorVector(ZZ, {(e, e): 0})
     assert t.coeffs == {}
+
+
+def test_vectors_over_gf_add_across_a_cleared_memo(gcm_a22):
+    # GF's memo is capped, so a field may be built again after eviction
+    assert GF.cache_info().maxsize is not None
+    s1 = from_word(gcm_a22, (1,))
+    old = GF(5)
+    u = SchubertVector(old, {s1: 2})
+    GF.cache_clear()
+    new = GF(5)
+    assert new == old and new is not old
+    assert (u + SchubertVector(new, {s1: 4})).coeffs == {s1: 1}
