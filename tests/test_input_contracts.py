@@ -1,0 +1,190 @@
+"""Input contracts: outside integers, bounds and JSON payloads that the library
+rejects with ValueError, and a seeded fuzz of the command line over them."""
+
+import json
+import random
+
+import pytest
+
+from schubert_kit import cli, ranktwo
+from schubert_kit.gcm import parse_gcm
+from schubert_kit.polyring import GradedPolynomial, WeightRing
+from schubert_kit.rings import QQ, ZZ
+from schubert_kit.schubert import SchubertVector, nil_aw, schubert_from_jsonable
+from schubert_kit.weyl import (
+    element_from_matrix,
+    enumerate_by_length,
+    from_word,
+    length_and_word,
+    min_coset_reps,
+)
+
+G = parse_gcm("2,-2;-3,2")
+
+
+def class_of(word):
+    return SchubertVector.basis(ZZ, from_word(G, word))
+
+
+# every place an outside integer enters: a float, a string or a bool is none
+NOT_INTEGERS = {
+    "length-and-word-float-matrix": lambda: length_and_word(G, ((1.9, 0.2), (0, 1))),
+    "element-from-float-matrix": lambda: element_from_matrix(G, ((1.0, 0), (0, 1))),
+    "element-from-bool-matrix": lambda: element_from_matrix(G, ((True, False), (0, 1))),
+    "from-word-mixed": lambda: from_word(G, ["1", 2.0, True]),
+    "from-word-str": lambda: from_word(G, ["1"]),
+    "from-word-float": lambda: from_word(G, [2.0]),
+    "from-word-bool": lambda: from_word(G, [True]),
+    "nil-aw-float": lambda: nil_aw((1.0,), class_of((1,))),
+    "nil-aw-bool-on-zero": lambda: nil_aw((True,), SchubertVector.zero(ZZ)),
+    "monomial-float": lambda: WeightRing(G, QQ).monomial((1.7, 0)),
+    "polynomial-bool": lambda: GradedPolynomial(QQ, 2, {(True, 0): 1}),
+    "from-terms-float": lambda: WeightRing(G, QQ).from_terms([((1.0, 0), 1)]),
+}
+
+
+@pytest.mark.parametrize("call", NOT_INTEGERS.values(), ids=NOT_INTEGERS)
+def test_outside_integer_must_be_an_int(call):
+    with pytest.raises(ValueError, match="not an integer"):
+        call()
+
+
+BOUNDS = {
+    "enumerate-negative": lambda: enumerate_by_length(G, -1),
+    "coset-reps-negative": lambda: min_coset_reps(G, (1,), -1),
+    "leibniz-negative": lambda: ranktwo.leibniz_cup_solver(2, 3, -1),
+    "hk-integral-negative": lambda: ranktwo.hk_integral(2, 3, -3),
+    "bockstein-zero": lambda: ranktwo.bockstein_valuation_check(2, 3, 3, 0),
+    "hk-modp-negative": lambda: ranktwo.hk_modp_crosscheck(2, 3, 3, -1),
+}
+
+
+@pytest.mark.parametrize("call", BOUNDS.values(), ids=BOUNDS)
+def test_out_of_range_bound_raises(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_smallest_bounds_still_answer():
+    assert [len(level) for level in enumerate_by_length(G, 0)] == [1]
+    assert len(min_coset_reps(G, (1,), 0)) == 1
+    assert ranktwo.hk_integral(2, 3, 0) == [(0, 0), (1, 1), (3, 0)]
+    assert ranktwo.bockstein_valuation_check(2, 3, 3, 1)
+    assert ranktwo.hk_modp_crosscheck(2, 3, 3, 0)
+
+
+# decoder -> (call, key of the integer list, a valid integer list)
+DECODERS = {
+    "schubert": (lambda data: schubert_from_jsonable(G, ZZ, data), "word", [1]),
+    "poly": (lambda data: WeightRing(G, QQ).from_jsonable(data), "exponents", [1, 0]),
+}
+# payload builders from (key, valid integer list)
+BAD_PAYLOADS = {
+    "missing-key": lambda key, ints: [{"coefficient": 1}],
+    "missing-coefficient": lambda key, ints: [{key: ints}],
+    "bool-letter": lambda key, ints: [{key: [True, *ints[1:]], "coefficient": 1}],
+    "float-letter": lambda key, ints: [{key: [1.0, *ints[1:]], "coefficient": 1}],
+    "float-coefficient": lambda key, ints: [{key: ints, "coefficient": 0.5}],
+    "bool-coefficient": lambda key, ints: [{key: ints, "coefficient": True}],
+    "letters-not-a-list": lambda key, ints: [{key: 1, "coefficient": 1}],
+    "entry-not-an-object": lambda key, ints: [ints],
+    "payload-not-a-list": lambda key, ints: {key: ints, "coefficient": 1},
+}
+
+
+@pytest.mark.parametrize("payload", BAD_PAYLOADS.values(), ids=BAD_PAYLOADS)
+@pytest.mark.parametrize("decoder", DECODERS.values(), ids=DECODERS)
+def test_decoder_rejects_malformed_payload(decoder, payload):
+    call, key, ints = decoder
+    with pytest.raises(ValueError):
+        call(payload(key, ints))
+
+
+@pytest.mark.parametrize("decoder", DECODERS.values(), ids=DECODERS)
+def test_decoder_reads_int_and_str_coefficients(decoder):
+    call, key, ints = decoder
+    once = call([{key: ints, "coefficient": 3}])
+    assert call([{key: ints, "coefficient": "1"}, {key: ints, "coefficient": 2}]) == once
+
+
+# -- a seeded fuzz of the command line ------------------------------------
+
+FUZZ_SEED = 20261018
+GCMS = ("2,-1;-1,2", "2,-2;-3,2", "2,-1,-1;-1,2,-1;-1,-1,2")
+LETTERS = (1, 1, 2, 2, 3, 0, -1, True, 1.5, "1", None)
+COEFFICIENTS = (1, -2, 7, "3", "1/2", "-5/3", "1/0", "x", 0.5, False, None, [1])
+
+
+def random_word_text(rng):
+    letters = [str(rng.choice((1, 2, 3))) for _ in range(rng.randint(0, 5))]
+    if rng.random() < 0.2:
+        letters.append(rng.choice(("0", "-1", "7", "a", "", "1.0")))
+    return ",".join(letters)
+
+
+def random_payload(rng, key, width):
+    if rng.random() < 0.05:
+        return rng.choice(("{}", "[", "null", "[1, 2]", '"word"'))
+    entries = []
+    for _ in range(rng.randint(0, 3)):
+        size = width if key == "exponents" and rng.random() < 0.8 else rng.randint(0, 3)
+        ints = [rng.choice(LETTERS) if rng.random() < 0.1 else rng.randint(0, 2)
+                for _ in range(size)]
+        entry = {key: ints, "coefficient": rng.choice(COEFFICIENTS)}
+        if rng.random() < 0.05:
+            del entry[rng.choice((key, "coefficient"))]
+        entries.append(entry)
+    return json.dumps(entries)
+
+
+def random_argv(rng):
+    gcm = rng.choice(GCMS)
+    kind = rng.randrange(5)
+    if kind == 0:
+        return ["schubert", "act", "--gcm", gcm, "--word", random_word_text(rng),
+                "--class", random_payload(rng, "word", 0),
+                "--ring", rng.choice(("Z", "Q", "F2", "F3"))]
+    if kind == 1:
+        width = 2 if gcm.count(";") == 1 else 4  # standard realizations
+        return ["poly", "psi", "--gcm", gcm, "--poly", random_payload(rng, "exponents", width),
+                "--field", rng.choice(("Q", "F2", "F3", "Z")),
+                "--realization", rng.choice(("standard", "derived"))]
+    if kind == 2:
+        return ["weyl", "bruhat", "--gcm", gcm, "--u", random_word_text(rng),
+                "--v", random_word_text(rng)]
+    if kind == 3:
+        return ["schubert", "coproduct", "--gcm", gcm, "--word", random_word_text(rng)]
+    bound = str(rng.randint(-3, 3))
+    return rng.choice((
+        ["weyl", "enum", "--gcm", gcm, "--max-len", bound],
+        ["poly", "invariants", "--gcm", gcm, "--max-deg", bound],
+        ["rank2", "table", "-N", bound],
+        ["rank2", "products", "-N", bound],
+        ["rank2", "hk", "-N", bound],
+        ["rank2", "prime-order", "-p", rng.choice(("2", "3", "4")), "-N", bound],
+        ["rank2", "bockstein", "-p", "3", "-S", bound],
+        ["rank2", "hopf", "-p", "3", "-N", bound],
+    ))
+
+
+def run_cli(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the value while parsing
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_fuzzed_commands_exit_0_or_2_deterministically(capsys):
+    rng = random.Random(FUZZ_SEED)
+    codes = []
+    for _ in range(160):
+        argv = random_argv(rng)
+        code, out, err = run_cli(argv, capsys)
+        assert code in (0, 2), (argv, code, err)
+        assert "Traceback" not in err, argv
+        assert (code == 2) == bool(err.strip()), (argv, err)
+        assert run_cli(argv, capsys)[:2] == (code, out), argv
+        codes.append(code)
+    assert 0 in codes and 2 in codes
