@@ -7,28 +7,16 @@ throughout; nothing here ever touches floating point.
 imported from its home module on first access.
 """
 
-from .errors import (
-    DiagonalNotTwo,
-    GCMValidationError,
-    NonIntegral,
-    NotHomogeneous,
-    NotHyperbolicOrAffine,
-    NotInGroup,
-    NotReduced,
-    NotSpherical,
-    OddPrimeRequired,
-    PositiveOffDiagonal,
-    SchubertKitError,
-    TheoremViolation,
-    UnderdeterminedSystem,
-    ZeroAsymmetry,
-    ZeroElement,
-)
+from . import errors  # loaded with the package: every other module imports it
 
 __version__ = "0.1.0"
 
-# home module of every other public name; PEP 562 imports it on first access
+# home module of every public name; PEP 562 imports it on first access
 _HOMES = {
+    "errors": ("DiagonalNotTwo", "GCMValidationError", "NonIntegral", "NotHomogeneous",
+               "NotHyperbolicOrAffine", "NotInGroup", "NotReduced", "NotSpherical",
+               "OddPrimeRequired", "PositiveOffDiagonal", "SchubertKitError",
+               "TheoremViolation", "UnderdeterminedSystem", "ZeroAsymmetry", "ZeroElement"),
     "gcm": ("GeneralizedCartanMatrix", "Realization", "SphericalPoset", "coxeter_exponent",
             "derived_realization", "gcm_from_dict", "gcm_from_file", "is_finite_type",
             "parse_gcm", "rank_two", "spherical_poset", "standard_realization",
@@ -43,6 +31,7 @@ _HOMES = {
              "multiply", "simple_reflection"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = sorted(_HOME_OF)
 
 
 def __getattr__(name):
@@ -59,59 +48,3 @@ def __getattr__(name):
 def __dir__():
     return sorted({*globals(), *__all__})
 
-
-__all__ = [
-    "GF",
-    "QQ",
-    "ZZ",
-    "DiagonalNotTwo",
-    "GCMValidationError",
-    "GeneralizedCartanMatrix",
-    "GradedPolynomial",
-    "InvariantsReport",
-    "NonIntegral",
-    "NotHomogeneous",
-    "NotHyperbolicOrAffine",
-    "NotInGroup",
-    "NotReduced",
-    "NotSpherical",
-    "OddPrimeRequired",
-    "PoincareSeries",
-    "PositiveOffDiagonal",
-    "Realization",
-    "SchubertKitError",
-    "SchubertVector",
-    "SphericalPoset",
-    "TensorVector",
-    "TheoremViolation",
-    "UnderdeterminedSystem",
-    "WeightRing",
-    "WeylElement",
-    "ZeroAsymmetry",
-    "ZeroElement",
-    "bruhat_leq",
-    "coxeter_exponent",
-    "derived_realization",
-    "enumerate_by_length",
-    "from_word",
-    "gcm_from_dict",
-    "gcm_from_file",
-    "identity_element",
-    "is_finite_type",
-    "l_functional",
-    "length_and_word",
-    "longest_element",
-    "min_coset_reps",
-    "multiply",
-    "nil_a",
-    "nil_aw",
-    "parabolic_basis",
-    "parse_gcm",
-    "parse_ring",
-    "peterson_coproduct",
-    "rank_two",
-    "simple_reflection",
-    "spherical_poset",
-    "standard_realization",
-    "validate_gcm",
-]

@@ -13,7 +13,6 @@ Generator indices are 1-based throughout the public API.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -81,12 +80,6 @@ class SphericalPoset:
         return tuple(sorted(subset)) in set(self.subsets)
 
 
-def _entry(x) -> int:
-    if isinstance(x, bool) or not hasattr(x, "__index__"):
-        raise ValueError(f"matrix entry {x!r} is not an integer")
-    return operator.index(x)
-
-
 def validate_gcm(matrix, labels=None) -> GeneralizedCartanMatrix:
     """Validate the three Cartan axioms and freeze the matrix.
 
@@ -94,7 +87,7 @@ def validate_gcm(matrix, labels=None) -> GeneralizedCartanMatrix:
     first offending entry, and ValueError for an entry that is not an
     integer (a float or a boolean is not).
     """
-    rows = [tuple(_entry(x) for x in row) for row in matrix]
+    rows = [tuple(intmat.as_int(x) for x in row) for row in matrix]
     n = len(rows)
     for row in rows:
         if len(row) != n:

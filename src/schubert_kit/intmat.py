@@ -1,9 +1,24 @@
-"""Small exact integer-matrix helpers (tuples of tuples, row major), and the
-one elimination routine behind ``det``, ``integer_inverse`` and ``linalg``."""
+"""Small exact integer-matrix helpers (tuples of tuples, row major), the
+one elimination routine behind ``det``, ``integer_inverse`` and ``linalg``,
+and ``as_int``, the one reader of integers that come from outside."""
 
 from __future__ import annotations
 
+import operator
+
 Matrix = tuple[tuple[int, ...], ...]
+
+
+def as_int(x, what: str = "matrix entry") -> int:
+    """``x`` as an ``int``: an ``int`` or an ``__index__`` value, never a bool.
+
+    Every integer from outside the package (matrix entries, words,
+    exponents) is read here; anything else, a float or a string included,
+    raises ValueError naming ``what``.
+    """
+    if isinstance(x, bool) or not hasattr(x, "__index__"):
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return operator.index(x)
 
 
 def identity(n: int) -> Matrix:

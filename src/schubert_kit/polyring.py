@@ -24,11 +24,11 @@ from itertools import product as iter_product
 from math import comb
 from operator import add
 
-from . import linalg
+from . import intmat, linalg
 from .errors import NotHomogeneous
 from .gcm import GeneralizedCartanMatrix, Realization, standard_realization
 from .poincare import PoincareSeries
-from .schubert import SchubertVector
+from .schubert import SchubertVector, jsonable_terms
 from .weyl import enumerate_by_length
 
 
@@ -45,7 +45,7 @@ class GradedPolynomial:
             c = ring.promote(c)
             if ring.is_zero(c):
                 continue
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(intmat.as_int(e, "exponent") for e in exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps}")
             clean[exps] = c
@@ -262,7 +262,7 @@ class WeightRing:
     def from_terms(self, pairs) -> GradedPolynomial:
         acc = {}
         for exps, c in pairs:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(intmat.as_int(e, "exponent") for e in exps)
             acc[exps] = self.ring.add(acc.get(exps, self.ring.zero),
                                       self.ring.promote(c))
         return GradedPolynomial(self.ring, self.nvars, acc)
@@ -506,7 +506,10 @@ class WeightRing:
         ]
 
     def from_jsonable(self, data) -> GradedPolynomial:
-        return self.from_terms((d["exponents"], d["coefficient"]) for d in data)
+        """The polynomial of a JSON list of ``{exponents, coefficient}``
+        objects; raises ValueError for any other payload (see
+        ``schubert.jsonable_terms``)."""
+        return self.from_terms(jsonable_terms(data, "exponents"))
 
     # -- internals -------------------------------------------------------
 

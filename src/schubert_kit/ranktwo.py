@@ -98,10 +98,14 @@ def _require_noncompact(a: int, b: int):
         )
 
 
+def _require_at_least(low: int, bound: int, name: str):
+    if bound < low:
+        raise ValueError(f"{name} must be at least {low}, got {bound}")
+
+
 def _cd_lists(a: int, b: int, n_max: int):
     _require_noncompact(a, b)
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    _require_at_least(0, n_max, "n_max")
     c = [0, 1]
     d = [0, 1]
     for j in range(1, n_max):
@@ -243,9 +247,11 @@ def leibniz_cup_solver(a: int, b: int, n_max: int) -> RankTwoProductTable:
     value raises UnderdeterminedSystem.
 
     This solver is the independent oracle for the closed-form product
-    families; it never consults them.
+    families; it never consults them.  Raises ValueError for a negative
+    ``n_max``.
     """
     _require_noncompact(a, b)
+    _require_at_least(0, n_max, "n_max")
     constants: dict = {}
     basis = {DELTA: (1, 0), TAU: (0, 1)}
     # per operator: the kind it lowers, the kind of the result (A_1 delta_n
@@ -348,8 +354,10 @@ def hk_integral(a: int, b: int, n_max: int):
     Degrees 2n and 2n+3 carry a cyclic summand of order g_n; order 0 stands
     for an infinite cyclic summand (the n = 0 row produces the free classes
     in degrees 0 and 3), and order 1 for the trivial group.  Degrees not of
-    either form (only degree 1) are trivial.
+    either form (only degree 1) are trivial.  Raises ValueError for a
+    negative ``n_max``.
     """
+    _require_at_least(0, n_max, "n_max")
     tables = cd_sequences(a, b, max(n_max, 1))
     orders = {0: 0, 3: 0, 1: 1}
     for n in range(1, n_max + 1):
@@ -489,13 +497,15 @@ def bockstein_valuation_check(a: int, b: int, p: int, s_max: int) -> bool:
     predicted value; smallest instance: (a, b) = (1, 7), where g_3 = 6 and
     g_6 = 24).  That regime is exactly the degenerate one where the
     degree-6 mod-2 homology generator fails to be primitive, so the
-    height-one Bockstein does not force the rest of the tower.
+    height-one Bockstein does not force the rest of the tower.  Raises
+    ValueError for ``s_max < 1``.
     """
     return all(lhs == rhs for _, lhs, rhs in _valuation_rows(a, b, p, s_max))
 
 
 def _valuation_rows(a: int, b: int, p: int, s_max: int) -> list[tuple[int, int, int]]:
     """The rows ``(s, v_p(g_{s k}), v_p(s) + v_p(g_k))`` for s = 1 .. s_max."""
+    _require_at_least(1, s_max, "s_max")
     k = prime_order_closed(a, b, p).k
     c, d = _cd_lists(a, b, s_max * k)
     base = p_adic_valuation(gcd(c[k], d[k]), p)
@@ -597,7 +607,9 @@ def hk_modp_crosscheck(a: int, b: int, p: int, deg_max: int) -> bool:
     integral cohomology table through universal coefficients: a cyclic
     summand of order divisible by p in degree m contributes one dimension
     in degrees m and m-1, and the free classes sit in degrees 0 and 3.
+    Raises ValueError for a negative ``deg_max``.
     """
+    _require_at_least(0, deg_max, "deg_max")
     k = prime_order_closed(a, b, p).k
     # side one: (1 + t^3)(1 + t^{2k-1}) / (1 - t^{2k})
     side1 = [0] * (deg_max + 1)

@@ -196,7 +196,7 @@ def nil_aw(word, v: SchubertVector) -> SchubertVector:
     be checked; a caller that knows the group checks them with
     ``check_operator_word``.
     """
-    word = tuple(int(i) for i in word)
+    word = tuple(intmat.as_int(i, "generator index") for i in word)
     if v.coeffs:
         check_operator_word(next(iter(v.coeffs)).gcm, word)
     else:
@@ -215,8 +215,9 @@ def l_functional(w: WeylElement, v: SchubertVector):
     return v.coefficient(w)
 
 
-def peterson_coproduct(w: WeylElement, ring=ZZ) -> TensorVector:
-    """Sum of tensors over all length-additive factorizations of ``w``.
+def peterson_coproduct(w: WeylElement) -> TensorVector:
+    """Sum of tensors over all length-additive factorizations of ``w``, each
+    with coefficient 1 in ``ZZ``.
 
     The left factors ``u`` of ``w = u v`` with ``l(u) + l(v) = l(w)`` are the
     right weak-order interval ``[e, w]``, walked level by level from
@@ -246,13 +247,12 @@ def peterson_coproduct(w: WeylElement, ring=ZZ) -> TensorVector:
                         nxt[child] = (uword + (i,), intmat.mat_mul(r, vm), intmat.mat_mul(vinv, r))
         level = nxt
     out, vwords = {}, {}
-    for length in reversed(range(len(levels))):
-        for um, (uword, vm, _) in levels[length].items():
+    for level in reversed(levels):
+        for um, (uword, vm, _) in level.items():
             step = least_step.get(um)
             vword = vwords[um] = (step[0],) + vwords[step[1]] if step else ()
-            u = WeylElement(g, um, length, uword)
-            out[(u, WeylElement(g, vm, len(vword), vword))] = ring.one
-    return TensorVector(ring, out)
+            out[(WeylElement(g, um, uword), WeylElement(g, vm, vword))] = ZZ.one
+    return TensorVector(ZZ, out)
 
 
 def counit_collapse(t: TensorVector, side: str) -> SchubertVector:
@@ -283,12 +283,32 @@ def schubert_to_jsonable(v: SchubertVector) -> list:
     ]
 
 
+def jsonable_terms(data, key: str):
+    """The ``(integers, coefficient)`` pairs of a JSON list of ``{key: [int,
+    ...], "coefficient": int or str}`` objects, as ``json.loads`` gives it.
+
+    Raises ValueError naming that schema for a payload of another shape or a
+    coefficient that is neither an int nor a string (a bool is not an int
+    here).  The integers themselves are read by the caller, through
+    ``intmat.as_int``.
+    """
+    if not isinstance(data, list) or not all(
+        isinstance(entry, dict)
+        and isinstance(entry.get(key), list)
+        and type(entry.get("coefficient")) in (int, str)
+        for entry in data
+    ):
+        raise ValueError(f"expected a JSON list of {{{key}, coefficient}} objects")
+    return [(entry[key], entry["coefficient"]) for entry in data]
+
+
 def schubert_from_jsonable(gcm: GeneralizedCartanMatrix, ring, data) -> SchubertVector:
+    """The vector of a JSON list of ``{word, coefficient}`` objects; raises
+    ValueError for any other payload (see ``jsonable_terms``)."""
     acc = {}
-    for entry in data:
-        w = from_word(gcm, entry["word"])
-        c = ring.promote(entry["coefficient"])
-        acc[w] = ring.add(acc.get(w, ring.zero), c)
+    for word, c in jsonable_terms(data, "word"):
+        w = from_word(gcm, word)
+        acc[w] = ring.add(acc.get(w, ring.zero), ring.promote(c))
     return SchubertVector(ring, acc)
 
 

@@ -10,7 +10,9 @@ column of a group element is a real root: its entries are all >= 0 or all
 Convention: ``i`` is a right descent of ``w`` iff ``w`` maps the i-th simple
 root to a negative root.  Coset routines return minimal-length
 representatives for that convention.  Infinite groups are only ever
-materialized up to an explicit length bound.
+materialized up to an explicit length bound, and a negative bound raises
+ValueError.  Matrix entries and letters of words given from outside are
+read by ``intmat.as_int``: an ``int`` or ``__index__`` value, never a bool.
 """
 
 from __future__ import annotations
@@ -28,19 +30,23 @@ _DEFAULT_STRIP_BOUND = 10_000
 
 @dataclass(frozen=True)
 class WeylElement:
-    """A group element with its length and canonical reduced word.
+    """A group element with its canonical reduced word.
 
     Equality and hashing use only the matrix (the word is derived data).
-    ``word`` is the lexicographically least reduced word for the element.
+    ``word`` is the lexicographically least reduced word for the element,
+    so its length is the element's length.
     """
 
     gcm: GeneralizedCartanMatrix
     matrix: Matrix
-    length: int = field(compare=False)
     word: tuple[int, ...] = field(compare=False)
 
+    @property
+    def length(self) -> int:
+        return len(self.word)
+
     def __repr__(self) -> str:
-        return "W(e)" if self.length == 0 else f"W({','.join(map(str, self.word))})"
+        return f"W({','.join(map(str, self.word)) or 'e'})"
 
 
 def reflection_matrix(gcm: GeneralizedCartanMatrix, i: int) -> Matrix:
@@ -56,13 +62,13 @@ def reflection_matrix(gcm: GeneralizedCartanMatrix, i: int) -> Matrix:
 
 
 def identity_element(gcm: GeneralizedCartanMatrix) -> WeylElement:
-    return WeylElement(gcm, intmat.identity(gcm.size), 0, ())
+    return WeylElement(gcm, intmat.identity(gcm.size), ())
 
 
 def simple_reflection(gcm: GeneralizedCartanMatrix, i: int) -> WeylElement:
     if not 1 <= i <= gcm.size:
         raise ValueError(f"generator index {i} out of range 1..{gcm.size}")
-    return WeylElement(gcm, reflection_matrix(gcm, i), 1, (i,))
+    return WeylElement(gcm, reflection_matrix(gcm, i), (i,))
 
 
 def _is_negative_column(matrix: Matrix, i: int) -> bool:
@@ -81,10 +87,11 @@ def length_and_word(gcm: GeneralizedCartanMatrix, matrix,
     Strips the least left descent repeatedly (equivalently, the least right
     descent of the inverse), which yields the lex-least word.  Raises
     NotInGroup if the matrix is not unimodular or stripping fails to reach
-    the identity within ``max_steps``.
+    the identity within ``max_steps``, and ValueError for an entry that is
+    not an integer.
     """
     n = gcm.size
-    matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+    matrix = _read_matrix(matrix)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise NotInGroup("matrix size does not match the index set")
     inv = intmat.integer_inverse(matrix)
@@ -105,10 +112,13 @@ def length_and_word(gcm: GeneralizedCartanMatrix, matrix,
     return len(word), tuple(word)
 
 
+def _read_matrix(matrix) -> Matrix:
+    return tuple(tuple(intmat.as_int(x) for x in row) for row in matrix)
+
+
 def element_from_matrix(gcm: GeneralizedCartanMatrix, matrix) -> WeylElement:
-    length, word = length_and_word(gcm, matrix)
-    return WeylElement(gcm, tuple(tuple(int(x) for x in row) for row in matrix),
-                       length, word)
+    matrix = _read_matrix(matrix)
+    return WeylElement(gcm, matrix, length_and_word(gcm, matrix)[1])
 
 
 def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
@@ -124,12 +134,17 @@ def inverse(w: WeylElement) -> WeylElement:
 
 
 def from_word(gcm: GeneralizedCartanMatrix, word) -> WeylElement:
-    """Product of simple reflections; the word need not be reduced."""
+    """Product of simple reflections; the word need not be reduced.
+
+    Raises ValueError for a letter that is not an integer or lies outside
+    the index set.
+    """
     m = intmat.identity(gcm.size)
     for i in word:
-        if not 1 <= int(i) <= gcm.size:
+        i = intmat.as_int(i, "generator index")
+        if not 1 <= i <= gcm.size:
             raise ValueError(f"generator index {i} out of range 1..{gcm.size}")
-        m = intmat.mat_mul(m, reflection_matrix(gcm, int(i)))
+        m = intmat.mat_mul(m, reflection_matrix(gcm, i))
     return element_from_matrix(gcm, m)
 
 
@@ -147,8 +162,11 @@ def enumerate_by_length(gcm: GeneralizedCartanMatrix, max_len: int):
     ``j``, so the least candidate word ``w.word + (i,)`` is its lex-least
     reduced word.  Candidates arrive in lex order (W_l is sorted and ``i``
     ascends), so the first one is kept and the level comes out sorted.
-    Levels past the end of a finite group are empty lists.
+    Levels past the end of a finite group are empty lists.  Raises
+    ValueError for a negative ``max_len``.
     """
+    if max_len < 0:
+        raise ValueError(f"length bound {max_len} is negative")
     levels = _LEVELS.setdefault(gcm, [[identity_element(gcm)]])
     reflections = [reflection_matrix(gcm, i) for i in gcm.index_set]
     while len(levels) <= max_len:
@@ -157,8 +175,7 @@ def enumerate_by_length(gcm: GeneralizedCartanMatrix, max_len: int):
             for i, r in enumerate(reflections, 1):
                 if not right_descent(w, i):
                     words.setdefault(intmat.mat_mul(w.matrix, r), w.word + (i,))
-        length = len(levels)
-        levels.append([WeylElement(gcm, m, length, word) for m, word in words.items()])
+        levels.append([WeylElement(gcm, m, word) for m, word in words.items()])
     return [list(level) for level in levels[: max_len + 1]]
 
 
@@ -184,7 +201,8 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
 
 
 def min_coset_reps(gcm: GeneralizedCartanMatrix, subset, max_len: int):
-    """All enumerated w with no right descent in ``subset``."""
+    """All enumerated w with no right descent in ``subset``; ValueError for a
+    negative ``max_len``."""
     subset = sorted(set(subset))
     reps = []
     for level in enumerate_by_length(gcm, max_len):
