@@ -74,21 +74,26 @@ def subword_set(w):
     return reachable
 
 
-def definitional_coproduct(w):
+def inverted_ball(g, max_len):
+    """Matrix -> (element, inverse matrix) for every element up to ``max_len``."""
+    return {u.matrix: (u, integer_inverse(u.matrix)) for u in _elements(g, max_len)}
+
+
+def definitional_coproduct(w, ball):
     """The coproduct of ``w`` from its definition: u (x) v for every u of
     length at most l(w) whose complement v = u^-1 w has l(u) + l(v) = l(w).
 
-    Runs over the whole ball of radius l(w), inverts every element in it and
-    finds v in the ball by its matrix, so the words of both factors are the
-    ones enumeration gives.  Shares no code with the weak-order walk of
-    ``peterson_coproduct``.
+    ``ball`` is an ``inverted_ball`` of radius at least l(w).  Runs over
+    every u in it and finds v in it by its matrix, so the words of both
+    factors are the ones enumeration gives.  Shares no code with the
+    weak-order walk of ``peterson_coproduct``.
     """
-    ball = {u.matrix: u for u in _elements(w.gcm, w.length)}
     out = {}
-    for u in ball.values():
-        v = ball.get(mat_mul(integer_inverse(u.matrix), w.matrix))
-        if v is not None and u.length + v.length == w.length:
-            out[(u, v)] = ZZ.one
+    for u, u_inv in ball.values():
+        if u.length <= w.length:
+            v, _ = ball.get(mat_mul(u_inv, w.matrix), (None, None))
+            if v is not None and u.length + v.length == w.length:
+                out[(u, v)] = ZZ.one
     return TensorVector(ZZ, out)
 
 
@@ -227,8 +232,9 @@ def coproduct_matches_definition(gcms, max_len):
 
     failures = []
     for g in gcms:
-        for w in _elements(g, max_len):
-            got, want = peterson_coproduct(w), definitional_coproduct(w)
+        ball = inverted_ball(g, max_len)
+        for w, _ in ball.values():
+            got, want = peterson_coproduct(w), definitional_coproduct(w, ball)
             if got != want or terms(got) != terms(want):
                 failures.append((g, w.word))
     return failures
