@@ -26,8 +26,7 @@ command loads only what its group needs.
 Input checks live in the library: the JSON of --class and --poly goes from
 ``json.loads`` straight to its decoder, and the words, exponents and bounds
 the library rejects raise ValueError, which exits 2.  The parser also
-checks the ranges of --max-len, -S and two -N options, whose types the
-pinned parser surface fixes.
+range-checks --max-len, -S and the -N of products and hk.
 """
 
 from __future__ import annotations
