@@ -304,6 +304,14 @@ def test_usage_error_exit_code(capsys):
      '[{"exponents": [1, 0], "coefficient": "1/0"}]'],
     ["poly", "psi", "--gcm", "2,-1;-1,2", "--field", "F3", "--poly",
      '[{"exponents": [1, 0], "coefficient": "1/0"}]'],
+    ["weyl", "bruhat", "--gcm", "2,-1;-1,2", "--u", "0_1", "--v", "1,2"],
+    ["schubert", "coproduct", "--gcm", "2,-1;-1,2", "--word", "1,\u0662"],
+    ["schubert", "act", "--gcm", "2,-1;-1,2", "--class", "[]", "--word", "\uff11"],
+    ["gcm", "check", "2,-1_0;-1,2"],
+    ["gcm", "check", "--gcm", "2,-\u0661;-1,2"],
+    ["weyl", "enum", "--gcm", "2,-1;-1,2", "--max-len", "1_0"],
+    ["rank2", "bockstein", "-S", "\u0663"],
+    ["rank2", "table", "-a", "1_0", "-b", "3"],
 ], ids=["S-zero", "class-missing-key", "poly-missing-key", "class-word-not-list",
         "poly-float-coefficient", "missing-file", "negative-max-len", "hk-negative-N",
         "products-negative-N", "class-bool-coefficient", "poly-bool-coefficient",
@@ -312,7 +320,10 @@ def test_usage_error_exit_code(capsys):
         "gcm-file-null-rows", "gcm-file-flat-rows", "gcm-file-float-entry",
         "gcm-file-bool-entry", "gcm-file-string-labels", "class-Z-zero-denominator",
         "class-Q-zero-denominator", "class-F3-zero-denominator", "poly-Z-zero-denominator",
-        "poly-Q-zero-denominator", "poly-F3-zero-denominator"])
+        "poly-Q-zero-denominator", "poly-F3-zero-denominator", "word-underscore",
+        "word-arabic-indic-digit", "word-fullwidth-digit", "gcm-underscore",
+        "gcm-arabic-indic-digit", "max-len-underscore", "S-arabic-indic-digit",
+        "a-underscore"])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     # "MISSING" names a file that does not exist; a 1-tuple holds the
     # contents of a file to pass in its place

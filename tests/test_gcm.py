@@ -56,6 +56,19 @@ def test_parse_accepts_unicode_minus():
     assert parse_gcm("2,−2;−2,2") == rank_two(2, 2)
 
 
+@pytest.mark.parametrize("text", [
+    "2,-1_0;-1,2", "2,-1;-1,2_0", "2,-١;-1,2", "2,-1;-1,２", "2,-1;-1,2.0",
+    "2,- 1;-1,2", "2,+-1;-1,2", "2,-1;-1,", "2,0x1;-1,2",
+])
+def test_parse_reads_ascii_integers_only(text):
+    with pytest.raises(ValueError):
+        parse_gcm(text)
+
+
+def test_parse_strips_each_entry():
+    assert parse_gcm(" +2 , -2 ;\t-3,2\n") == rank_two(2, 3)
+
+
 def test_gcm_file_roundtrip(tmp_path):
     g = validate_gcm(AFFINE_A2, labels=["x", "y", "z"])
     path = tmp_path / "gcm.json"
