@@ -1,6 +1,7 @@
 """Small exact integer-matrix helpers (tuples of tuples, row major), the
-one elimination routine behind ``det``, ``integer_inverse`` and ``linalg``,
-and ``as_int``, the one reader of integers that come from outside."""
+rank-one updates that apply a simple reflection, the one elimination routine
+behind ``det``, ``integer_inverse`` and ``linalg``, and ``as_int``, the one
+reader of integers that come from outside."""
 
 from __future__ import annotations
 
@@ -31,6 +32,31 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(ra[t] * cb[t] for t in range(k)) for cb in bt) for ra in a
     )
+
+
+def right_reflect(m: Matrix, i: int, cartan_row) -> Matrix:
+    """``m r_i``, for ``cartan_row`` row ``i`` of the Cartan matrix.
+
+    ``r_i`` is the identity outside row ``i``, which holds ``e_i`` minus that
+    row, so row ``k`` of the product is ``m_k - m[k][i] a_i``: O(n^2) work,
+    and a row with a zero in column ``i`` is reused as it is.
+    """
+    c = i - 1
+    return tuple(
+        tuple(x - row[c] * a for x, a in zip(row, cartan_row)) if row[c] else row
+        for row in m
+    )
+
+
+def left_reflect(m: Matrix, i: int, cartan_row) -> Matrix:
+    """``r_i m``, for ``cartan_row`` row ``i`` of the Cartan matrix: only row
+    ``i`` changes, to ``m_i - sum_t a_it m_t``."""
+    c = i - 1
+    row = m[c]
+    for a, other in zip(cartan_row, m):
+        if a:
+            row = tuple(x - a * y for x, y in zip(row, other))
+    return m[:c] + (row,) + m[c + 1:]
 
 
 def _eliminate(rows: list[list[int]], ncols: int, p: int = 0):

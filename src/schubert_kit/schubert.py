@@ -23,13 +23,11 @@ from .rings import ZZ
 from .weyl import (
     WeylElement,
     _is_negative_column,
+    element_from_matrix,
     from_word,
     identity_element,
     min_coset_reps,
-    multiply,
-    reflection_matrix,
     right_descent,
-    simple_reflection,
 )
 
 
@@ -170,11 +168,16 @@ def nil_a(i: int, v: SchubertVector) -> SchubertVector:
     ring = v.ring
     if not v.coeffs:
         return SchubertVector(ring)
-    r = simple_reflection(next(iter(v.coeffs)).gcm, i)
+    g = next(iter(v.coeffs)).gcm
+    if i > g.size:
+        raise ValueError(f"generator index {i} out of range 1..{g.size}")
+    row = g.entries[i - 1]
     out = {}
     for w, c in v.coeffs.items():
         if right_descent(w, i):
-            img = multiply(w, r)
+            if w.gcm != g:
+                raise ValueError("elements belong to different groups")
+            img = element_from_matrix(g, intmat.right_reflect(w.matrix, i, row))
             out[img] = ring.add(out.get(img, ring.zero), c)
     return SchubertVector(ring, out)
 
@@ -231,7 +234,6 @@ def peterson_coproduct(w: WeylElement) -> TensorVector:
     touched, so the result is exact.
     """
     g = w.gcm
-    refl = {i: reflection_matrix(g, i) for i in g.index_set}
     # per level, u matrix -> (u word, v matrix, v^-1 matrix)
     level = {intmat.identity(g.size): ((), w.matrix, intmat.integer_inverse(w.matrix))}
     levels, least_step = [], {}
@@ -239,12 +241,13 @@ def peterson_coproduct(w: WeylElement) -> TensorVector:
         levels.append(level)
         nxt = {}
         for um, (uword, vm, vinv) in level.items():
-            for i, r in refl.items():
+            for i, row in enumerate(g.entries, 1):
                 if _is_negative_column(vinv, i):
-                    child = intmat.mat_mul(um, r)
+                    child = intmat.right_reflect(um, i, row)
                     least_step.setdefault(um, (i, child))
                     if child not in nxt:
-                        nxt[child] = (uword + (i,), intmat.mat_mul(r, vm), intmat.mat_mul(vinv, r))
+                        nxt[child] = (uword + (i,), intmat.left_reflect(vm, i, row),
+                                      intmat.right_reflect(vinv, i, row))
         level = nxt
     out, vwords = {}, {}
     for level in reversed(levels):

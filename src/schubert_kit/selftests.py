@@ -47,6 +47,7 @@ def _elements(g, max_len):
 
 
 # -- oracles and random inputs ---------------------------------------------
+# Oracles keep full products (mat_mul, reflection_matrix, integer_inverse), not rank-one updates.
 
 
 def dihedral_order(g, bound):

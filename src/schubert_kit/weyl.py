@@ -105,7 +105,7 @@ def length_and_word(gcm: GeneralizedCartanMatrix, matrix,
         if i is None:
             raise NotInGroup("matrix is not a product of simple reflections")
         word.append(i)
-        inv = intmat.mat_mul(inv, reflection_matrix(gcm, i))
+        inv = intmat.right_reflect(inv, i, gcm.entries[i - 1])
         steps += 1
         if steps > max_steps:
             raise NotInGroup(f"did not reach the identity within {max_steps} steps")
@@ -144,7 +144,7 @@ def from_word(gcm: GeneralizedCartanMatrix, word) -> WeylElement:
         i = intmat.as_int(i, "generator index")
         if not 1 <= i <= gcm.size:
             raise ValueError(f"generator index {i} out of range 1..{gcm.size}")
-        m = intmat.mat_mul(m, reflection_matrix(gcm, i))
+        m = intmat.right_reflect(m, i, gcm.entries[i - 1])
     return element_from_matrix(gcm, m)
 
 
@@ -168,13 +168,12 @@ def enumerate_by_length(gcm: GeneralizedCartanMatrix, max_len: int):
     if max_len < 0:
         raise ValueError(f"length bound {max_len} is negative")
     levels = _LEVELS.setdefault(gcm, [[identity_element(gcm)]])
-    reflections = [reflection_matrix(gcm, i) for i in gcm.index_set]
     while len(levels) <= max_len:
         words: dict[Matrix, tuple[int, ...]] = {}
         for w in levels[-1]:
-            for i, r in enumerate(reflections, 1):
+            for i, row in enumerate(gcm.entries, 1):
                 if not right_descent(w, i):
-                    words.setdefault(intmat.mat_mul(w.matrix, r), w.word + (i,))
+                    words.setdefault(intmat.right_reflect(w.matrix, i, row), w.word + (i,))
         levels.append([WeylElement(gcm, m, word) for m, word in words.items()])
     return [list(level) for level in levels[: max_len + 1]]
 
@@ -196,7 +195,7 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
     vm, vl = v.matrix, v.length
     for i in reversed(w.word):
         if _is_negative_column(vm, i):
-            vm, vl = intmat.mat_mul(vm, reflection_matrix(w.gcm, i)), vl - 1
+            vm, vl = intmat.right_reflect(vm, i, w.gcm.entries[i - 1]), vl - 1
     return vl == 0
 
 
@@ -224,7 +223,7 @@ def longest_element(gcm: GeneralizedCartanMatrix, subset) -> WeylElement:
         raise NotSpherical(f"subset {subset} generates an infinite group")
     m = intmat.identity(gcm.size)
     while (i := next((i for i in subset if not _is_negative_column(m, i)), None)) is not None:
-        m = intmat.mat_mul(m, reflection_matrix(gcm, i))
+        m = intmat.right_reflect(m, i, gcm.entries[i - 1])
     return element_from_matrix(gcm, m)
 
 

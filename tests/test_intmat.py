@@ -5,8 +5,15 @@ import random
 import pytest
 
 from schubert_kit.gcm import rank_two, validate_gcm
-from schubert_kit.intmat import det, integer_inverse
-from schubert_kit.weyl import enumerate_by_length
+from schubert_kit.intmat import (
+    det,
+    identity,
+    integer_inverse,
+    left_reflect,
+    mat_mul,
+    right_reflect,
+)
+from schubert_kit.weyl import enumerate_by_length, reflection_matrix
 
 from conftest import AFFINE_A2, leibniz_det
 
@@ -60,3 +67,31 @@ def test_integer_inverse_rejects_non_unimodular():
             continue
         tried += 1
         assert integer_inverse(m) is None, m
+
+
+def _random_gcm(rng, n):
+    """A random GCM of rank ``n`` with off-diagonal entries down to -5; for
+    rank 3 and above almost every one is not symmetrizable."""
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.7:
+                rows[i][j], rows[j][i] = rng.randint(-5, -1), rng.randint(-5, -1)
+    return validate_gcm(rows)
+
+
+def test_reflection_updates_match_full_products():
+    rng = random.Random(20261018)
+    for trial in range(60):
+        g = _random_gcm(rng, rng.randint(1, 6))
+        n = g.size
+        group = identity(n)
+        for _ in range(rng.randint(0, 8)):
+            group = mat_mul(group, reflection_matrix(g, rng.randint(1, n)))
+        bound = 10 ** 12 if trial % 5 == 0 else 9
+        arbitrary = tuple(tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n))
+        for m in (group, arbitrary):
+            for i in g.index_set:
+                r, row = reflection_matrix(g, i), g.entries[i - 1]
+                assert right_reflect(m, i, row) == mat_mul(m, r), (g, m, i)
+                assert left_reflect(m, i, row) == mat_mul(r, m), (g, m, i)

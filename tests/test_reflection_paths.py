@@ -3,16 +3,19 @@
 The references below build each result from ``intmat.mat_mul`` and
 ``weyl.reflection_matrix`` alone, and read every word by stripping least
 left descents from an integer inverse, so they share no product code with
-the ``weyl`` and ``schubert`` paths they check.
+the ``weyl`` and ``schubert`` paths they check.  The last test keeps full
+products off those paths.
 """
 
 import random
 
 import pytest
 
+from schubert_kit import intmat, weyl
 from schubert_kit.gcm import rank_two, spherical_poset, validate_gcm
 from schubert_kit.intmat import identity, integer_inverse, mat_mul
-from schubert_kit.schubert import peterson_coproduct
+from schubert_kit.rings import ZZ
+from schubert_kit.schubert import SchubertVector, nil_aw, peterson_coproduct
 from schubert_kit.weyl import (
     bruhat_leq,
     enumerate_by_length,
@@ -133,3 +136,31 @@ def test_longest_element_matches_full_products(g, max_len):
             m = mat_mul(m, reflection_matrix(g, i))
         w = longest_element(g, subset)
         assert (w.matrix, w.word) == (m, _word(g, m))
+
+
+def _refuse(*args):
+    raise AssertionError("a full matrix product on a simple-reflection path")
+
+
+@pytest.mark.parametrize("g,max_len", [(validate_gcm(AFFINE_A2), 6), (rank_two(2, 3), 30)],
+                         ids=["affine-A2", "2-3"])
+def test_hot_paths_make_no_full_products(g, max_len, monkeypatch):
+    calls = {"right_reflect": 0, "left_reflect": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(intmat, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(intmat, name, counted)
+    monkeypatch.setattr(intmat, "mat_mul", _refuse)
+    monkeypatch.setattr(weyl, "reflection_matrix", _refuse)
+    monkeypatch.setattr(weyl, "_LEVELS", {})
+    levels = enumerate_by_length(g, max_len)
+    w = levels[max_len][-1]
+    assert bruhat_leq(w, w) and bruhat_leq(levels[1][0], w) == (1 in w.word)
+    assert len(peterson_coproduct(w).coeffs) > max_len
+    assert from_word(g, w.word) == w and from_word(g, w.word * 2).length <= 2 * max_len
+    for subset in spherical_poset(g).subsets:
+        assert set(longest_element(g, subset).word) == set(subset)
+    assert nil_aw(w.word, SchubertVector.basis(ZZ, w)) == SchubertVector.basis(ZZ, levels[0][0])
+    # the work is reached through the module attributes, where tracing sees it
+    assert calls["right_reflect"] > 0 and calls["left_reflect"] > 0
