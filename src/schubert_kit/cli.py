@@ -116,10 +116,11 @@ def _gcm_from_args(args):
 
 
 def _word_arg(text: str) -> tuple[int, ...]:
+    from .intmat import parse_int
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(x) for x in text.split(","))
+    return tuple(parse_int(x, "generator index") for x in text.split(","))
 
 
 def _fmt_subset(subset) -> str:
@@ -479,13 +480,19 @@ def cmd_rank2_hopf(args):
 # -- parser ----------------------------------------------------------------
 
 
+def _int_arg(text: str) -> int:
+    """An argparse type: an integer by the ASCII rule of ``intmat.parse_int``."""
+    from .intmat import parse_int
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
+    """An argparse type: an ``_int_arg`` no smaller than ``low``."""
     def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        value = _int_arg(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
@@ -501,8 +508,8 @@ _GCM = (
     _opt("--gcm", help='inline matrix, e.g. "2,-2;-1,2"'),
     _opt("--gcm-file", help="JSON file with {labels, rows}"),
 )
-_AB = (_opt("-a", type=int, default=2), _opt("-b", type=int, default=3))
-_P = _opt("-p", type=int, default=2)
+_AB = (_opt("-a", type=_int_arg, default=2), _opt("-b", type=_int_arg, default=3))
+_P = _opt("-p", type=_int_arg, default=2)
 _REALIZATION = _opt("--realization", choices=["standard", "derived"], default="standard")
 _COMMON = (
     _opt("--format", choices=["table", "csv", "json"], default="table"),
@@ -543,24 +550,24 @@ COMMANDS = {
                  _opt("--field", default="Q"), _REALIZATION)),
         "invariants": (cmd_poly_invariants, "kernel/image dimensions by degree",
                        (*_GCM, _opt("--field", default="Q"),
-                        _opt("--max-deg", type=int, default=16,
+                        _opt("--max-deg", type=_int_arg, default=16,
                              help="topological degree bound (even)"),
                         _REALIZATION)),
     }),
     "rank2": ("rank-two tables and theorems", {
         "table": (cmd_rank2_table, "the c, d, g sequences",
-                  (*_AB, _opt("-N", type=int, default=20))),
+                  (*_AB, _opt("-N", type=_int_arg, default=20))),
         "products": (cmd_rank2_products, "cup-product structure constants",
                      (*_AB, _opt("-N", type=_int_at_least(0), default=20))),
         "hk": (cmd_rank2_hk, "integral cohomology of the group",
                (*_AB, _opt("-N", type=_int_at_least(0), default=20))),
         "prime-order": (cmd_rank2_prime_order, "least k with p | g_k, by all three methods",
-                        (*_AB, _P, _opt("-N", type=int, default=200))),
+                        (*_AB, _P, _opt("-N", type=_int_arg, default=200))),
         "bockstein": (cmd_rank2_bockstein,
                       "the valuation identity for g along multiples of k",
                       (*_AB, _P, _opt("-S", type=_int_at_least(1), default=20))),
         "hopf": (cmd_rank2_hopf, "mod-p image Hopf algebra series and duals",
-                 (*_AB, _P, _opt("-N", type=int, default=20))),
+                 (*_AB, _P, _opt("-N", type=_int_arg, default=20))),
     }),
 }
 

@@ -116,9 +116,14 @@ def validate_gcm(matrix, labels=None) -> GeneralizedCartanMatrix:
 
 
 def parse_gcm(text: str) -> GeneralizedCartanMatrix:
-    """Parse the inline form "2,-a;-b,2" (rows separated by semicolons)."""
+    """Parse the inline form "2,-a;-b,2" (rows separated by semicolons).
+
+    Entries are read by ``intmat.parse_int``, after U+2212 minus signs become
+    ASCII ones; anything else raises ValueError.
+    """
     text = text.replace("−", "-").strip()
-    rows = [[int(x) for x in row.split(",")] for row in text.split(";") if row.strip()]
+    rows = [[intmat.parse_int(x, "matrix entry") for x in row.split(",")]
+            for row in text.split(";") if row.strip()]
     return validate_gcm(rows)
 
 

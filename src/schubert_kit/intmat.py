@@ -1,7 +1,7 @@
 """Small exact integer-matrix helpers (tuples of tuples, row major), the
 rank-one updates that apply a simple reflection, the one elimination routine
-behind ``det``, ``integer_inverse`` and ``linalg``, and ``as_int``, the one
-reader of integers that come from outside."""
+behind ``det``, ``integer_inverse`` and ``linalg``, and ``as_int`` and
+``parse_int``, the readers of integers that come from outside."""
 
 from __future__ import annotations
 
@@ -20,6 +20,21 @@ def as_int(x, what: str = "matrix entry") -> int:
     if isinstance(x, bool) or not hasattr(x, "__index__"):
         raise ValueError(f"{what} {x!r} is not an integer")
     return operator.index(x)
+
+
+def parse_int(text: str, what: str = "integer") -> int:
+    """The integer written in ``text``: ``[+-]?[0-9]+`` after ``strip()``.
+
+    Every integer read from text (matrix entries, letters of words, CLI
+    bounds) goes through this one ASCII rule, so digit-group underscores
+    and non-ASCII digits, which ``int()`` accepts, raise ValueError naming
+    ``what``.
+    """
+    s = text.strip()
+    digits = s[1:] if s[:1] in ("+", "-") else s
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{what} {text!r} is not an integer")
+    return int(s)
 
 
 def identity(n: int) -> Matrix:
