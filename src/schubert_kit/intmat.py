@@ -26,7 +26,7 @@ def parse_int(text: str, what: str = "integer") -> int:
     """The integer written in ``text``: ``[+-]?[0-9]+`` after ``strip()``.
 
     Every integer read from text (matrix entries, letters of words, CLI
-    bounds) goes through this one ASCII rule, so digit-group underscores
+    options) goes through this one ASCII rule, so digit-group underscores
     and non-ASCII digits, which ``int()`` accepts, raise ValueError naming
     ``what``.
     """
