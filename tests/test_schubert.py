@@ -71,6 +71,12 @@ def test_nil_a_rejects_generator_out_of_range(gcm_a11):
             nil_aw((i, 1), SchubertVector.zero(ZZ))
 
 
+def test_nil_a_rejects_classes_of_two_groups(gcm_a11, gcm_a22):
+    mixed = SchubertVector(ZZ, {from_word(gcm_a11, (2, 1)): 1, from_word(gcm_a22, (1,)): 1})
+    with pytest.raises(ValueError, match="different groups"):
+        nil_a(1, mixed)
+
+
 def test_nil_aw_single_letter(gcm_a23):
     v = basis(gcm_a23, (1, 2))
     assert nil_aw((2,), v) == nil_a(2, v)
