@@ -147,3 +147,23 @@ def test_str_format():
     field = quadratic_field(7)
     e = Fp2Element(field, 2, 3)
     assert str(e) == "2 + 3*theta (mod 7, theta^2=3)"
+
+
+def test_element_repr_hash_and_reduction():
+    field = quadratic_field(7)
+    e = Fp2Element(field, 16, -4)
+    assert (e.x, e.y) == (2, 3)
+    assert repr(e) == "Fp2Element(field=QuadraticField(p=7, u=0, v=3), x=2, y=3)"
+    assert hash(e) == hash((field, 2, 3))
+    assert e == Fp2Element(field, 2, 3) and e != Fp2Element(field, 3, 2)
+    assert e != (2, 3)
+
+
+@pytest.mark.parametrize("name", ["field", "x", "y", "z"])
+def test_element_is_immutable(name):
+    e = Fp2Element(quadratic_field(5), 1, 2)
+    with pytest.raises(AttributeError):
+        setattr(e, name, 0)
+    with pytest.raises(AttributeError):
+        delattr(e, name)
+    assert (e.field, e.x, e.y) == (quadratic_field(5), 1, 2)

@@ -1,8 +1,8 @@
-from math import comb
+from math import comb, gcd
 
 import pytest
 
-from schubert_kit import ranktwo
+from schubert_kit import ffield, ranktwo
 from schubert_kit.errors import NotHyperbolicOrAffine, OddPrimeRequired
 from schubert_kit.polyring import WeightRing
 from schubert_kit.ranktwo import DELTA, TAU, UNIT
@@ -61,6 +61,39 @@ def test_binomial_reduces_to_binomial_for_22():
             assert ranktwo.generalized_binomial_D(t, n, m) == expected
 
 
+def _own_cd(a, b, top):
+    """c_0 .. c_top and d_0 .. d_top by the defining recursion, written here."""
+    c, d = [0, 1], [0, 1]
+    for j in range(1, top):
+        c.append(a * d[j] - c[j - 1])
+        d.append(b * c[j] - d[j - 1])
+    return c[: top + 1], d[: top + 1]
+
+
+@pytest.mark.parametrize("a", range(1, 13))
+def test_binomials_equal_quotient_of_prefix_products(a):
+    # the definition: C(n, m) = (c_{n+m} ... c_1) / ((c_n ... c_1)(c_m ... c_1)),
+    # each division asserted exact, and D(n, m) the same from d
+    n_max = 40
+    for b in range(1, 13):
+        if a * b < 4:
+            continue
+        t = ranktwo.cd_sequences(a, b, n_max)
+        for seq, binomial in zip(_own_cd(a, b, n_max), (ranktwo.generalized_binomial_C,
+                                                         ranktwo.generalized_binomial_D)):
+            prefix = [1]
+            for x in seq[1:]:
+                prefix.append(prefix[-1] * x)
+            for n in range(n_max + 1):
+                for m in range(n_max + 1 - n):
+                    q, r = divmod(prefix[n + m], prefix[n] * prefix[m])
+                    assert r == 0, (a, b, n, m)
+                    assert binomial(t, n, m) == q, (binomial.__name__, a, b, n, m)
+            for n, m in ((0, n_max + 1), (n_max, 1), (-1, 0), (0, -1)):
+                with pytest.raises(ValueError):
+                    binomial(t, n, m)
+
+
 def test_binomial_integrality_small_sweep():
     for a, b in PAIRS:
         t = ranktwo.cd_sequences(a, b, 20)
@@ -99,10 +132,7 @@ def _associativity_table(a, b, n_max):
     delta_m = delta delta_{m-1} / d_m and tau_m = tau tau_{m-1} / c_m, so
     x_m y_n is the generator times x_{m-1} y_n, divided exactly.
     """
-    c, d = [0, 1], [0, 1]
-    for j in range(1, n_max + 1):
-        c.append(a * d[j] - c[j - 1])
-        d.append(b * c[j] - d[j - 1])
+    c, d = _own_cd(a, b, n_max + 1)
 
     def gen_times(gen, pq, k):
         # gen cup (P delta_k + Q tau_k) in degree k + 1
@@ -264,6 +294,39 @@ def test_prime_order_scan():
     assert s.k == 6 and s.pattern_consistent
     s = ranktwo.prime_order_scan(2, 3, 3, 5)
     assert s.k is None and not s.found
+
+
+def _gcd_scan(a, b, p, n_max):
+    """(k, pattern) from the big-integer g_n = gcd(c_n, d_n) of the recursion."""
+    c, d = _own_cd(a, b, n_max)
+    hits = [gcd(c[n], d[n]) % p == 0 for n in range(1, n_max + 1)]
+    k = next((n for n, hit in enumerate(hits, 1) if hit), None)
+    return k, k is None or all(hit == (n % k == 0) for n, hit in enumerate(hits, 1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29])
+def test_prime_order_scan_matches_gcd_scan(p):
+    for a in range(1, 7):
+        for b in range(1, 7):
+            if a * b < 4:
+                continue
+            for n_max in (0, 1, 5, 200):
+                s = ranktwo.prime_order_scan(a, b, p, n_max)
+                k, consistent = _gcd_scan(a, b, p, n_max)
+                assert (s.k, s.pattern_consistent, s.scanned_to) == (k, consistent, n_max)
+                assert s.found == (k is not None)
+
+
+def test_no_module_level_memo_but_the_field_interner():
+    # a process-wide memo outlives the calls that fill it; quadratic_field
+    # interns one descriptor per prime, which Fp2Element compares by identity
+    caches = {
+        f"{module.__name__}.{name}"
+        for module in (ranktwo, ffield)
+        for name, obj in vars(module).items()
+        if hasattr(obj, "cache_info") and obj.__module__ == module.__name__
+    }
+    assert caches == {"schubert_kit.ffield.quadratic_field"}
 
 
 def test_matrix_method():
