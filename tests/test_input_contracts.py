@@ -65,6 +65,23 @@ def test_out_of_range_bound_raises(call):
         call()
 
 
+# p must be prime in all three prime-order methods, even when no index is scanned
+NOT_PRIMES = {
+    "scan-one": lambda: ranktwo.prime_order_scan(2, 3, 1, 10),
+    "scan-zero-empty": lambda: ranktwo.prime_order_scan(2, 3, 0, 0),
+    "scan-composite": lambda: ranktwo.prime_order_scan(2, 3, 4, 20),
+    "scan-negative": lambda: ranktwo.prime_order_scan(2, 3, -3, 20),
+    "closed-one": lambda: ranktwo.prime_order_closed(2, 3, 1),
+    "matrix-composite": lambda: ranktwo.matrix_order_method(2, 3, 9),
+}
+
+
+@pytest.mark.parametrize("call", NOT_PRIMES.values(), ids=NOT_PRIMES)
+def test_prime_argument_must_be_prime(call):
+    with pytest.raises(ValueError, match="is not prime"):
+        call()
+
+
 def test_smallest_bounds_still_answer():
     assert [len(level) for level in enumerate_by_length(G, 0)] == [1]
     assert len(min_coset_reps(G, (1,), 0)) == 1
