@@ -44,18 +44,40 @@ def quadratic_field(p: int) -> QuadraticField:
     return QuadraticField(p, 0, s)
 
 
-@dataclass(frozen=True)
 class Fp2Element:
-    """x + y*theta with components reduced modulo p, by ``__post_init__`` only."""
+    """x + y*theta with components reduced modulo p, by ``__init__`` only.
 
-    field: QuadraticField
-    x: int
-    y: int
+    An immutable value: equality, hash and ``repr`` are those of a frozen
+    dataclass with the fields ``field``, ``x`` and ``y``.
+    """
 
-    def __post_init__(self):
-        p = self.field.p
-        object.__setattr__(self, "x", self.x % p)
-        object.__setattr__(self, "y", self.y % p)
+    __slots__ = ("field", "x", "y")
+
+    def __init__(self, field: QuadraticField, x: int, y: int):
+        p = field.p
+        _set_field(self, field)
+        _set_x(self, x % p)
+        _set_y(self, y % p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Fp2Element, (self.field, self.x, self.y)
+
+    def __eq__(self, other):
+        if other.__class__ is not Fp2Element:
+            return NotImplemented
+        return (self.field, self.x, self.y) == (other.field, other.x, other.y)
+
+    def __hash__(self):
+        return hash((self.field, self.x, self.y))
+
+    def __repr__(self) -> str:
+        return f"Fp2Element(field={self.field!r}, x={self.x!r}, y={self.y!r})"
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
@@ -106,6 +128,12 @@ class Fp2Element:
     def __str__(self) -> str:
         f = self.field
         return f"{self.x} + {self.y}*theta (mod {f.p}, {f.modulus_tag()})"
+
+
+# the slot setters, which bypass the refusing ``__setattr__``
+_set_field = Fp2Element.field.__set__
+_set_x = Fp2Element.x.__set__
+_set_y = Fp2Element.y.__set__
 
 
 def embed(field: QuadraticField, x: int) -> Fp2Element:
@@ -192,9 +220,10 @@ def multiplicative_order(e: Fp2Element) -> int:
     if e.is_zero():
         raise ZeroElement("zero has no multiplicative order")
     group = e.field.p ** 2 - 1
+    unit = one(e.field)
     order = group
     for q in _trial_factor(group):
-        while order % q == 0 and (e ** (order // q)) == one(e.field):
+        while order % q == 0 and (e ** (order // q)) == unit:
             order //= q
-    assert (e ** order) == one(e.field)
+    assert (e ** order) == unit
     return order

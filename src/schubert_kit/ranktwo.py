@@ -43,7 +43,6 @@ from functools import cached_property
 from math import gcd
 
 from .errors import (
-    NonIntegral,
     NotHyperbolicOrAffine,
     OddPrimeRequired,
     TheoremViolation,
@@ -80,14 +79,14 @@ class RankTwoTables:
     g: tuple[int, ...]
 
     @cached_property
-    def _c_prefix(self) -> tuple[int, ...]:
-        """(1, c_1, c_1 c_2, ...): the products the C binomials divide."""
-        return _prefix_products(self.c)
+    def _c_binomials(self) -> tuple[tuple[int, ...], ...]:
+        """The triangle C(n, m), n + m <= n_max, built on first use."""
+        return _pascal_triangle(self.c, self.d)
 
     @cached_property
-    def _d_prefix(self) -> tuple[int, ...]:
-        """The same running products of the d sequence."""
-        return _prefix_products(self.d)
+    def _d_binomials(self) -> tuple[tuple[int, ...], ...]:
+        """The triangle D(n, m), the same rule with c and d swapped."""
+        return _pascal_triangle(self.d, self.c)
 
 
 def _require_noncompact(a: int, b: int):
@@ -125,30 +124,41 @@ def cd_sequences(a: int, b: int, n_max: int) -> RankTwoTables:
     return RankTwoTables(a, b, tuple(c), tuple(d), tuple(g))
 
 
-def _prefix_products(seq) -> tuple[int, ...]:
-    out = [1]
-    for x in seq[1:]:
-        out.append(out[-1] * x)
-    return tuple(out)
+def _pascal_triangle(t, s) -> tuple[tuple[int, ...], ...]:
+    """Rows T(n, .) of the generalized binomials of t, with s the other sequence.
+
+    T(n, 0) = T(0, m) = 1 and T(n, m) = x_{n+1} T(n, m-1) - y_{m-1} T(n-1, m),
+    where x = s when n is odd and m even, else t, and y = s when n is even
+    and m odd, else t: the two-sequence form of the Lucasnomial Pascal rule.
+    Every entry is an integer by construction; the test suite checks the
+    triangle against the quotient of prefix products.
+    """
+    top = len(t) - 1
+    rows = [(1,) * (top + 1)]
+    for n in range(1, top + 1):
+        prev, row, odd = rows[-1], [1], n % 2
+        for m in range(1, top - n + 1):
+            x = s[n + 1] if odd and not m % 2 else t[n + 1]
+            y = s[m - 1] if m % 2 and not odd else t[m - 1]
+            row.append(x * row[-1] - y * prev[m])
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
-def _binomial_from(pre: tuple[int, ...], n: int, m: int, label: str) -> int:
-    if n < 0 or m < 0 or n + m >= len(pre):
+def _binomial_from(triangle: tuple[tuple[int, ...], ...], n: int, m: int) -> int:
+    if n < 0 or m < 0 or n + m >= len(triangle):
         raise ValueError("indices out of table range")
-    q, r = divmod(pre[n + m], pre[n] * pre[m])
-    if r:
-        raise NonIntegral(f"{label}({n},{m}) is not an integer")
-    return q
+    return triangle[n][m]
 
 
 def generalized_binomial_C(tables: RankTwoTables, n: int, m: int) -> int:
     """C(n, m) = (c_{n+m} ... c_1) / ((c_n ... c_1)(c_m ... c_1)), exactly."""
-    return _binomial_from(tables._c_prefix, n, m, "C")
+    return _binomial_from(tables._c_binomials, n, m)
 
 
 def generalized_binomial_D(tables: RankTwoTables, n: int, m: int) -> int:
     """D(n, m), the same ratio built from the d sequence."""
-    return _binomial_from(tables._d_prefix, n, m, "D")
+    return _binomial_from(tables._d_binomials, n, m)
 
 
 # -- the basis bookkeeping ---------------------------------------------
@@ -425,16 +435,24 @@ class ScanResult:
 def prime_order_scan(a: int, b: int, p: int, n_max: int) -> ScanResult:
     """Smallest n <= n_max with p | g_n, plus the full divisibility pattern.
 
-    When k is found the pattern check verifies p | g_n iff k | n for every
-    n up to the bound.  A missing k just means the bound was too small.
+    p | g_n exactly when p divides both c_n and d_n, so the recursion runs
+    modulo p.  When k is found the pattern check verifies p | g_n iff k | n
+    for every n up to the bound.  A missing k just means the bound was too
+    small.  Raises ValueError for a non-prime p or a negative ``n_max``.
     """
-    tables = cd_sequences(a, b, n_max)
-    k = next((n for n in range(1, n_max + 1) if tables.g[n] % p == 0), None)
+    _require_noncompact(a, b)
+    _require_at_least(0, n_max, "n_max")
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    hits = []
+    c0, c1, d0, d1 = 0, 1, 0, 1
+    for _ in range(n_max):
+        hits.append(c1 == d1 == 0)
+        c0, c1, d0, d1 = c1, (a * d1 - c0) % p, d1, (b * c1 - d0) % p
+    k = next((n for n, hit in enumerate(hits, 1) if hit), None)
     if k is None:
         return ScanResult(None, True, n_max)
-    ok = all(
-        (tables.g[n] % p == 0) == (n % k == 0) for n in range(1, n_max + 1)
-    )
+    ok = all(hit == (n % k == 0) for n, hit in enumerate(hits, 1))
     return ScanResult(k, ok, n_max)
 
 
