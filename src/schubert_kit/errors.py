@@ -72,7 +72,11 @@ class TheoremViolation(SchubertKitError):
 
 
 class NonIntegral(TheoremViolation):
-    """A generalized binomial coefficient failed to be an integer."""
+    """A generalized binomial coefficient failed to be an integer.
+
+    No longer raised: ``ranktwo`` builds the binomials by a Pascal rule, so
+    they are integers by construction.  Kept as part of the public surface.
+    """
 
 
 class UnderdeterminedSystem(TheoremViolation):

@@ -79,14 +79,14 @@ class RankTwoTables:
     g: tuple[int, ...]
 
     @cached_property
-    def _c_binomials(self) -> tuple[tuple[int, ...], ...]:
-        """The triangle C(n, m), n + m <= n_max, built on first use."""
-        return _pascal_triangle(self.c, self.d)
+    def _c_binomials(self) -> list[list[int]]:
+        """Rows C(n, .) up to the largest n + m read so far."""
+        return [[1]]
 
     @cached_property
-    def _d_binomials(self) -> tuple[tuple[int, ...], ...]:
-        """The triangle D(n, m), the same rule with c and d swapped."""
-        return _pascal_triangle(self.d, self.c)
+    def _d_binomials(self) -> list[list[int]]:
+        """Rows D(n, .), grown the same way."""
+        return [[1]]
 
 
 def _require_noncompact(a: int, b: int):
@@ -124,41 +124,45 @@ def cd_sequences(a: int, b: int, n_max: int) -> RankTwoTables:
     return RankTwoTables(a, b, tuple(c), tuple(d), tuple(g))
 
 
-def _pascal_triangle(t, s) -> tuple[tuple[int, ...], ...]:
-    """Rows T(n, .) of the generalized binomials of t, with s the other sequence.
+def _grown(rows: list[list[int]], t, s, n: int, m: int) -> list[list[int]]:
+    """``rows`` grown until it holds T(n, m), for the sequence t and the other s.
 
     T(n, 0) = T(0, m) = 1 and T(n, m) = x_{n+1} T(n, m-1) - y_{m-1} T(n-1, m),
     where x = s when n is odd and m even, else t, and y = s when n is even
     and m odd, else t: the two-sequence form of the Lucasnomial Pascal rule.
-    Every entry is an integer by construction; the test suite checks the
-    triangle against the quotient of prefix products.
+    Every entry is an integer by construction; the test suite checks them
+    against the quotient of prefix products.  Row k holds T(k, 0 .. level - k),
+    and the rows grow one level n + m at a time, so the work is bounded by
+    the largest n + m read, not by the length of the sequences.
     """
-    top = len(t) - 1
-    rows = [(1,) * (top + 1)]
-    for n in range(1, top + 1):
-        prev, row, odd = rows[-1], [1], n % 2
-        for m in range(1, top - n + 1):
-            x = s[n + 1] if odd and not m % 2 else t[n + 1]
-            y = s[m - 1] if m % 2 and not odd else t[m - 1]
-            row.append(x * row[-1] - y * prev[m])
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _binomial_from(triangle: tuple[tuple[int, ...], ...], n: int, m: int) -> int:
-    if n < 0 or m < 0 or n + m >= len(triangle):
+    if n < 0 or m < 0 or n + m >= len(t):
         raise ValueError("indices out of table range")
-    return triangle[n][m]
+    while len(rows) <= n + m:
+        level = len(rows)
+        rows[0].append(1)
+        for k in range(1, level):
+            j = level - k
+            x = s[k + 1] if k % 2 and not j % 2 else t[k + 1]
+            y = s[j - 1] if j % 2 and not k % 2 else t[j - 1]
+            rows[k].append(x * rows[k][-1] - y * rows[k - 1][j])
+        rows.append([1])
+    return rows
 
 
 def generalized_binomial_C(tables: RankTwoTables, n: int, m: int) -> int:
     """C(n, m) = (c_{n+m} ... c_1) / ((c_n ... c_1)(c_m ... c_1)), exactly."""
-    return _binomial_from(tables._c_binomials, n, m)
+    rows = tables._c_binomials
+    if n < 0 or m < 0 or n + m >= len(rows):
+        rows = _grown(rows, tables.c, tables.d, n, m)
+    return rows[n][m]
 
 
 def generalized_binomial_D(tables: RankTwoTables, n: int, m: int) -> int:
     """D(n, m), the same ratio built from the d sequence."""
-    return _binomial_from(tables._d_binomials, n, m)
+    rows = tables._d_binomials
+    if n < 0 or m < 0 or n + m >= len(rows):
+        rows = _grown(rows, tables.d, tables.c, n, m)
+    return rows[n][m]
 
 
 # -- the basis bookkeeping ---------------------------------------------

@@ -1,4 +1,6 @@
+import copy
 import operator
+import pickle
 import random
 
 import pytest
@@ -157,6 +159,7 @@ def test_element_repr_hash_and_reduction():
     assert hash(e) == hash((field, 2, 3))
     assert e == Fp2Element(field, 2, 3) and e != Fp2Element(field, 3, 2)
     assert e != (2, 3)
+    assert copy.copy(e) == e == pickle.loads(pickle.dumps(e))
 
 
 @pytest.mark.parametrize("name", ["field", "x", "y", "z"])

@@ -94,6 +94,22 @@ def test_binomials_equal_quotient_of_prefix_products(a):
                     binomial(t, n, m)
 
 
+def test_binomials_do_not_depend_on_the_order_of_reads():
+    up, down = ranktwo.cd_sequences(3, 5, 30), ranktwo.cd_sequences(3, 5, 30)
+    cells = [(n, m) for n in range(31) for m in range(31 - n)]
+    for binomial in (ranktwo.generalized_binomial_C, ranktwo.generalized_binomial_D):
+        want = [binomial(up, n, m) for n, m in cells]
+        assert [binomial(down, n, m) for n, m in reversed(cells)] == want[::-1]
+
+
+def test_a_binomial_read_grows_the_rows_only_to_its_level():
+    # one low read on a long table must not build the whole triangle,
+    # whose entries have up to N^2 digits
+    t = ranktwo.cd_sequences(2, 3, 5000)
+    assert ranktwo.generalized_binomial_D(t, 2, 2) == 20
+    assert len(t._d_binomials) == 5 and len(t._c_binomials) == 1
+
+
 def test_binomial_integrality_small_sweep():
     for a, b in PAIRS:
         t = ranktwo.cd_sequences(a, b, 20)
