@@ -103,8 +103,8 @@ def test_binomials_do_not_depend_on_the_order_of_reads():
 
 
 def test_a_binomial_read_grows_the_rows_only_to_its_level():
-    # one low read on a long table must not build the whole triangle,
-    # whose entries have up to N^2 digits
+    # one low read on a long table must not build the whole triangle:
+    # about N^2 / 2 entries of up to order N^2 bits each
     t = ranktwo.cd_sequences(2, 3, 5000)
     assert ranktwo.generalized_binomial_D(t, 2, 2) == 20
     assert len(t._d_binomials) == 5 and len(t._c_binomials) == 1
