@@ -95,10 +95,7 @@ class Fp2Element:
 
     def __mul__(self, other: "Fp2Element") -> "Fp2Element":
         self._check(other)
-        u, v = self.field.u, self.field.v
-        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
-        sq = y1 * y2  # coefficient of theta^2 = u*theta + v
-        return Fp2Element(self.field, x1 * x2 + sq * v, x1 * y2 + x2 * y1 + sq * u)
+        return Fp2Element(self.field, *_product(self.field, self.x, self.y, other.x, other.y))
 
     def inverse(self) -> "Fp2Element":
         """``self ** (p^2 - 2)``: the multiplicative group has order p^2 - 1."""
@@ -108,17 +105,17 @@ class Fp2Element:
         return self ** (p * p - 2)
 
     def __pow__(self, n: int) -> "Fp2Element":
-        base = self
+        """Square-and-multiply on component pairs; one element is built."""
         if n < 0:
-            base = self.inverse()
-            n = -n
-        out = one(self.field)
+            return self.inverse() ** -n
+        field = self.field
+        x, y, bx, by = 1, 0, self.x, self.y
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                x, y = _product(field, x, y, bx, by)
+            bx, by = _product(field, bx, by, bx, by)
             n >>= 1
-        return out
+        return Fp2Element(field, x, y)
 
     def _check(self, other):
         # ``quadratic_field`` interns one descriptor per prime
@@ -128,6 +125,13 @@ class Fp2Element:
     def __str__(self) -> str:
         f = self.field
         return f"{self.x} + {self.y}*theta (mod {f.p}, {f.modulus_tag()})"
+
+
+def _product(field: QuadraticField, x1: int, y1: int, x2: int, y2: int) -> tuple[int, int]:
+    """The reduced components of (x1 + y1*theta)(x2 + y2*theta)."""
+    p = field.p
+    sq = y1 * y2  # coefficient of theta^2 = u*theta + v
+    return (x1 * x2 + sq * field.v) % p, (x1 * y2 + x2 * y1 + sq * field.u) % p
 
 
 # the slot setters, which bypass the refusing ``__setattr__``

@@ -417,9 +417,8 @@ def prime_order_closed(a: int, b: int, p: int) -> PrimeOrderResult:
     if (a * b - 4) % p == 0:
         return PrimeOrderResult(p, p, "ABCongruent4")
     trace = (a * b - 2) % p
-    r1, r2 = quadratic_roots(-trace, 1, p)
+    r1, _ = quadratic_roots(-trace, 1, p)
     k = multiplicative_order(r1)
-    assert k == multiplicative_order(r2)
     return PrimeOrderResult(p, k, "RootOrder", RootOrderDetail(trace, r1, k))
 
 
@@ -448,15 +447,16 @@ def prime_order_scan(a: int, b: int, p: int, n_max: int) -> ScanResult:
     _require_at_least(0, n_max, "n_max")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    hits = []
+    k, ok = None, True
     c0, c1, d0, d1 = 0, 1, 0, 1
-    for _ in range(n_max):
-        hits.append(c1 == d1 == 0)
+    for n in range(1, n_max + 1):
+        hit = c1 == d1 == 0
+        if k is None:
+            if hit:
+                k = n
+        elif hit != (n % k == 0):
+            ok = False
         c0, c1, d0, d1 = c1, (a * d1 - c0) % p, d1, (b * c1 - d0) % p
-    k = next((n for n, hit in enumerate(hits, 1) if hit), None)
-    if k is None:
-        return ScanResult(None, True, n_max)
-    ok = all(hit == (n % k == 0) for n, hit in enumerate(hits, 1))
     return ScanResult(k, ok, n_max)
 
 

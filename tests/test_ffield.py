@@ -136,9 +136,39 @@ def test_order_divides_group_order():
         assert (p * p - 1) % multiplicative_order(e) == 0
 
 
+def test_powers_match_running_products():
+    # e ** n against e * ... * e, and e ** -n against the same product of inverses
+    for p in (2, 3, 5, 7):
+        for e in all_elements(p):
+            factors = [e] if e.is_zero() else [e, e.inverse()]
+            for sign, factor in zip((1, -1), factors):
+                running = one(e.field)
+                for n in range(p * p + 2):
+                    assert e ** (sign * n) == running, (e, sign * n)
+                    running = running * factor
+            if e.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    e ** -1
+
+
+def test_powers_build_no_intermediate_elements(monkeypatch):
+    field = quadratic_field(7)
+    cases = [(Fp2Element(field, x, y), n) for x, y in ((1, 0), (2, 3), (0, 5)) for n in (-9, 0, 1, 48)]
+    expected = [e ** n for e, n in cases]
+
+    def refuse(*args):
+        raise AssertionError("a power multiplied two elements")
+
+    monkeypatch.setattr(Fp2Element, "__mul__", refuse)
+    assert [e ** n for e, n in cases] == expected
+    assert multiplicative_order(Fp2Element(field, 2, 3)) == 48
+
+
 def test_paired_roots_have_equal_order():
-    # roots of x^2 - (ab-2)x + 1 multiply to 1, so they are inverses
-    for a, b, p in ((2, 2, 7), (1, 5, 3), (3, 3, 11), (2, 5, 13)):
+    # roots of x^2 - (ab-2)x + 1 multiply to 1, so they are inverses; the grid
+    # is the rank2 benchmark's, and prime_order_closed takes the order of r1 only
+    for a, b, p in ((a, b, p) for a in range(1, 9) for b in range(1, 9) if a * b >= 4
+                    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)):
         trace = (a * b - 2) % p
         r1, r2 = quadratic_roots(-trace, 1, p)
         assert r1 * r2 == one(r1.field)

@@ -303,6 +303,22 @@ def test_prime_order_closed_cases():
     assert (r.k, r.case_tag) == (2, "RootOrder")
 
 
+@pytest.mark.parametrize("a,b,p,case_tag", [(1, 5, 2, "RootOrder"), (3, 3, 3, "RootOrder"),
+                                             (2, 3, 3, "DividesOneOf"), (2, 2, 5, "ABCongruent4")])
+def test_prime_order_closed_takes_at_most_one_order(a, b, p, case_tag, monkeypatch):
+    # the two roots are inverses, so the order of the second one is not taken
+    calls = []
+
+    def counted(e, _f=ranktwo.multiplicative_order):
+        calls.append(e)
+        return _f(e)
+
+    monkeypatch.setattr(ranktwo, "multiplicative_order", counted)
+    r = ranktwo.prime_order_closed(a, b, p)
+    assert r.case_tag == case_tag
+    assert len(calls) == (case_tag == "RootOrder")
+
+
 def test_prime_order_scan():
     s = ranktwo.prime_order_scan(2, 2, 3, 30)
     assert s.k == 3 and s.pattern_consistent
