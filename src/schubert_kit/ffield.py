@@ -113,8 +113,9 @@ class Fp2Element:
         while n:
             if n & 1:
                 x, y = _product(field, x, y, bx, by)
-            bx, by = _product(field, bx, by, bx, by)
             n >>= 1
+            if n:  # square only while bits remain
+                bx, by = _product(field, bx, by, bx, by)
         return Fp2Element(field, x, y)
 
     def _check(self, other):

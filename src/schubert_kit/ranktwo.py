@@ -50,7 +50,7 @@ from .errors import (
 )
 from .ffield import (
     Fp2Element,
-    embed,
+    _product,
     multiplicative_order,
     quadratic_field,
     quadratic_roots,
@@ -203,16 +203,17 @@ class RankTwoProductTable:
     ``cup`` extends bilinearly to sparse vectors keyed by basis keys.
     """
 
-    def __init__(self, a: int, b: int, n_max: int, constants: dict):
+    def __init__(self, a: int, b: int, n_max: int, tables: dict):
         self.a = a
         self.b = b
         self.max_half_degree = n_max
-        self._constants = constants
+        # (kind1, kind2) -> rows indexed [m][n]
+        self._tables = tables
 
     def constants(self, kind1: str, m: int, kind2: str, n: int):
         if m < 1 or n < 1 or m + n > self.max_half_degree:
             raise ValueError("product outside the table bound")
-        return self._constants[(kind1, m, kind2, n)]
+        return self._tables[kind1, kind2][m][n]
 
     def product(self, key1, key2) -> dict:
         """Product of two basis keys as a sparse vector (unit-aware)."""
@@ -242,6 +243,13 @@ class RankTwoProductTable:
         return out
 
 
+def _unexpected(op: int, k1: str, m: int, k2: str, n: int, low: str):
+    return UnderdeterminedSystem(
+        f"operator {op} image of {(k1, m)} cup {(k2, n)} "
+        f"has an unexpected component {(low, m + n - 1)}"
+    )
+
+
 def leibniz_cup_solver(a: int, b: int, n_max: int) -> RankTwoProductTable:
     """Determine all structure constants from the twisted Leibniz rule.
 
@@ -249,16 +257,28 @@ def leibniz_cup_solver(a: int, b: int, n_max: int) -> RankTwoProductTable:
     degree in the sense that the pair of their values pins down any class:
     A_1(P delta_s + Q tau_s) = P tau_{s-1} and A_2 of it is Q delta_{s-1}.
     So applying each operator to x cup y and expanding the right side of
-    A_i(x y) = A_i(x) r_i(y) + x A_i(y) over already-known lower degrees
-    yields the two coefficients of the product.  Every factor there is a
-    basis class or the unit, and every image in degree s-1 is a pair
-    (delta_{s-1}, tau_{s-1}) of integers, so the solver works on such pairs
-    and reads the known products from the table under construction.  The
-    reflection r_i(y) = y - alpha_i cup A_i(y) only involves products of
-    lower degree; it is computed once for each class, as soon as its
-    degree is complete.  The coordinate an operator must kill (delta_{s-1}
-    for A_1, tau_{s-1} for A_2) is checked on every image, and a nonzero
-    value raises UnderdeterminedSystem.
+    A_i(x y) = A_i(x) r_i(y) + x A_i(y) over degree s-1 yields the two
+    coefficients of the product: A_1 gives P, A_2 gives Q.  A_1 lowers
+    delta_m to tau_{m-1} and kills tau_m, A_2 lowers tau_m to delta_{m-1}
+    and kills delta_m, so each of the four kind pairs has its own step:
+
+        delta_m delta_n:  Q = 0, and P from A_1 (both terms);
+        delta_m tau_n:    P = Q(tau_{m-1} tau_n), Q = P(delta_m delta_{n-1});
+        tau_m delta_n:    P = Q(tau_m tau_{n-1}), Q = P(delta_{m-1} delta_n);
+        tau_m tau_n:      P = 0, and Q from A_2 (both terms).
+
+    The constants live in four lists of rows, one per kind pair, indexed
+    ``[m][n]``; row 0 and column 0 hold the unit products (the unit times
+    y_n is y_n, and x_m times the unit is x_m), which is where A_i(x) or
+    A_i(y) is the unit.  Degrees are solved in increasing order, and within
+    one the steps run for m = 1 .. s-1 and the kind pairs in the order
+    above.  The two reflections r_1(delta_n) and r_2(tau_n) are pairs in
+    degree n, kept in two lists and computed once as soon as degree n is
+    complete (r_1(tau_n) = tau_n and r_2(delta_n) = delta_n).  For the
+    delta-delta and tau-tau steps the coordinate the operator must kill
+    (delta_{s-1} for A_1, tau_{s-1} for A_2) is computed and a nonzero value
+    raises UnderdeterminedSystem; in the two mixed steps that coordinate is
+    a zero coefficient of a delta-delta or tau-tau product.
 
     This solver is the independent oracle for the closed-form product
     families; it never consults them.  Raises ValueError for a negative
@@ -266,62 +286,50 @@ def leibniz_cup_solver(a: int, b: int, n_max: int) -> RankTwoProductTable:
     """
     _require_noncompact(a, b)
     _require_at_least(0, n_max, "n_max")
-    constants: dict = {}
-    basis = {DELTA: (1, 0), TAU: (0, 1)}
-    # per operator: the kind it lowers, the kind of the result (A_1 delta_n
-    # = tau_{n-1}, A_2 tau_n = delta_{n-1}, and each kills the other kind),
-    # and alpha_i = 2 delta - b tau or -a delta + 2 tau
-    ops = ((1, DELTA, TAU, (2, -b)), (2, TAU, DELTA, (-a, 2)))
-    # (op, kind, n) -> r_op(kind_n) as a pair in degree n
-    reflection: dict = {}
+    size = n_max + 1
+    one_d, one_t = (1, 0), (0, 1)
+    # row 0 and column 0: products with the unit
+    dd = [[one_d] * size] + [[one_d] + [None] * n_max for _ in range(n_max)]
+    dt = [[one_t] * size] + [[one_d] + [None] * n_max for _ in range(n_max)]
+    td = [[one_d] * size] + [[one_t] + [None] * n_max for _ in range(n_max)]
+    tt = [[one_t] * size] + [[one_t] + [None] * n_max for _ in range(n_max)]
+    # r_1(delta_n) and r_2(tau_n) as (delta_n, tau_n) pairs; index 0 unused
+    r1_delta = [None]
+    r2_tau = [None]
 
     for s in range(2, n_max + 1):
-        # degree s - 1 is complete: reflect its two classes
-        for op, low, high, (al_d, al_t) in ops:
-            if s == 2:  # A_op(low_1) is the unit
-                cor_d, cor_t = al_d, al_t
-            else:
-                p1, q1 = constants[(DELTA, 1, high, s - 2)]
-                p2, q2 = constants[(TAU, 1, high, s - 2)]
-                cor_d, cor_t = al_d * p1 + al_t * p2, al_d * q1 + al_t * q2
-            ld, lt = basis[low]
-            reflection[(op, low, s - 1)] = (ld - cor_d, lt - cor_t)
-            reflection[(op, high, s - 1)] = basis[high]
+        # degree s - 1 is complete: r_i(y) = y - alpha_i A_i(y), with
+        # alpha_1 = 2 delta - b tau and alpha_2 = -a delta + 2 tau
+        dt_p, dt_q = dt[1][s - 2]
+        td_p, td_q = td[1][s - 2]
+        r1_delta.append((1 - 2 * dt_p, b * tt[1][s - 2][1] - 2 * dt_q))
+        r2_tau.append((a * dd[1][s - 2][0] - 2 * td_p, 1 - 2 * td_q))
         for m in range(1, s):
             n = s - m
-            for k1 in (DELTA, TAU):
-                for k2 in (DELTA, TAU):
-                    coeffs = {}
-                    for op, low, high, _alpha in ops:
-                        # A_op(x y) = A_op(x) r_op(y) + x A_op(y) in degree s-1
-                        img_d = img_t = 0
-                        if k1 == low:
-                            r_d, r_t = reflection[(op, k2, n)]
-                            if m == 1:  # A_op(x) is the unit
-                                img_d, img_t = r_d, r_t
-                            else:
-                                p1, q1 = constants[(high, m - 1, DELTA, n)]
-                                p2, q2 = constants[(high, m - 1, TAU, n)]
-                                img_d = r_d * p1 + r_t * p2
-                                img_t = r_d * q1 + r_t * q2
-                        if k2 == low:
-                            if n == 1:  # A_op(y) is the unit
-                                x_d, x_t = basis[k1]
-                            else:
-                                x_d, x_t = constants[(k1, m, high, n - 1)]
-                            img_d += x_d
-                            img_t += x_t
-                        # A_op(P delta_s + Q tau_s) has no low coordinate, and
-                        # its high one is the low coefficient of x y
-                        kill, read = (img_d, img_t) if low == DELTA else (img_t, img_d)
-                        if kill:
-                            raise UnderdeterminedSystem(
-                                f"operator {op} image of {(k1, m)} cup {(k2, n)} "
-                                f"has an unexpected component {(low, s - 1)}"
-                            )
-                        coeffs[low] = read
-                    constants[(k1, m, k2, n)] = (coeffs[DELTA], coeffs[TAU])
-    return RankTwoProductTable(a, b, n_max, constants)
+            dd_m, dd_l = dd[m], dd[m - 1]
+            dt_m, dt_l = dt[m], dt[m - 1]
+            td_m, td_l = td[m], td[m - 1]
+            tt_m, tt_l = tt[m], tt[m - 1]
+            # delta delta: A_1 = A_1(delta_m) r_1(delta_n) + delta_m A_1(delta_n)
+            r_d, r_t = r1_delta[n]
+            x_p, x_q = td_l[n]
+            y_p, y_q = dt_m[n - 1]
+            if r_d * x_p + y_p:
+                raise _unexpected(1, DELTA, m, DELTA, n, DELTA)
+            dd_m[n] = (r_d * x_q + r_t * tt_l[n][1] + y_q, 0)
+            # delta tau: A_1 = A_1(delta_m) tau_n, A_2 = delta_m A_2(tau_n)
+            dt_m[n] = (tt_l[n][1], dd_m[n - 1][0])
+            # tau delta: A_1 = tau_m A_1(delta_n), A_2 = A_2(tau_m) delta_n
+            td_m[n] = (tt_m[n - 1][1], dd_l[n][0])
+            # tau tau: A_2 = A_2(tau_m) r_2(tau_n) + tau_m A_2(tau_n)
+            r_d, r_t = r2_tau[n]
+            x_p, x_q = dt_l[n]
+            y_p, y_q = td_m[n - 1]
+            if r_t * x_q + y_q:
+                raise _unexpected(2, TAU, m, TAU, n, TAU)
+            tt_m[n] = (0, r_d * dd_l[n][0] + r_t * x_p + y_p)
+    tables = {(DELTA, DELTA): dd, (DELTA, TAU): dt, (TAU, DELTA): td, (TAU, TAU): tt}
+    return RankTwoProductTable(a, b, n_max, tables)
 
 
 def closed_generator_product(tables: RankTwoTables, gen_kind: str,
@@ -479,19 +487,23 @@ def matrix_order_method(a: int, b: int, p: int) -> int:
     field = quadratic_field(p)
     inv2 = pow(2, -1, p)
     mu = sqrt_fp2((a * b - 4) % p, p)
-    half = embed(field, inv2)
-    m11 = mu * half
-    m12 = embed(field, a * inv2)
-    m21 = embed(field, b * inv2)
+    # M = [[m, e], [f, m]] with m = mu/2, e = a/2, f = b/2 (e, f in F_p), so
+    # M^2 = [[m^2 + e f, 2 e m], [2 f m, m^2 + e f]]; elements are (x, y) pairs
+    mx, my = mu.x * inv2 % p, mu.y * inv2 % p
+    e, f = a * inv2 % p, b * inv2 % p
+    sq_x, sq_y = _product(field, mx, my, mx, my)
+    dx, dy = (sq_x + e * f) % p, sq_y
+    ex, ey = 2 * e * mx % p, 2 * e * my % p
+    fx, fy = 2 * f * mx % p, 2 * f * my % p
     # M^2, applied repeatedly to (1, 1)
-    s11 = m11 * m11 + m12 * m21
-    s12 = m11 * m12 + m12 * m11
-    s21 = m21 * m11 + m11 * m21
-    s22 = m21 * m12 + m11 * m11
-    u1 = u2 = one_elt = embed(field, 1)
+    x1, y1, x2, y2 = 1, 0, 1, 0
     for n in range(1, p * p + 2):
-        u1, u2 = s11 * u1 + s12 * u2, s21 * u1 + s22 * u2
-        if u1 == one_elt and u2 == one_elt:
+        p1, q1 = _product(field, dx, dy, x1, y1)
+        p2, q2 = _product(field, ex, ey, x2, y2)
+        p3, q3 = _product(field, fx, fy, x1, y1)
+        p4, q4 = _product(field, dx, dy, x2, y2)
+        x1, y1, x2, y2 = (p1 + p2) % p, (q1 + q2) % p, (p3 + p4) % p, (q3 + q4) % p
+        if x1 == x2 == 1 and y1 == y2 == 0:
             return n
     raise TheoremViolation("the vector (1,1) never returned; impossible")
 

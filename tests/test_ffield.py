@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from schubert_kit import ffield
 from schubert_kit.errors import OddPrimeRequired, ZeroElement
 from schubert_kit.ffield import (
     Fp2Element,
@@ -162,6 +163,24 @@ def test_powers_build_no_intermediate_elements(monkeypatch):
     monkeypatch.setattr(Fp2Element, "__mul__", refuse)
     assert [e ** n for e, n in cases] == expected
     assert multiplicative_order(Fp2Element(field, 2, 3)) == 48
+
+
+def test_powers_make_one_product_per_square_and_per_set_bit(monkeypatch):
+    # square-and-multiply: bit_length - 1 squarings and one product per set
+    # bit, with no squaring after the last bit
+    field = quadratic_field(11)
+    calls = []
+    product = ffield._product
+
+    def counting(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(ffield, "_product", counting)
+    for n in (1, 2, 3, 7, 8, 48, 119, 120, 1 << 20, (1 << 20) - 1):
+        calls.clear()
+        Fp2Element(field, 2, 3) ** n
+        assert len(calls) == n.bit_length() - 1 + bin(n).count("1"), n
 
 
 def test_paired_roots_have_equal_order():

@@ -175,7 +175,7 @@ def _associativity_table(a, b, n_max):
 
 
 @pytest.mark.parametrize("a, b, n_max", [
-    (2, 3, 40), (3, 2, 40), (1, 5, 30), (5, 1, 30), (3, 3, 30),
+    (2, 3, 60), (2, 3, 40), (3, 2, 40), (1, 5, 30), (5, 1, 30), (3, 3, 30),
     (2, 2, 30), (1, 4, 25), (4, 1, 25), (7, 9, 20),
 ])
 def test_solver_matches_associativity_oracle(a, b, n_max):
@@ -184,6 +184,24 @@ def test_solver_matches_associativity_oracle(a, b, n_max):
     assert len(want) == 2 * n_max * (n_max - 1)
     for (k1, m, k2, n), pq in want.items():
         assert table.constants(k1, m, k2, n) == pq, (k1, m, k2, n)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 12])
+def test_product_table_contracts(n_max):
+    table = ranktwo.leibniz_cup_solver(2, 3, n_max)
+    for m, n in ((0, 1), (1, 0), (0, 0), (1, n_max), (n_max, 1)):
+        for k1 in (DELTA, TAU, "x"):
+            with pytest.raises(ValueError):
+                table.constants(k1, m, TAU, n)
+    if n_max >= 2:
+        with pytest.raises(KeyError):
+            table.constants("x", 1, DELTA, 1)
+        with pytest.raises(KeyError):
+            table.constants(TAU, 1, "x", n_max - 1)
+        assert table.product((DELTA, 1), (TAU, 1)) == {(DELTA, 2): 1, (TAU, 2): 1}
+    assert table.product(UNIT, (DELTA, 4)) == {(DELTA, 4): 1}
+    assert table.product((TAU, 7), UNIT) == {(TAU, 7): 1}
+    assert table.product(UNIT, UNIT) == {UNIT: 1}
 
 
 def test_solver_commutative_and_associative():
@@ -367,6 +385,17 @@ def test_matrix_method():
     assert ranktwo.matrix_order_method(3, 3, 5) == 5
     with pytest.raises(OddPrimeRequired):
         ranktwo.matrix_order_method(2, 2, 2)
+
+
+def test_matrix_method_multiplies_no_elements(monkeypatch):
+    grid = [(1, 5, 3), (2, 3, 7), (3, 3, 5), (2, 2, 7), (4, 7, 23), (8, 8, 19)]
+    expected = [ranktwo.prime_order_closed(a, b, p).k for a, b, p in grid]
+
+    def refuse(*args):
+        raise AssertionError("the matrix method multiplied two elements")
+
+    monkeypatch.setattr(ffield.Fp2Element, "__mul__", refuse)
+    assert [ranktwo.matrix_order_method(a, b, p) for a, b, p in grid] == expected
 
 
 def test_three_way_agreement_small_grid():
