@@ -28,6 +28,7 @@ from . import intmat, linalg
 from .errors import NotHomogeneous
 from .gcm import GeneralizedCartanMatrix, Realization, standard_realization
 from .poincare import PoincareSeries
+from .rings import _reduced
 from .schubert import SchubertVector, jsonable_terms
 from .weyl import enumerate_by_length
 
@@ -40,16 +41,12 @@ class GradedPolynomial:
     def __init__(self, ring, nvars, terms=None):
         self.ring = ring
         self.nvars = nvars
-        clean = {}
-        for exps, c in (terms or {}).items():
-            c = ring.promote(c)
-            if ring.is_zero(c):
-                continue
+        self.terms = {}
+        for exps, c in _reduced(ring, terms).items():
             exps = tuple(intmat.as_int(e, "exponent") for e in exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps}")
-            clean[exps] = c
-        self.terms = clean
+            self.terms[exps] = c
 
     @classmethod
     def zero(cls, ring, nvars):
@@ -87,39 +84,31 @@ class GradedPolynomial:
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
-        ring = self.ring
         for e, c in other.terms.items():
-            out[e] = ring.add(out.get(e, ring.zero), c)
-        return GradedPolynomial(ring, self.nvars, out)
+            out[e] = out.get(e, 0) + c
+        return GradedPolynomial(self.ring, self.nvars, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        ring = self.ring
-        return GradedPolynomial(
-            ring, self.nvars, {e: ring.neg(c) for e, c in self.terms.items()}
-        )
+        return GradedPolynomial(self.ring, self.nvars, {e: -c for e, c in self.terms.items()})
 
     def scale(self, c):
-        ring = self.ring
-        c = ring.promote(c)
-        return GradedPolynomial(
-            ring, self.nvars, {e: ring.mul(c, x) for e, x in self.terms.items()}
-        )
+        c = self.ring.promote(c)
+        return GradedPolynomial(self.ring, self.nvars,
+                                {e: c * x for e, x in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, GradedPolynomial):
             return self.scale(other)
         self._check(other)
-        ring = self.ring
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                prod = ring.mul(c1, c2)
-                out[e] = ring.add(out.get(e, ring.zero), prod)
-        return GradedPolynomial(ring, self.nvars, out)
+                out[e] = out.get(e, 0) + c1 * c2
+        return GradedPolynomial(self.ring, self.nvars, out)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -250,11 +239,11 @@ class WeightRing:
 
     def coroot_dual(self, i: int) -> GradedPolynomial:
         """The fixed dual of the i-th coroot, as a linear polynomial."""
-        return self.from_covector(self.realization.dual_basis[i - 1])
+        return self.from_covector(self.realization.dual_basis[self._generator(i) - 1])
 
     def root(self, i: int) -> GradedPolynomial:
         """The i-th simple root, as a linear polynomial."""
-        return self.from_covector(self.realization.root_functionals[i - 1])
+        return self.from_covector(self.realization.root_functionals[self._generator(i) - 1])
 
     def monomial(self, exps, c=1) -> GradedPolynomial:
         return GradedPolynomial(self.ring, self.nvars, {tuple(exps): c})
@@ -263,8 +252,7 @@ class WeightRing:
         acc = {}
         for exps, c in pairs:
             exps = tuple(intmat.as_int(e, "exponent") for e in exps)
-            acc[exps] = self.ring.add(acc.get(exps, self.ring.zero),
-                                      self.ring.promote(c))
+            acc[exps] = acc.get(exps, 0) + self.ring.promote(c)
         return GradedPolynomial(self.ring, self.nvars, acc)
 
     # -- the reflection action and divided differences ----------------
@@ -326,7 +314,8 @@ class WeightRing:
         (-alpha_i)^j D_j f, with D_j f the coefficient of s^j in f(t + s p).
         """
         self._own(f)
-        return GradedPolynomial(self.ring, self.nvars, self._shift_sum(i, f.terms, 0))
+        return GradedPolynomial(self.ring, self.nvars,
+                                self._shift_sum(self._generator(i), f.terms, 0))
 
     def divided_difference(self, i: int, f: GradedPolynomial) -> GradedPolynomial:
         """(f - r_i f) / alpha_i, in closed form without division.
@@ -337,12 +326,16 @@ class WeightRing:
         reducing integer coefficients mod p and is the same over Z, Q and F_p.
         """
         self._own(f)
-        return GradedPolynomial(self.ring, self.nvars, self._shift_sum(i, f.terms, 1))
+        return GradedPolynomial(self.ring, self.nvars,
+                                self._shift_sum(self._generator(i), f.terms, 1))
 
     def operator_word(self, word, f: GradedPolynomial) -> GradedPolynomial:
-        """Composite divided difference along a word (rightmost acts first)."""
+        """Composite divided difference along a word (rightmost acts first).
+
+        Every letter is checked, also those after the result becomes zero.
+        """
         out = f
-        for i in reversed(tuple(word)):
+        for i in reversed([self._generator(i) for i in word]):
             out = self.divided_difference(i, out)
             if out.is_zero():
                 break
@@ -377,7 +370,7 @@ class WeightRing:
         d = sum(exps)
         levels = enumerate_by_length(self.gcm, d)
         row = self._integer_images(levels)[d][exps]
-        vec = SchubertVector(self.ring, {w: c for w, c in zip(levels[d], row) if c})
+        vec = SchubertVector(self.ring, dict(zip(levels[d], row)))
         self._psi_cache[exps] = vec
         return vec
 
@@ -434,8 +427,7 @@ class WeightRing:
         monos, matrix = self._evaluation_matrix(half)
         basis = linalg.kernel_basis(matrix, len(monos), self.ring)
         polys = [
-            GradedPolynomial(self.ring, self.nvars,
-                             {e: c for e, c in zip(monos, vec)})
+            GradedPolynomial(self.ring, self.nvars, dict(zip(monos, vec)))
             for vec in basis
         ]
         return len(polys), polys
@@ -486,12 +478,13 @@ class WeightRing:
                 coef = c
                 for x in combo:
                     coef = coef * x[1] % p
-                out[e2] = (out.get(e2, 0) + coef) % p
+                out[e2] = out.get(e2, 0) + coef
         return GradedPolynomial(self.ring, self.nvars, out)
 
     def steenrod_commutation_check(self, i: int, f: GradedPolynomial) -> bool:
         """Exact check of A_i(P(f)) = (1 + alpha_i^(p-1)) * P(A_i(f))."""
         p = self._prime()
+        i = self._generator(i)
         lhs = self.divided_difference(i, self.total_steenrod(f))
         factor = self.one() + self.root(i) ** (p - 1)
         rhs = factor * self.total_steenrod(self.divided_difference(i, f))
@@ -516,6 +509,14 @@ class WeightRing:
     def _own(self, f: GradedPolynomial):
         if f.ring != self.ring or f.nvars != self.nvars:
             raise ValueError("polynomial does not belong to this ring")
+
+    def _generator(self, i) -> int:
+        """``i`` as a generator index, 1..n; ``_shift_sum`` does not check it."""
+        n = self.gcm.size
+        i = intmat.as_int(i, "generator index")
+        if not 1 <= i <= n:
+            raise ValueError(f"generator index {i} out of range 1..{n}")
+        return i
 
     def _half(self, degree: int) -> int:
         if degree < 0 or degree % 2:

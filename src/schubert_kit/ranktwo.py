@@ -552,21 +552,20 @@ def _valuation_rows(a: int, b: int, p: int, s_max: int) -> list[tuple[int, int, 
 def hopf_afp_series(a: int, b: int, p: int, n_max: int) -> PoincareSeries:
     """Dimensions of the mod-p image Hopf algebra, by topological degree.
 
-    Degree 2n carries one dimension exactly when n = 0 or p | g_n; the
-    result is checked against the closed form 1/(1 - t^{2k}) and a mismatch
-    raises TheoremViolation.
+    Degree 2n carries one dimension exactly when n = 0 or p | g_n, read
+    from ``prime_order_scan``; the scan is checked against the closed form
+    1/(1 - t^{2k}), so it must find the closed k (nothing when k > n_max)
+    with p | g_n iff k | n, and a mismatch raises TheoremViolation.
     """
-    tables = cd_sequences(a, b, n_max)
+    scan = prime_order_scan(a, b, p, n_max)
     k = prime_order_closed(a, b, p).k
-    coeffs = [0] * (2 * n_max + 1)
-    for n in range(n_max + 1):
-        hit = n == 0 or tables.g[n] % p == 0
-        if hit != (n % k == 0):
-            raise TheoremViolation(
-                f"divisibility at n={n} disagrees with k={k}"
-            )
-        coeffs[2 * n] = 1 if hit else 0
-    return PoincareSeries(tuple(coeffs))
+    if scan.k != (k if k <= n_max else None) or not scan.pattern_consistent:
+        raise TheoremViolation(
+            f"(a, b, p, n_max) = ({a}, {b}, {p}, {n_max}): the scan found "
+            f"k={scan.k} (pattern consistent: {scan.pattern_consistent}), "
+            f"the closed form k={k}"
+        )
+    return PoincareSeries.from_even_dims(int(n % k == 0) for n in range(n_max + 1))
 
 
 def quotient_functional(tables: RankTwoTables, p: int, m: int):

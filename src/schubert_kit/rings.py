@@ -1,10 +1,12 @@
 """Exact coefficient rings: integers, rationals and prime fields.
 
-Every module-level container (Schubert vectors, polynomials) carries one of
-these ring descriptors and funnels its coefficient arithmetic through it.
-Elements are plain Python values: ``int`` for Z and F_p (stored reduced to
-``0..p-1``), ``fractions.Fraction`` for Q.  Rings are never mixed inside one
-container.
+Every container (Schubert vectors, tensors, polynomials) carries one of
+these ring descriptors.  Elements are plain Python values: ``int`` for Z
+and F_p (reduced to ``0..p-1``), ``fractions.Fraction`` for Q, and
+the containers combine them with Python's ``+``, ``-`` and ``*``.  A
+coefficient is read and reduced in one place, ``promote``, which every
+container constructor applies through ``_reduced``; so a stored coefficient
+is always reduced and nonzero.  Rings are never mixed inside one container.
 """
 
 from __future__ import annotations
@@ -42,18 +44,6 @@ class IntegerRing:
             return q.numerator
         raise TypeError(f"cannot coerce {x!r} into Z")
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a):
-        return a == 0
-
     def to_json(self, a):
         return a
 
@@ -72,18 +62,6 @@ class RationalRing:
         if isinstance(x, (int, Fraction, str)):
             return _fraction(x)
         raise TypeError(f"cannot coerce {x!r} into Q")
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a):
-        return a == 0
 
     def to_json(self, a):
         return a.numerator if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
@@ -122,20 +100,8 @@ class PrimeField:
             return q.numerator * pow(q.denominator, -1, self.p) % self.p
         raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
     def to_json(self, a):
-        return a % self.p
+        return a
 
 
 def _is_prime(n: int) -> bool:
@@ -160,13 +126,26 @@ def GF(p: int) -> PrimeField:
     return PrimeField(p)
 
 
+def _reduced(ring, coeffs) -> dict:
+    """``coeffs`` (a dict, or None for no terms) with every value read by
+    ``ring.promote`` and the zeros dropped: the stored form of a container's
+    coefficients."""
+    out = {}
+    for key, c in (coeffs or {}).items():
+        c = ring.promote(c)
+        if c:
+            out[key] = c
+    return out
+
+
 def parse_ring(name: str):
-    """Parse a ring name: "Z", "Q" or "F<p>"."""
+    """Parse a ring name: "Z", "Q" or "F<p>", with p in ASCII digits."""
     name = name.strip()
     if name == "Z":
         return ZZ
     if name == "Q":
         return QQ
-    if name.startswith("F") and name[1:].isdigit():
-        return GF(int(name[1:]))
+    digits = name[1:]
+    if name.startswith("F") and digits.isascii() and digits.isdigit():
+        return GF(int(digits))
     raise ValueError(f"unknown coefficient ring {name!r} (expected Z, Q or F<p>)")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from . import intmat
 from .errors import NotReduced
 from .gcm import GeneralizedCartanMatrix
-from .rings import ZZ
+from .rings import ZZ, _reduced
 from .weyl import (
     WeylElement,
     _is_negative_column,
@@ -38,12 +38,7 @@ class SchubertVector:
 
     def __init__(self, ring, coeffs=None):
         self.ring = ring
-        clean = {}
-        for w, c in (coeffs or {}).items():
-            c = ring.promote(c)
-            if not ring.is_zero(c):
-                clean[w] = c
-        self.coeffs = clean
+        self.coeffs = _reduced(ring, coeffs)
 
     @classmethod
     def zero(cls, ring):
@@ -67,15 +62,13 @@ class SchubertVector:
 
     def scale(self, c) -> "SchubertVector":
         c = self.ring.promote(c)
-        return SchubertVector(
-            self.ring, {w: self.ring.mul(c, x) for w, x in self.coeffs.items()}
-        )
+        return SchubertVector(self.ring, {w: c * x for w, x in self.coeffs.items()})
 
     def __add__(self, other: "SchubertVector") -> "SchubertVector":
         self._check(other)
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
-            out[w] = self.ring.add(out.get(w, self.ring.zero), c)
+            out[w] = out.get(w, 0) + c
         return SchubertVector(self.ring, out)
 
     def __sub__(self, other: "SchubertVector") -> "SchubertVector":
@@ -115,12 +108,7 @@ class TensorVector:
 
     def __init__(self, ring, coeffs=None):
         self.ring = ring
-        clean = {}
-        for key, c in (coeffs or {}).items():
-            c = ring.promote(c)
-            if not ring.is_zero(c):
-                clean[key] = c
-        self.coeffs = clean
+        self.coeffs = _reduced(ring, coeffs)
 
     def coefficient(self, u: WeylElement, v: WeylElement):
         return self.coeffs.get((u, v), self.ring.zero)
@@ -177,8 +165,8 @@ def nil_a(i: int, v: SchubertVector) -> SchubertVector:
         if right_descent(w, i):
             if w.gcm != g:
                 raise ValueError("elements belong to different groups")
-            img = element_from_matrix(g, intmat.right_reflect(w.matrix, i, row))
-            out[img] = ring.add(out.get(img, ring.zero), c)
+            # w -> w r_i is injective, so no two terms land on one class
+            out[element_from_matrix(g, intmat.right_reflect(w.matrix, i, row))] = c
     return SchubertVector(ring, out)
 
 
@@ -260,14 +248,13 @@ def peterson_coproduct(w: WeylElement) -> TensorVector:
 
 def counit_collapse(t: TensorVector, side: str) -> SchubertVector:
     """Collapse one tensor factor at the identity (the counit)."""
-    ring = t.ring
     out = {}
     for (u, v), c in t.coeffs.items():
         if side == "left" and u.length == 0:
-            out[v] = ring.add(out.get(v, ring.zero), c)
+            out[v] = out.get(v, 0) + c
         elif side == "right" and v.length == 0:
-            out[u] = ring.add(out.get(u, ring.zero), c)
-    return SchubertVector(ring, out)
+            out[u] = out.get(u, 0) + c
+    return SchubertVector(t.ring, out)
 
 
 def parabolic_basis(gcm: GeneralizedCartanMatrix, subset, max_len: int):
@@ -311,7 +298,7 @@ def schubert_from_jsonable(gcm: GeneralizedCartanMatrix, ring, data) -> Schubert
     acc = {}
     for word, c in jsonable_terms(data, "word"):
         w = from_word(gcm, word)
-        acc[w] = ring.add(acc.get(w, ring.zero), ring.promote(c))
+        acc[w] = acc.get(w, 0) + ring.promote(c)
     return SchubertVector(ring, acc)
 
 

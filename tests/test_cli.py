@@ -312,6 +312,10 @@ def test_usage_error_exit_code(capsys):
     ["weyl", "enum", "--gcm", "2,-1;-1,2", "--max-len", "1_0"],
     ["rank2", "bockstein", "-S", "\u0663"],
     ["rank2", "table", "-a", "1_0", "-b", "3"],
+    ["schubert", "act", "--gcm", "2,-1;-1,2", "--ring", "F\u0663", "--class",
+     '[{"word": [1], "coefficient": 1}]'],
+    ["poly", "psi", "--gcm", "2,-1;-1,2", "--field", "F\uff13", "--poly",
+     '[{"exponents": [1, 0], "coefficient": 1}]'],
 ], ids=["S-zero", "class-missing-key", "poly-missing-key", "class-word-not-list",
         "poly-float-coefficient", "missing-file", "negative-max-len", "hk-negative-N",
         "products-negative-N", "class-bool-coefficient", "poly-bool-coefficient",
@@ -323,7 +327,7 @@ def test_usage_error_exit_code(capsys):
         "poly-Q-zero-denominator", "poly-F3-zero-denominator", "word-underscore",
         "word-arabic-indic-digit", "word-fullwidth-digit", "gcm-underscore",
         "gcm-arabic-indic-digit", "max-len-underscore", "S-arabic-indic-digit",
-        "a-underscore"])
+        "a-underscore", "ring-arabic-indic-digit", "field-fullwidth-digit"])
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     # "MISSING" names a file that does not exist; a 1-tuple holds the
     # contents of a file to pass in its place

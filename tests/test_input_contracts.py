@@ -9,7 +9,7 @@ import pytest
 from schubert_kit import cli, ranktwo
 from schubert_kit.gcm import parse_gcm
 from schubert_kit.polyring import GradedPolynomial, WeightRing
-from schubert_kit.rings import QQ, ZZ
+from schubert_kit.rings import GF, QQ, ZZ, parse_ring
 from schubert_kit.schubert import SchubertVector, nil_aw, schubert_from_jsonable
 from schubert_kit.weyl import (
     element_from_matrix,
@@ -20,6 +20,7 @@ from schubert_kit.weyl import (
 )
 
 G = parse_gcm("2,-2;-3,2")
+T1 = WeightRing(G, QQ).gen(1)
 
 
 def class_of(word):
@@ -40,6 +41,8 @@ NOT_INTEGERS = {
     "monomial-float": lambda: WeightRing(G, QQ).monomial((1.7, 0)),
     "polynomial-bool": lambda: GradedPolynomial(QQ, 2, {(True, 0): 1}),
     "from-terms-float": lambda: WeightRing(G, QQ).from_terms([((1.0, 0), 1)]),
+    "root-float": lambda: WeightRing(G, QQ).root(1.0),
+    "divided-difference-str": lambda: WeightRing(G, QQ).divided_difference("1", T1),
 }
 
 
@@ -47,6 +50,33 @@ NOT_INTEGERS = {
 def test_outside_integer_must_be_an_int(call):
     with pytest.raises(ValueError, match="not an integer"):
         call()
+
+
+# a generator index below 1 must not wrap round to the last generator
+GENERATOR_INDICES = {
+    "weyl-act-zero": lambda: WeightRing(G, QQ).weyl_act(0, T1),
+    "divided-difference-negative": lambda: WeightRing(G, QQ).divided_difference(-1, T1),
+    "divided-difference-above-rank": lambda: WeightRing(G, QQ).divided_difference(3, T1),
+    "operator-word-after-zero": lambda: WeightRing(G, QQ).operator_word((3, 1, 1), T1),
+    "root-zero": lambda: WeightRing(G, QQ).root(0),
+    "coroot-dual-zero": lambda: WeightRing(G, QQ).coroot_dual(0),
+    "coroot-dual-above-rank": lambda: WeightRing(G, QQ).coroot_dual(3),
+    "steenrod-check-zero": lambda: WeightRing(G, GF(3)).steenrod_commutation_check(
+        0, WeightRing(G, GF(3)).gen(1)),
+}
+
+
+@pytest.mark.parametrize("call", GENERATOR_INDICES.values(), ids=GENERATOR_INDICES)
+def test_generator_index_out_of_range_raises(call):
+    with pytest.raises(ValueError, match=r"generator index -?\d+ out of range 1\.\.2"):
+        call()
+
+
+# a ring name is Z, Q or F followed by ASCII digits, the rule of every text integer
+@pytest.mark.parametrize("name", ["F\u0663", "F\uff13", "F\u00b2", "F+3", "F"])
+def test_ring_name_digits_are_ascii(name):
+    with pytest.raises(ValueError, match="unknown coefficient ring"):
+        parse_ring(name)
 
 
 BOUNDS = {

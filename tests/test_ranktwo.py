@@ -3,7 +3,7 @@ from math import comb, gcd
 import pytest
 
 from schubert_kit import ffield, ranktwo
-from schubert_kit.errors import NotHyperbolicOrAffine, OddPrimeRequired
+from schubert_kit.errors import NotHyperbolicOrAffine, OddPrimeRequired, TheoremViolation
 from schubert_kit.polyring import WeightRing
 from schubert_kit.ranktwo import DELTA, TAU, UNIT
 from schubert_kit.rings import GF, QQ, ZZ
@@ -444,6 +444,20 @@ def test_hopf_series():
         1, 0, 0, 1, 0, 0, 1, 0, 0, 1,
     ]
     assert ranktwo.hopf_afp_series(2, 3, 3, 6).coefficient(12) == 1
+
+
+# (2, 2, p = 2) has k = 2: a closed k of 4, or of 3 beyond n_max = 2, and a
+# scan whose pattern breaks, each disagree with the divisibility scan
+@pytest.mark.parametrize("target, fake, n_max", [
+    ("prime_order_closed", lambda a, b, p: ranktwo.PrimeOrderResult(p, 4, "fake"), 8),
+    ("prime_order_closed", lambda a, b, p: ranktwo.PrimeOrderResult(p, 3, "fake"), 2),
+    ("prime_order_scan", lambda a, b, p, n: ranktwo.ScanResult(2, False, n), 8),
+], ids=["closed-k-differs", "closed-k-beyond-bound", "pattern-inconsistent"])
+def test_hopf_series_raises_when_scan_and_closed_form_disagree(target, fake, n_max,
+                                                                monkeypatch):
+    monkeypatch.setattr(ranktwo, target, fake)
+    with pytest.raises(TheoremViolation, match=r"\(2, 2, 2, \d\)"):
+        ranktwo.hopf_afp_series(2, 2, 2, n_max)
 
 
 def test_quotient_functional_normalization():
