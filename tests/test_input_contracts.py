@@ -3,20 +3,31 @@ rejects with ValueError, and a seeded fuzz of the command line over them."""
 
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+import schubert_kit
 from schubert_kit import cli, ranktwo
-from schubert_kit.gcm import parse_gcm
+from schubert_kit.gcm import coxeter_exponent, is_finite_type, parse_gcm
 from schubert_kit.polyring import GradedPolynomial, WeightRing
 from schubert_kit.rings import GF, QQ, ZZ, parse_ring
-from schubert_kit.schubert import SchubertVector, nil_aw, schubert_from_jsonable
+from schubert_kit.schubert import (
+    SchubertVector,
+    nil_a,
+    nil_aw,
+    parabolic_basis,
+    schubert_from_jsonable,
+)
 from schubert_kit.weyl import (
     element_from_matrix,
     enumerate_by_length,
     from_word,
     length_and_word,
+    longest_element,
     min_coset_reps,
+    simple_reflection,
 )
 
 G = parse_gcm("2,-2;-3,2")
@@ -43,6 +54,12 @@ NOT_INTEGERS = {
     "from-terms-float": lambda: WeightRing(G, QQ).from_terms([((1.0, 0), 1)]),
     "root-float": lambda: WeightRing(G, QQ).root(1.0),
     "divided-difference-str": lambda: WeightRing(G, QQ).divided_difference("1", T1),
+    "simple-reflection-bool": lambda: simple_reflection(G, True),
+    "nil-a-bool": lambda: nil_a(True, class_of((1,))),
+    "nil-a-str": lambda: nil_a("1", class_of((1,))),
+    "coset-reps-float": lambda: min_coset_reps(G, (1.0,), 2),
+    "finite-type-float": lambda: is_finite_type(G, (1.5,)),
+    "coxeter-exponent-bool": lambda: coxeter_exponent(G, True, 2),
 }
 
 
@@ -63,6 +80,12 @@ GENERATOR_INDICES = {
     "coroot-dual-above-rank": lambda: WeightRing(G, QQ).coroot_dual(3),
     "steenrod-check-zero": lambda: WeightRing(G, GF(3)).steenrod_commutation_check(
         0, WeightRing(G, GF(3)).gen(1)),
+    "coset-reps-zero": lambda: min_coset_reps(G, (0,), 2),
+    "parabolic-basis-above-rank": lambda: parabolic_basis(G, (3,), 2),
+    "coxeter-exponent-zero": lambda: coxeter_exponent(G, 0, 2),
+    "finite-type-above-rank": lambda: is_finite_type(G, (3,)),
+    "simple-reflection-zero": lambda: simple_reflection(G, 0),
+    "longest-element-zero": lambda: longest_element(G, (0,)),
 }
 
 
@@ -70,6 +93,14 @@ GENERATOR_INDICES = {
 def test_generator_index_out_of_range_raises(call):
     with pytest.raises(ValueError, match=r"generator index -?\d+ out of range 1\.\.2"):
         call()
+
+
+def test_generator_index_rule_is_stated_once():
+    src = Path(schubert_kit.__file__).resolve().parent
+    stating = sorted(path.name for path in src.glob("*.py")
+                     if re.search(r"generator index .* out of range 1\.\.",
+                                  path.read_text(encoding="utf-8")))
+    assert stating == ["gcm.py"]
 
 
 # a ring name is Z, Q or F followed by ASCII digits, the rule of every text integer

@@ -508,6 +508,18 @@ def test_hk_modp_crosscheck():
     assert mod_p_identities(hk_modp=cases) == []
 
 
+def test_hk_modp_crosscheck_reads_the_integral_table(monkeypatch):
+    k = ranktwo.prime_order_closed(2, 3, 3).k
+    assert ranktwo.hk_modp_crosscheck(2, 3, 3, 40)
+    table = ranktwo.hk_integral
+
+    def changed(a, b, n_max):  # the order in degree 2k becomes trivial
+        return [(deg, 1 if deg == 2 * k else order) for deg, order in table(a, b, n_max)]
+
+    monkeypatch.setattr(ranktwo, "hk_integral", changed)
+    assert not ranktwo.hk_modp_crosscheck(2, 3, 3, 40)
+
+
 def test_modp_structure_survives_valuation_anomaly():
     # the p = 2 cases where the valuation law fails still have the expected
     # additive mod-p structure: both dimension-series computations agree and
