@@ -7,7 +7,8 @@ pairwise reflection orders, the finite-type test for subsets of the index
 set, the poset of spherical subsets, and an explicit integral lattice
 realization of the ambient torus on which the polynomial modules act.
 
-Generator indices are 1-based throughout the public API.
+Generator indices are 1-based throughout the public API, and every one
+given from outside is read by ``GeneralizedCartanMatrix.generator``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,13 @@ class GeneralizedCartanMatrix:
     @property
     def index_set(self) -> tuple[int, ...]:
         return tuple(range(1, self.size + 1))
+
+    def generator(self, i) -> int:
+        """``i`` as a generator index 1..n, read by ``intmat.as_int``; ValueError otherwise."""
+        i = intmat.as_int(i, "generator index")
+        if not 1 <= i <= self.size:
+            raise ValueError(f"generator index {i} out of range 1..{self.size}")
+        return i
 
     def a(self, i: int, j: int) -> int:
         """Entry a[i,j], 1-based."""
@@ -159,6 +167,7 @@ _EXPONENT_TABLE = {0: 2, 1: 3, 2: 4, 3: 6}
 
 def coxeter_exponent(gcm: GeneralizedCartanMatrix, i: int, j: int):
     """Order of r_i r_j: 2, 3, 4, 6 for a[i,j]*a[j,i] = 0, 1, 2, 3; None if infinite."""
+    i, j = gcm.generator(i), gcm.generator(j)
     if i == j:
         raise ValueError("coxeter_exponent requires i != j")
     return _EXPONENT_TABLE.get(gcm.a(i, j) * gcm.a(j, i))
@@ -170,10 +179,7 @@ def is_finite_type(gcm: GeneralizedCartanMatrix, subset) -> bool:
     Criterion: every principal minor of the submatrix is strictly positive.
     All determinants are exact integers.
     """
-    idx = sorted(set(subset))
-    for i in idx:
-        if not 1 <= i <= gcm.size:
-            raise ValueError(f"index {i} out of range")
+    idx = sorted({gcm.generator(i) for i in subset})
     for r in range(1, len(idx) + 1):
         for sub in combinations(idx, r):
             if intmat.det(gcm.submatrix(sub)) <= 0:

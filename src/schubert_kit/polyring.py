@@ -193,9 +193,10 @@ class WeightRing:
     """Polynomial model of the torus cohomology with its operator calculus.
 
     Holds a coefficient ring and a lattice realization.  Caches, for the
-    life of the instance, the integer images of monomials degree by degree,
-    their per-monomial images in the ring, and the expansions behind the
-    operators (confine one instance to one thread, or guard it externally).
+    life of the instance, two tables: the integer images of monomials degree
+    by degree, which the characteristic map and the invariants both read,
+    and the expansions behind the operators (confine one instance to one
+    thread, or guard it externally).
     """
 
     def __init__(self, gcm: GeneralizedCartanMatrix, ring,
@@ -209,8 +210,7 @@ class WeightRing:
         self._neg_root = [[(k, -a) for k, a in enumerate(r) if a]
                           for r in self.realization.root_functionals]
         self._shifts: dict[tuple[int, ...], list] = {}
-        self._images: list[dict[tuple[int, ...], list[int]]] = []
-        self._psi_cache: dict[tuple[int, ...], SchubertVector] = {}
+        self._images: list[tuple[list, dict[tuple[int, ...], list[int]]]] = []
 
     # -- constructors -------------------------------------------------
 
@@ -239,11 +239,11 @@ class WeightRing:
 
     def coroot_dual(self, i: int) -> GradedPolynomial:
         """The fixed dual of the i-th coroot, as a linear polynomial."""
-        return self.from_covector(self.realization.dual_basis[self._generator(i) - 1])
+        return self.from_covector(self.realization.dual_basis[self.gcm.generator(i) - 1])
 
     def root(self, i: int) -> GradedPolynomial:
         """The i-th simple root, as a linear polynomial."""
-        return self.from_covector(self.realization.root_functionals[self._generator(i) - 1])
+        return self.from_covector(self.realization.root_functionals[self.gcm.generator(i) - 1])
 
     def monomial(self, exps, c=1) -> GradedPolynomial:
         return GradedPolynomial(self.ring, self.nvars, {tuple(exps): c})
@@ -315,7 +315,7 @@ class WeightRing:
         """
         self._own(f)
         return GradedPolynomial(self.ring, self.nvars,
-                                self._shift_sum(self._generator(i), f.terms, 0))
+                                self._shift_sum(self.gcm.generator(i), f.terms, 0))
 
     def divided_difference(self, i: int, f: GradedPolynomial) -> GradedPolynomial:
         """(f - r_i f) / alpha_i, in closed form without division.
@@ -327,7 +327,7 @@ class WeightRing:
         """
         self._own(f)
         return GradedPolynomial(self.ring, self.nvars,
-                                self._shift_sum(self._generator(i), f.terms, 1))
+                                self._shift_sum(self.gcm.generator(i), f.terms, 1))
 
     def operator_word(self, word, f: GradedPolynomial) -> GradedPolynomial:
         """Composite divided difference along a word (rightmost acts first).
@@ -335,7 +335,7 @@ class WeightRing:
         Every letter is checked, also those after the result becomes zero.
         """
         out = f
-        for i in reversed([self._generator(i) for i in word]):
+        for i in reversed([self.gcm.generator(i) for i in word]):
             out = self.divided_difference(i, out)
             if out.is_zero():
                 break
@@ -350,58 +350,51 @@ class WeightRing:
         degree-0 part of the composite divided difference along a reduced
         word of ``w``.  So for any right descent ``i`` of ``w`` it is the
         coefficient of ``w r_i`` in the image of the divided difference
-        A_i f, which has degree d - 1: images of monomials are computed over
-        the integers degree by degree from those one degree lower (see
-        ``_integer_images``) and reduced into the coefficient ring once.
+        A_i f, which has degree d - 1: the images of the monomials are one
+        table over the integers (see ``_integer_images``), and f's rows are
+        combined and reduced into the coefficient ring once.
         """
         self._own(f)
         if f.is_zero():
             return SchubertVector.zero(self.ring)
-        f.homogeneous_degree()
-        acc = SchubertVector.zero(self.ring)
+        elements, images = self._integer_images(f.homogeneous_degree())
+        row = [0] * len(elements)
         for exps, c in f.terms.items():
-            acc = acc + self._psi_monomial(exps).scale(c)
-        return acc
+            for k, x in enumerate(images[exps]):
+                row[k] += c * x
+        return SchubertVector(self.ring, dict(zip(elements, row)))
 
-    def _psi_monomial(self, exps) -> SchubertVector:
-        cached = self._psi_cache.get(exps)
-        if cached is not None:
-            return cached
-        d = sum(exps)
-        levels = enumerate_by_length(self.gcm, d)
-        row = self._integer_images(levels)[d][exps]
-        vec = SchubertVector(self.ring, dict(zip(levels[d], row)))
-        self._psi_cache[exps] = vec
-        return vec
+    def _integer_images(self, degree: int):
+        """The length-``degree`` elements, and the integer images on them of
+        every monomial of that degree.
 
-    def _integer_images(self, levels):
-        """Integer images of all monomials of degree < len(levels), per degree.
-
-        Entry d maps each degree-d exponent vector to its coefficients on the
-        elements of ``levels[d]``, in order.  The last letter i of the
-        lex-least word of ``w`` is a right descent, and ``w r_i`` is that
-        word without its last letter (a prefix of a lex-least reduced word is
-        lex-least), so each element records i and the index of ``w r_i`` one
-        level down, and psi(m)[w] = sum over m' of coeff(A_i m, m') *
-        psi(m')[w r_i].  Over F_p the values are reduced at every degree.
+        The images map each exponent vector to its coefficients on the
+        elements, in order, and are computed degree by degree and kept for
+        the life of the instance.  The last letter i of the lex-least word
+        of ``w`` is a right descent, and ``w r_i`` is that word without its
+        last letter (a prefix of a lex-least reduced word is lex-least), so
+        each element records i and the index of ``w r_i`` one level down,
+        and psi(m)[w] = sum over m' of coeff(A_i m, m') * psi(m')[w r_i].
+        Over F_p the values are reduced at every degree.
         """
         images, p = self._images, self.ring.char
-        if not images:
-            images.append({(0,) * self.nvars: [1]})
-        while len(images) < len(levels):
-            d = len(images)
-            below, prev = levels[d - 1], images[d - 1]
-            index = {w.word: k for k, w in enumerate(below)}
-            table = [(w.word[-1], index[w.word[:-1]]) for w in levels[d]]
-            descents = {i for i, _ in table}
-            level = {}
-            for m in monomial_exponents(self.nvars, d):
-                diffs = {i: [(prev[e], c) for e, c in self._shift_sum(i, {m: 1}, 1).items()]
-                         for i in descents}
-                row = [sum(c * vec[k] for vec, c in diffs[i]) for i, k in table]
-                level[m] = [x % p for x in row] if p else row
-            images.append(level)
-        return images
+        if len(images) <= degree:
+            levels = enumerate_by_length(self.gcm, degree)
+            if not images:
+                images.append((levels[0], {(0,) * self.nvars: [1]}))
+            for d in range(len(images), degree + 1):
+                prev = images[d - 1][1]
+                index = {w.word: k for k, w in enumerate(levels[d - 1])}
+                table = [(w.word[-1], index[w.word[:-1]]) for w in levels[d]]
+                descents = {i for i, _ in table}
+                level = {}
+                for m in monomial_exponents(self.nvars, d):
+                    diffs = {i: [(prev[e], c) for e, c in self._shift_sum(i, {m: 1}, 1).items()]
+                             for i in descents}
+                    row = [sum(c * vec[k] for vec, c in diffs[i]) for i, k in table]
+                    level[m] = [x % p for x in row] if p else row
+                images.append((levels[d], level))
+        return images[degree]
 
     # -- generalized invariants ----------------------------------------
 
@@ -412,8 +405,7 @@ class WeightRing:
         reduced mod p over F_p, read straight into ``linalg``.
         """
         monos = monomial_exponents(self.nvars, half_degree)
-        levels = enumerate_by_length(self.gcm, half_degree)
-        images = self._integer_images(levels)[half_degree]
+        images = self._integer_images(half_degree)[1]
         return monos, list(zip(*(images[m] for m in monos)))
 
     def generalized_invariants(self, degree: int):
@@ -484,7 +476,7 @@ class WeightRing:
     def steenrod_commutation_check(self, i: int, f: GradedPolynomial) -> bool:
         """Exact check of A_i(P(f)) = (1 + alpha_i^(p-1)) * P(A_i(f))."""
         p = self._prime()
-        i = self._generator(i)
+        i = self.gcm.generator(i)
         lhs = self.divided_difference(i, self.total_steenrod(f))
         factor = self.one() + self.root(i) ** (p - 1)
         rhs = factor * self.total_steenrod(self.divided_difference(i, f))
@@ -509,14 +501,6 @@ class WeightRing:
     def _own(self, f: GradedPolynomial):
         if f.ring != self.ring or f.nvars != self.nvars:
             raise ValueError("polynomial does not belong to this ring")
-
-    def _generator(self, i) -> int:
-        """``i`` as a generator index, 1..n; ``_shift_sum`` does not check it."""
-        n = self.gcm.size
-        i = intmat.as_int(i, "generator index")
-        if not 1 <= i <= n:
-            raise ValueError(f"generator index {i} out of range 1..{n}")
-        return i
 
     def _half(self, degree: int) -> int:
         if degree < 0 or degree % 2:

@@ -636,10 +636,10 @@ def hk_modp_crosscheck(a: int, b: int, p: int, deg_max: int) -> bool:
     """Compare two computations of the mod-p homology dimension series.
 
     Side one expands the product of an exterior algebra on degrees 3 and
-    2k-1 with a polynomial algebra on degree 2k.  Side two converts the
-    integral cohomology table through universal coefficients: a cyclic
-    summand of order divisible by p in degree m contributes one dimension
-    in degrees m and m-1, and the free classes sit in degrees 0 and 3.
+    2k-1 with a polynomial algebra on degree 2k.  Side two applies
+    universal coefficients to the table of ``hk_integral``: an order in
+    degree m that p divides (0, a free summand, included) gives one
+    dimension in degree m, and a finite one also gives one in degree m-1.
     Raises ValueError for a negative ``deg_max``.
     """
     _require_at_least(0, deg_max, "deg_max")
@@ -654,22 +654,8 @@ def hk_modp_crosscheck(a: int, b: int, p: int, deg_max: int) -> bool:
         side1 = nxt
     for m in range(2 * k, deg_max + 1):
         side1[m] += side1[m - 2 * k]
-    # side two: universal coefficients over the integral table
-    tables = cd_sequences(a, b, deg_max // 2 + 2)
-
-    def torsion(m: int) -> int:
-        if m >= 2 and m % 2 == 0:
-            return tables.g[m // 2]
-        if m >= 5 and m % 2 == 1:
-            return tables.g[(m - 3) // 2]
-        return 1
-
-    side2 = []
-    for m in range(deg_max + 1):
-        dim = 1 if m in (0, 3) else 0
-        if torsion(m) % p == 0:
-            dim += 1
-        if torsion(m + 1) % p == 0:
-            dim += 1
-        side2.append(dim)
+    # side two: H^m(Z) (x) F_p plus Tor(H^{m+1}(Z), F_p), for m <= deg_max
+    orders = dict(hk_integral(a, b, (deg_max + 1) // 2))
+    side2 = [(orders[m] % p == 0) + (0 < orders[m + 1] and orders[m + 1] % p == 0)
+             for m in range(deg_max + 1)]
     return side1 == side2

@@ -140,25 +140,24 @@ class TensorVector:
         return " + ".join(parts) if parts else "0"
 
 
-def _check_letter_positive(i: int) -> None:
-    if i < 1:
+def _check_letter_positive(i) -> None:
+    if intmat.as_int(i, "generator index") < 1:
         raise ValueError(f"generator index {i} out of range: indices start at 1")
 
 
 def nil_a(i: int, v: SchubertVector) -> SchubertVector:
     """The degree-lowering operator for generator ``i``, extended linearly.
 
-    Raises ValueError if ``i < 1``, or if ``i`` is outside the index set of
-    a nonzero ``v``.  The zero vector names no group, so a letter above its
-    rank cannot be checked there.
+    Raises ValueError if ``i`` is not an integer or is below 1, or if it is
+    outside the index set of a nonzero ``v``.  The zero vector names no
+    group, so a letter above its rank cannot be checked there.
     """
-    _check_letter_positive(i)
     ring = v.ring
     if not v.coeffs:
+        _check_letter_positive(i)
         return SchubertVector(ring)
     g = next(iter(v.coeffs)).gcm
-    if i > g.size:
-        raise ValueError(f"generator index {i} out of range 1..{g.size}")
+    i = g.generator(i)
     row = g.entries[i - 1]
     out = {}
     for w, c in v.coeffs.items():

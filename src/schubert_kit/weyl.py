@@ -11,8 +11,9 @@ Convention: ``i`` is a right descent of ``w`` iff ``w`` maps the i-th simple
 root to a negative root.  Coset routines return minimal-length
 representatives for that convention.  Infinite groups are only ever
 materialized up to an explicit length bound, and a negative bound raises
-ValueError.  Matrix entries and letters of words given from outside are
-read by ``intmat.as_int``: an ``int`` or ``__index__`` value, never a bool.
+ValueError.  Matrix entries given from outside are read by
+``intmat.as_int``, an ``int`` or ``__index__`` value and never a bool, and
+generator indices by ``GeneralizedCartanMatrix.generator``.
 """
 
 from __future__ import annotations
@@ -66,8 +67,7 @@ def identity_element(gcm: GeneralizedCartanMatrix) -> WeylElement:
 
 
 def simple_reflection(gcm: GeneralizedCartanMatrix, i: int) -> WeylElement:
-    if not 1 <= i <= gcm.size:
-        raise ValueError(f"generator index {i} out of range 1..{gcm.size}")
+    i = gcm.generator(i)
     return WeylElement(gcm, reflection_matrix(gcm, i), (i,))
 
 
@@ -141,9 +141,7 @@ def from_word(gcm: GeneralizedCartanMatrix, word) -> WeylElement:
     """
     m = intmat.identity(gcm.size)
     for i in word:
-        i = intmat.as_int(i, "generator index")
-        if not 1 <= i <= gcm.size:
-            raise ValueError(f"generator index {i} out of range 1..{gcm.size}")
+        i = gcm.generator(i)
         m = intmat.right_reflect(m, i, gcm.entries[i - 1])
     return element_from_matrix(gcm, m)
 
@@ -202,7 +200,7 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
 def min_coset_reps(gcm: GeneralizedCartanMatrix, subset, max_len: int):
     """All enumerated w with no right descent in ``subset``; ValueError for a
     negative ``max_len``."""
-    subset = sorted(set(subset))
+    subset = sorted({gcm.generator(j) for j in subset})
     reps = []
     for level in enumerate_by_length(gcm, max_len):
         for w in level:
@@ -218,7 +216,7 @@ def longest_element(gcm: GeneralizedCartanMatrix, subset) -> WeylElement:
     generator of ``subset`` is a right descent, which in a finite parabolic
     subgroup only its longest element satisfies.
     """
-    subset = sorted(set(subset))
+    subset = sorted({gcm.generator(i) for i in subset})
     if not is_finite_type(gcm, subset):
         raise NotSpherical(f"subset {subset} generates an infinite group")
     m = intmat.identity(gcm.size)
