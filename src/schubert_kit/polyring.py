@@ -225,6 +225,7 @@ class WeightRing:
 
     def gen(self, k: int) -> GradedPolynomial:
         """The k-th lattice coordinate as a degree-1 generator (1-based)."""
+        k = intmat.as_int(k, "variable index")
         if not 1 <= k <= self.nvars:
             raise ValueError(f"variable index {k} out of range 1..{self.nvars}")
         return GradedPolynomial.variable(self.ring, self.nvars, k - 1)

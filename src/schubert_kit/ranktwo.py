@@ -133,18 +133,23 @@ def _grown(rows: list[list[int]], t, s, n: int, m: int) -> list[list[int]]:
     Every entry is an integer by construction; the test suite checks them
     against the quotient of prefix products.  Row k holds T(k, 0 .. level - k),
     and the rows grow one level n + m at a time, so the work is bounded by
-    the largest n + m read, not by the length of the sequences.
+    the largest n + m read, not by the length of the sequences.  The quotient
+    is symmetric, T(n, m) = T(m, n), so a level runs the rule for k = 1 ..
+    level // 2 and, for the rest, appends the same int as T(level - k, k).
     """
     if n < 0 or m < 0 or n + m >= len(t):
         raise ValueError("indices out of table range")
     while len(rows) <= n + m:
         level = len(rows)
+        half = level // 2
         rows[0].append(1)
-        for k in range(1, level):
+        for k in range(1, half + 1):
             j = level - k
             x = s[k + 1] if k % 2 and not j % 2 else t[k + 1]
             y = s[j - 1] if j % 2 and not k % 2 else t[j - 1]
             rows[k].append(x * rows[k][-1] - y * rows[k - 1][j])
+        for k in range(half + 1, level):
+            rows[k].append(rows[level - k][k])
         rows.append([1])
     return rows
 
@@ -512,6 +517,8 @@ def matrix_order_method(a: int, b: int, p: int) -> int:
 
 
 def p_adic_valuation(n: int, p: int) -> int:
+    if p < 2:
+        raise ValueError(f"the valuation base must be at least 2, got {p}")
     if n == 0:
         raise ValueError("the valuation of 0 is infinite")
     v = 0
@@ -538,14 +545,32 @@ def bockstein_valuation_check(a: int, b: int, p: int, s_max: int) -> bool:
 
 
 def _valuation_rows(a: int, b: int, p: int, s_max: int) -> list[tuple[int, int, int]]:
-    """The rows ``(s, v_p(g_{s k}), v_p(s) + v_p(g_k))`` for s = 1 .. s_max."""
+    """The rows ``(s, v_p(g_{s k}), v_p(s) + v_p(g_k))`` for s = 1 .. s_max.
+
+    With t = ab - 2, x = c and x = d obey x_{j+2} = t x_j - x_{j-2} (put the
+    d step into the c step and use a d_{j-1} = c_j + c_{j-2}; likewise for
+    d), and are odd: run back, the recursion gives c_{-1} = d_{-1} = -1, so
+    -x_{-j} obeys it from the same start.  If V_0 = 2, V_1 = t and
+    V_{h+1} = t V_h - V_{h-1}, then x_{j+2h} + x_{j-2h} = V_h x_j, as both
+    sides obey V's recursion in h and agree at h = 0, 1.  So
+    x_{(s+2)k} = V_k x_{sk} - x_{(s-2)k}: one step per s from x_{-k} = -x_k,
+    x_0 = 0, x_k and x_{2k}, and c, d are built to index 2k only.
+    """
     _require_at_least(1, s_max, "s_max")
     k = prime_order_closed(a, b, p).k
-    c, d = _cd_lists(a, b, s_max * k)
+    c, d = _cd_lists(a, b, 2 * k)
+    t = a * b - 2
+    v_prev, v = 2, t
+    for _ in range(k - 1):
+        v_prev, v = v, t * v - v_prev
+    cs, ds = [-c[k], 0, c[k], c[2 * k]], [-d[k], 0, d[k], d[2 * k]]
+    for _ in range(3, s_max + 1):
+        cs.append(v * cs[-2] - cs[-4])
+        ds.append(v * ds[-2] - ds[-4])
     base = p_adic_valuation(gcd(c[k], d[k]), p)
     return [
-        (s, p_adic_valuation(gcd(c[s * k], d[s * k]), p), p_adic_valuation(s, p) + base)
-        for s in range(1, s_max + 1)
+        (s, p_adic_valuation(gcd(x, y), p), p_adic_valuation(s, p) + base)
+        for s, x, y in zip(range(1, s_max + 1), cs[2:], ds[2:])
     ]
 
 

@@ -60,6 +60,9 @@ NOT_INTEGERS = {
     "coset-reps-float": lambda: min_coset_reps(G, (1.0,), 2),
     "finite-type-float": lambda: is_finite_type(G, (1.5,)),
     "coxeter-exponent-bool": lambda: coxeter_exponent(G, True, 2),
+    "gen-bool": lambda: WeightRing(G, QQ).gen(True),
+    "gen-float": lambda: WeightRing(G, QQ).gen(1.0),
+    "gen-str": lambda: WeightRing(G, QQ).gen("1"),
 }
 
 
@@ -117,6 +120,11 @@ BOUNDS = {
     "hk-integral-negative": lambda: ranktwo.hk_integral(2, 3, -3),
     "bockstein-zero": lambda: ranktwo.bockstein_valuation_check(2, 3, 3, 0),
     "hk-modp-negative": lambda: ranktwo.hk_modp_crosscheck(2, 3, 3, -1),
+    "valuation-base-one": lambda: ranktwo.p_adic_valuation(6, 1),
+    "valuation-base-zero": lambda: ranktwo.p_adic_valuation(6, 0),
+    "valuation-base-negative": lambda: ranktwo.p_adic_valuation(6, -1),
+    "gen-zero": lambda: WeightRing(G, QQ).gen(0),
+    "gen-above-rank": lambda: WeightRing(G, QQ).gen(3),
 }
 
 

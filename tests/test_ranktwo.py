@@ -110,6 +110,21 @@ def test_a_binomial_read_grows_the_rows_only_to_its_level():
     assert len(t._d_binomials) == 5 and len(t._c_binomials) == 1
 
 
+def test_grown_levels_share_each_mirrored_cell():
+    # T(n, m) = T(m, n), so every cell past the middle of a level is the int
+    # computed for its mirror, not a second product
+    for a, b in PAIRS:
+        t = ranktwo.cd_sequences(a, b, 30)
+        for binomial, rows in ((ranktwo.generalized_binomial_C, t._c_binomials),
+                               (ranktwo.generalized_binomial_D, t._d_binomials)):
+            for level in (1, 2, 7, 30):
+                binomial(t, level, 0)
+                assert len(rows) == level + 1
+                for n in range(level + 1):
+                    for m in range(min(n, level - n + 1)):
+                        assert rows[n][m] is rows[m][n], (a, b, n, m)
+
+
 def test_binomial_integrality_small_sweep():
     for a, b in PAIRS:
         t = ranktwo.cd_sequences(a, b, 20)
@@ -408,6 +423,50 @@ def test_valuation():
     assert ranktwo.p_adic_valuation(7, 3) == 0
     with pytest.raises(ValueError):
         ranktwo.p_adic_valuation(0, 3)
+
+
+def _own_valuation(n, p):
+    v = 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    return v
+
+
+# criterion 5's p = 2 counterexamples: ab odd with v_2(ab - 1) = 1
+P2_EXCEPTIONS = [(1, 7), (3, 5), (5, 3), (5, 7), (7, 1), (7, 5)]
+VALUATION_GRID = [(a, b, p) for a in range(1, 7) for b in range(1, 7) if a * b >= 4
+                  for p in (2, 3, 5, 7)] + [(a, b, 2) for a, b in P2_EXCEPTIONS]
+
+
+@pytest.mark.parametrize("s_max", [1, 2, 3, 12])
+def test_valuation_rows_match_the_full_recursion(s_max):
+    # the rows read c_{sk}, d_{sk} from the recursion run through every index
+    parities = set()
+    for a, b, p in VALUATION_GRID:
+        k = ranktwo.prime_order_closed(a, b, p).k
+        parities.add(k % 2)
+        c, d = _own_cd(a, b, s_max * k)
+        base = _own_valuation(gcd(c[k], d[k]), p)
+        want = [(s, _own_valuation(gcd(c[s * k], d[s * k]), p), _own_valuation(s, p) + base)
+                for s in range(1, s_max + 1)]
+        assert ranktwo._valuation_rows(a, b, p, s_max) == want, (a, b, p)
+    assert parities == {0, 1}
+
+
+def test_valuation_check_builds_the_sequences_to_2k_only(monkeypatch):
+    asked = []
+    cd_lists = ranktwo._cd_lists
+
+    def recorded(a, b, n_max):
+        asked.append(n_max)
+        return cd_lists(a, b, n_max)
+
+    monkeypatch.setattr(ranktwo, "_cd_lists", recorded)
+    for a, b, p in [(2, 3, 3), (1, 7, 2), (3, 3, 5), (4, 5, 7), (2, 2, 2), (6, 1, 11)]:
+        asked.clear()
+        k = ranktwo.prime_order_closed(a, b, p).k
+        ranktwo.bockstein_valuation_check(a, b, p, 30)
+        assert asked and max(asked) <= 2 * k, (a, b, p, k, asked)
 
 
 def test_bockstein_identity():
