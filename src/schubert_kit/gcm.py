@@ -85,7 +85,7 @@ class SphericalPoset:
     covers: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
     def __contains__(self, subset) -> bool:
-        return tuple(sorted(subset)) in set(self.subsets)
+        return tuple(sorted(subset)) in self.subsets
 
 
 def validate_gcm(matrix, labels=None) -> GeneralizedCartanMatrix:
@@ -173,16 +173,34 @@ def coxeter_exponent(gcm: GeneralizedCartanMatrix, i: int, j: int):
     return _EXPONENT_TABLE.get(gcm.a(i, j) * gcm.a(j, i))
 
 
+def _connected(gcm: GeneralizedCartanMatrix, subset) -> bool:
+    """True iff the sorted, nonempty ``subset`` is connected in the Dynkin
+    graph, where ``i`` and ``j`` are joined when ``a[i,j] != 0``."""
+    entries = gcm.entries
+    rest = set(subset[1:])
+    stack = [subset[0]]
+    while stack and rest:
+        row = entries[stack.pop() - 1]
+        linked = [j for j in rest if row[j - 1]]
+        rest.difference_update(linked)
+        stack += linked
+    return not rest
+
+
 def is_finite_type(gcm: GeneralizedCartanMatrix, subset) -> bool:
     """True iff the parabolic subgroup on ``subset`` is finite.
 
-    Criterion: every principal minor of the submatrix is strictly positive.
+    Criterion (Kac, ch. 4): every principal minor of the submatrix is
+    strictly positive.  Only the connected subsets ``T`` need a determinant:
+    if ``T`` splits into parts with no edges between them, ``A_T`` is
+    block-diagonal after reordering, so ``det A_T`` is the product of the
+    determinants of its components, which are connected subsets themselves.
     All determinants are exact integers.
     """
     idx = sorted({gcm.generator(i) for i in subset})
     for r in range(1, len(idx) + 1):
         for sub in combinations(idx, r):
-            if intmat.det(gcm.submatrix(sub)) <= 0:
+            if _connected(gcm, sub) and intmat.det(gcm.submatrix(sub)) <= 0:
                 return False
     return True
 
@@ -191,10 +209,14 @@ def spherical_poset(gcm: GeneralizedCartanMatrix) -> SphericalPoset:
     """All finite-type subsets with their inclusion covers.
 
     The result always contains the empty set and every singleton, and is
-    downward closed.  Built by size: a subset is spherical iff every facet
-    ``S - {x}`` is spherical and ``det(A_S) > 0`` (its smaller principal
-    minors are those of its facets), and its covers are exactly those
-    facets.
+    downward closed.  Built by size: a subset ``S`` is spherical iff every
+    facet ``S - {x}`` is spherical and ``det(A_S) > 0`` (its smaller
+    principal minors are those of its facets), and its covers are exactly
+    those facets.  The determinant is needed only when ``S`` is connected
+    in the Dynkin graph: otherwise ``A_S`` is block-diagonal after
+    reordering, and ``det(A_S)``, the product of the determinants of its
+    components, is a product of minors of proper subsets, all positive once
+    the facets are spherical.
     """
     members = [()]
     member_set = {()}
@@ -202,7 +224,8 @@ def spherical_poset(gcm: GeneralizedCartanMatrix) -> SphericalPoset:
     for r in range(1, gcm.size + 1):
         for sub in combinations(gcm.index_set, r):
             facets = [sub[:t] + sub[t + 1:] for t in range(r)]
-            if all(f in member_set for f in facets) and intmat.det(gcm.submatrix(sub)) > 0:
+            if all(f in member_set for f in facets) and (
+                    not _connected(gcm, sub) or intmat.det(gcm.submatrix(sub)) > 0):
                 members.append(sub)
                 member_set.add(sub)
                 covers.extend((f, sub) for f in facets)

@@ -57,10 +57,10 @@ def right_reflect(m: Matrix, i: int, cartan_row) -> Matrix:
     and a row with a zero in column ``i`` is reused as it is.
     """
     c = i - 1
-    return tuple(
-        tuple(x - row[c] * a for x, a in zip(row, cartan_row)) if row[c] else row
+    return tuple([
+        tuple([x - f * a for x, a in zip(row, cartan_row)]) if (f := row[c]) else row
         for row in m
-    )
+    ])
 
 
 def left_reflect(m: Matrix, i: int, cartan_row) -> Matrix:

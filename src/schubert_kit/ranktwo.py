@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
+from . import intmat
 from .errors import (
     NotHyperbolicOrAffine,
     OddPrimeRequired,
@@ -517,10 +518,18 @@ def matrix_order_method(a: int, b: int, p: int) -> int:
 
 
 def p_adic_valuation(n: int, p: int) -> int:
+    """The exponent of ``p`` in ``n``; ``n`` and ``p`` are read by
+    ``intmat.as_int``, and ``p < 2`` or ``n = 0`` raises ValueError."""
+    n, p = intmat.as_int(n, "valuation argument"), intmat.as_int(p, "valuation base")
     if p < 2:
         raise ValueError(f"the valuation base must be at least 2, got {p}")
     if n == 0:
         raise ValueError("the valuation of 0 is infinite")
+    return _valuation(n, p)
+
+
+def _valuation(n: int, p: int) -> int:
+    """``v_p(n)`` for integers ``n != 0`` and ``p >= 2``, unchecked."""
     v = 0
     n = abs(n)
     while n % p == 0:
@@ -567,9 +576,9 @@ def _valuation_rows(a: int, b: int, p: int, s_max: int) -> list[tuple[int, int, 
     for _ in range(3, s_max + 1):
         cs.append(v * cs[-2] - cs[-4])
         ds.append(v * ds[-2] - ds[-4])
-    base = p_adic_valuation(gcd(c[k], d[k]), p)
+    base = _valuation(gcd(c[k], d[k]), p)
     return [
-        (s, p_adic_valuation(gcd(x, y), p), p_adic_valuation(s, p) + base)
+        (s, _valuation(gcd(x, y), p), _valuation(s, p) + base)
         for s, x, y in zip(range(1, s_max + 1), cs[2:], ds[2:])
     ]
 

@@ -72,7 +72,16 @@ def simple_reflection(gcm: GeneralizedCartanMatrix, i: int) -> WeylElement:
 
 
 def _is_negative_column(matrix: Matrix, i: int) -> bool:
-    return all(row[i - 1] <= 0 for row in matrix)
+    """True iff every entry of column ``i`` is <= 0; stops at the first
+    positive one.  For a group element the first nonzero entry would decide,
+    but ``length_and_word`` also tests the inverses of user matrices, and a
+    mixed-sign column, which no group element has, must not read as a
+    descent: stripping stops there and raises NotInGroup at once."""
+    c = i - 1
+    for row in matrix:
+        if row[c] > 0:
+            return False
+    return True
 
 
 def right_descent(w: WeylElement, i: int) -> bool:

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from schubert_kit import intmat
 from schubert_kit.errors import DiagonalNotTwo, PositiveOffDiagonal, ZeroAsymmetry
 from schubert_kit.gcm import (
     coxeter_exponent,
@@ -155,6 +156,64 @@ def test_spherical_poset_matches_principal_minor_oracle():
         poset = spherical_poset(validate_gcm(rows))
         assert poset.subsets == tuple(want), rows
         assert poset.covers == tuple(want_covers), rows
+
+
+def _own_connected(rows, sub):
+    """``sub`` is connected in the Dynkin graph, by growing one component."""
+    comp = {sub[0]}
+    grew = True
+    while grew:
+        grew = False
+        for j in sub:
+            if j not in comp and any(rows[i][j] for i in comp):
+                comp.add(j)
+                grew = True
+    return len(comp) == len(sub)
+
+
+def test_is_finite_type_matches_principal_minor_oracle():
+    rng = random.Random(20261019)
+    seen = {"disconnected finite": 0, "disconnected infinite": 0, "non-symmetric": 0}
+    for _ in range(80):
+        rows = _random_gcm(rng, rng.randint(1, 6))
+        n = len(rows)
+        g = validate_gcm(rows)
+        seen["non-symmetric"] += any(rows[i][j] != rows[j][i] for i in range(n) for j in range(n))
+        positive = {
+            sub: leibniz_det([[rows[i][j] for j in sub] for i in sub]) > 0
+            for r in range(1, n + 1)
+            for sub in combinations(range(n), r)
+        }
+        for sub in positive:
+            want = all(positive[t] for r in range(1, len(sub) + 1) for t in combinations(sub, r))
+            assert is_finite_type(g, [i + 1 for i in reversed(sub)]) == want, (rows, sub)
+            if not _own_connected(rows, sub):
+                seen["disconnected finite" if want else "disconnected infinite"] += 1
+        assert is_finite_type(g, ())
+    assert all(seen.values()), seen
+
+
+def test_determinants_only_for_connected_subsets(monkeypatch):
+    # affine A_7: the connected subsets of an 8-cycle are its 8 * 7 arcs and the cycle
+    g = validate_gcm([[2 if i == j else -1 if (i - j) % 8 in (1, 7) else 0 for j in range(8)]
+                      for i in range(8)])
+    calls = []
+    det = intmat.det
+    monkeypatch.setattr(intmat, "det", lambda m: calls.append(m) or det(m))
+    assert len(spherical_poset(g).subsets) == 2 ** 8 - 1
+    assert len(calls) == 8 * 7 + 1
+    calls.clear()
+    assert not is_finite_type(g, g.index_set)
+    assert len(calls) == 8 * 7 + 1
+
+
+def test_spherical_poset_membership(gcm_affine_a2):
+    poset = spherical_poset(gcm_affine_a2)
+    assert () in poset
+    assert (2,) in poset
+    assert (3, 1) in poset and [2, 1] in poset and {3, 2} in poset
+    assert (1, 2, 3) not in poset and (3, 2, 1) not in poset
+    assert (4,) not in poset and (1, 1) not in poset
 
 
 def test_spherical_poset_affine_a9_counts():

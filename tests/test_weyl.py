@@ -2,6 +2,7 @@ import sys
 
 import pytest
 
+from schubert_kit import intmat
 from schubert_kit.errors import NotInGroup, NotSpherical
 from schubert_kit.gcm import rank_two, validate_gcm
 from schubert_kit.selftests import (
@@ -10,6 +11,7 @@ from schubert_kit.selftests import (
     reflections_are_involutions,
 )
 from schubert_kit.weyl import (
+    _is_negative_column,
     bruhat_leq,
     element_from_matrix,
     enumerate_by_length,
@@ -71,6 +73,44 @@ def test_length_and_word_rejects_outsiders(gcm_a22):
         length_and_word(gcm_a22, ((2, 0), (0, 2)))  # not unimodular
     with pytest.raises(NotInGroup):
         length_and_word(gcm_a22, ((1, 1), (0, 1)))  # unimodular, not in the group
+
+
+def test_descent_test_asks_the_whole_column(rng):
+    mixed = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        m = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+        for i in range(1, n + 1):
+            column = [row[i - 1] for row in m]
+            mixed += min(column) < 0 < max(column)
+            assert _is_negative_column(m, i) == all(x <= 0 for x in column), (m, i)
+    assert mixed > 100
+
+
+def _unimodular(rng, n, steps):
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        f = rng.choice((-2, -1, 1, 2))
+        rows[i] = [x + f * y for x, y in zip(rows[i], rows[j])]
+    return tuple(map(tuple, rows))
+
+
+def test_mixed_sign_column_is_not_a_descent(rng, gcm_affine_a2):
+    # the inverse has no column <= 0, but one whose first nonzero entry is
+    # negative: stripping must stop before its first step
+    tried = 0
+    while tried < 40:
+        m = _unimodular(rng, 3, 6)
+        inv = intmat.integer_inverse(m)
+        columns = list(zip(*inv))
+        if any(max(c) <= 0 for c in columns):
+            continue
+        if not any(next(x for x in c if x) < 0 for c in columns):
+            continue
+        tried += 1
+        with pytest.raises(NotInGroup, match="not a product of simple reflections"):
+            length_and_word(gcm_affine_a2, m, max_steps=0)
 
 
 def test_length_and_word_respects_step_bound(gcm_a22):
