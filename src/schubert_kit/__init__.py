@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 # home module of every public name; PEP 562 imports it on first access
 _HOMES = {
-    "errors": ("DiagonalNotTwo", "GCMValidationError", "NonIntegral", "NotHomogeneous",
+    "errors": ("DiagonalNotTwo", "GCMValidationError", "NotHomogeneous",
                "NotHyperbolicOrAffine", "NotInGroup", "NotReduced", "NotSpherical",
                "OddPrimeRequired", "PositiveOffDiagonal", "SchubertKitError",
                "TheoremViolation", "UnderdeterminedSystem", "ZeroAsymmetry", "ZeroElement"),

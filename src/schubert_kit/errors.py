@@ -71,13 +71,5 @@ class TheoremViolation(SchubertKitError):
     """An identity that is a theorem failed; this always indicates a bug."""
 
 
-class NonIntegral(TheoremViolation):
-    """A generalized binomial coefficient failed to be an integer.
-
-    No longer raised: ``ranktwo`` builds the binomials by a Pascal rule, so
-    they are integers by construction.  Kept as part of the public surface.
-    """
-
-
 class UnderdeterminedSystem(TheoremViolation):
     """The degree-by-degree product solver hit an inconsistent system."""

@@ -82,9 +82,6 @@ class Fp2Element:
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
-    def in_prime_field(self) -> bool:
-        return self.y == 0
-
     def __add__(self, other: "Fp2Element") -> "Fp2Element":
         self._check(other)
         return Fp2Element(self.field, self.x + other.x, self.y + other.y)

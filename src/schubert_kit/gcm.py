@@ -52,6 +52,7 @@ class GeneralizedCartanMatrix:
         return tuple(tuple(self.entries[i - 1][j - 1] for j in idx) for i in idx)
 
     def to_dict(self) -> dict:
+        """Interchange form, read back by ``gcm_from_dict``."""
         return {"labels": list(self.labels), "rows": [list(r) for r in self.entries]}
 
     def __repr__(self) -> str:

@@ -1,5 +1,7 @@
 """Polynomials on the torus character lattice and the operators on them.
 
+``GradedPolynomial`` is a ``rings.Combination`` of exponent vectors, with a
+number of variables, a product and degrees of its own.
 ``WeightRing`` models the cohomology of the classifying space of the torus:
 a polynomial ring on degree-2 generators, one per lattice coordinate of a
 chosen realization.  It carries the reflection action ``r_i(t) = t -
@@ -28,25 +30,33 @@ from . import intmat, linalg
 from .errors import NotHomogeneous
 from .gcm import GeneralizedCartanMatrix, Realization, standard_realization
 from .poincare import PoincareSeries
-from .rings import _reduced
+from .rings import Combination, _reduced
 from .schubert import SchubertVector, jsonable_terms
 from .weyl import enumerate_by_length
 
 
-class GradedPolynomial:
-    """Sparse multivariate polynomial with exact coefficients."""
+class GradedPolynomial(Combination):
+    """Sparse polynomial in ``nvars`` variables with exact coefficients,
+    keyed by exponent vectors; ``terms`` is the public name of ``coeffs``."""
 
-    __slots__ = ("ring", "nvars", "terms")
+    __slots__ = ("nvars",)
 
     def __init__(self, ring, nvars, terms=None):
         self.ring = ring
         self.nvars = nvars
-        self.terms = {}
+        self.coeffs = {}
         for exps, c in _reduced(ring, terms).items():
             exps = tuple(intmat.as_int(e, "exponent") for e in exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps}")
-            self.terms[exps] = c
+            self.coeffs[exps] = c
+
+    @property
+    def terms(self) -> dict:
+        return self.coeffs
+
+    def _space(self) -> tuple:
+        return (self.ring, self.nvars)
 
     @classmethod
     def zero(cls, ring, nvars):
@@ -61,51 +71,34 @@ class GradedPolynomial:
         exps = tuple(1 if t == k else 0 for t in range(nvars))
         return cls(ring, nvars, {exps: ring.one})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self.coeffs), default=0)
 
     def homogeneous_degree(self) -> int:
         """Common degree of all terms; raises NotHomogeneous otherwise."""
-        degrees = {sum(e) for e in self.terms}
+        degrees = {sum(e) for e in self.coeffs}
         if len(degrees) > 1:
             raise NotHomogeneous(f"mixed degrees {sorted(degrees)}")
         return degrees.pop() if degrees else 0
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.ring.zero)
+        return self.coeffs.get(tuple(exps), self.ring.zero)
 
-    def _check(self, other):
-        if self.ring != other.ring or self.nvars != other.nvars:
-            raise ValueError("polynomials live in different rings")
+    def support(self):
+        return sorted(self.coeffs, key=lambda e: (sum(e), e))
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return GradedPolynomial(self.ring, self.nvars, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return GradedPolynomial(self.ring, self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def scale(self, c):
-        c = self.ring.promote(c)
-        return GradedPolynomial(self.ring, self.nvars,
-                                {e: c * x for e, x in self.terms.items()})
+    def _term(self, exps, c) -> str:
+        mono = "*".join(f"t{k + 1}" if p == 1 else f"t{k + 1}^{p}"
+                        for k, p in enumerate(exps) if p)
+        return f"{c}*{mono}" if mono else f"{c}"
 
     def __mul__(self, other):
         if not isinstance(other, GradedPolynomial):
             return self.scale(other)
         self._check(other)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return GradedPolynomial(self.ring, self.nvars, out)
@@ -124,31 +117,6 @@ class GradedPolynomial:
             base = base * base if n > 1 else base
             n >>= 1
         return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedPolynomial)
-            and self.ring == other.ring
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        raise TypeError("GradedPolynomial is not hashable")
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, key=lambda e: (sum(e), e)):
-            c = self.terms[e]
-            mono = "*".join(
-                f"t{k + 1}" if p == 1 else f"t{k + 1}^{p}"
-                for k, p in enumerate(e)
-                if p
-            )
-            parts.append(f"{c}*{mono}" if mono else f"{c}")
-        return " + ".join(parts)
 
 
 def monomial_exponents(nvars: int, degree: int):
@@ -316,7 +284,7 @@ class WeightRing:
         """
         self._own(f)
         return GradedPolynomial(self.ring, self.nvars,
-                                self._shift_sum(self.gcm.generator(i), f.terms, 0))
+                                self._shift_sum(self.gcm.generator(i), f.coeffs, 0))
 
     def divided_difference(self, i: int, f: GradedPolynomial) -> GradedPolynomial:
         """(f - r_i f) / alpha_i, in closed form without division.
@@ -328,7 +296,7 @@ class WeightRing:
         """
         self._own(f)
         return GradedPolynomial(self.ring, self.nvars,
-                                self._shift_sum(self.gcm.generator(i), f.terms, 1))
+                                self._shift_sum(self.gcm.generator(i), f.coeffs, 1))
 
     def operator_word(self, word, f: GradedPolynomial) -> GradedPolynomial:
         """Composite divided difference along a word (rightmost acts first).
@@ -360,7 +328,7 @@ class WeightRing:
             return SchubertVector.zero(self.ring)
         elements, images = self._integer_images(f.homogeneous_degree())
         row = [0] * len(elements)
-        for exps, c in f.terms.items():
+        for exps, c in f.coeffs.items():
             for k, x in enumerate(images[exps]):
                 row[k] += c * x
         return SchubertVector(self.ring, dict(zip(elements, row)))
@@ -459,7 +427,7 @@ class WeightRing:
         self._own(f)
         p = self._prime()
         out = {}
-        for exps, c in f.terms.items():
+        for exps, c in f.coeffs.items():
             options = []
             for e in exps:
                 options.append(
@@ -484,12 +452,6 @@ class WeightRing:
         return lhs == rhs
 
     # -- serialization ---------------------------------------------------
-
-    def to_jsonable(self, f: GradedPolynomial) -> list:
-        return [
-            {"exponents": list(e), "coefficient": self.ring.to_json(f.terms[e])}
-            for e in sorted(f.terms, key=lambda e: (sum(e), e))
-        ]
 
     def from_jsonable(self, data) -> GradedPolynomial:
         """The polynomial of a JSON list of ``{exponents, coefficient}``

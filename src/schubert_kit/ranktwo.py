@@ -90,22 +90,35 @@ class RankTwoTables:
         return [[1]]
 
 
-def _require_noncompact(a: int, b: int):
+# the entry points read a, b, p and bounds through these, by intmat.as_int,
+# and pass the integers they return on to the inner loops
+def _require_noncompact(a: int, b: int) -> tuple[int, int]:
+    a, b = intmat.as_int(a, "a"), intmat.as_int(b, "b")
     if a < 1 or b < 1 or a * b < 4:
         raise NotHyperbolicOrAffine(
             f"(a, b) = ({a}, {b}) has ab < 4; the compact cases live in the "
             "general modules"
         )
+    return a, b
 
 
-def _require_at_least(low: int, bound: int, name: str):
+def _require_at_least(low: int, bound: int, name: str) -> int:
+    bound = intmat.as_int(bound, name)
     if bound < low:
         raise ValueError(f"{name} must be at least {low}, got {bound}")
+    return bound
+
+
+def _require_prime(p: int) -> int:
+    p = intmat.as_int(p, "p")
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return p
 
 
 def _cd_lists(a: int, b: int, n_max: int):
-    _require_noncompact(a, b)
-    _require_at_least(0, n_max, "n_max")
+    a, b = _require_noncompact(a, b)
+    n_max = _require_at_least(0, n_max, "n_max")
     c = [0, 1]
     d = [0, 1]
     for j in range(1, n_max):
@@ -290,8 +303,8 @@ def leibniz_cup_solver(a: int, b: int, n_max: int) -> RankTwoProductTable:
     families; it never consults them.  Raises ValueError for a negative
     ``n_max``.
     """
-    _require_noncompact(a, b)
-    _require_at_least(0, n_max, "n_max")
+    a, b = _require_noncompact(a, b)
+    n_max = _require_at_least(0, n_max, "n_max")
     size = n_max + 1
     one_d, one_t = (1, 0), (0, 1)
     # row 0 and column 0: products with the unit
@@ -366,8 +379,7 @@ def cup_schubert(table: RankTwoProductTable, gcm: GeneralizedCartanMatrix,
     """Cup product of two rank-two Schubert vectors through the table."""
     from .schubert import SchubertVector
 
-    if u.ring != v.ring:
-        raise ValueError("coefficient rings differ")
+    u._check(v)
     prod = table.cup(schubert_to_pairs(u), schubert_to_pairs(v))
     # UNIT = ("one", 0) maps to the identity: every word of length 0 is empty
     return SchubertVector(u.ring, {basis_element(gcm, *key): c for key, c in prod.items()})
@@ -385,7 +397,7 @@ def hk_integral(a: int, b: int, n_max: int):
     either form (only degree 1) are trivial.  Raises ValueError for a
     negative ``n_max``.
     """
-    _require_at_least(0, n_max, "n_max")
+    n_max = _require_at_least(0, n_max, "n_max")
     tables = cd_sequences(a, b, max(n_max, 1))
     orders = {0: 0, 3: 0, 1: 1}
     for n in range(1, n_max + 1):
@@ -422,9 +434,8 @@ def prime_order_closed(a: int, b: int, p: int) -> PrimeOrderResult:
     x^2 - (ab - 2)x + 1 over F_{p^2} (the two roots are inverses, so the
     order does not depend on the choice).
     """
-    _require_noncompact(a, b)
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    a, b = _require_noncompact(a, b)
+    p = _require_prime(p)
     div_a, div_b = a % p == 0, b % p == 0
     if div_a != div_b:
         return PrimeOrderResult(p, 2 * p, "DividesOneOf")
@@ -457,10 +468,9 @@ def prime_order_scan(a: int, b: int, p: int, n_max: int) -> ScanResult:
     for every n up to the bound.  A missing k just means the bound was too
     small.  Raises ValueError for a non-prime p or a negative ``n_max``.
     """
-    _require_noncompact(a, b)
-    _require_at_least(0, n_max, "n_max")
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    a, b = _require_noncompact(a, b)
+    n_max = _require_at_least(0, n_max, "n_max")
+    p = _require_prime(p)
     k, ok = None, True
     c0, c1, d0, d1 = 0, 1, 0, 1
     for n in range(1, n_max + 1):
@@ -483,11 +493,10 @@ def matrix_order_method(a: int, b: int, p: int) -> int:
     criterion degenerates; that branch of the argument gives k = p
     directly.
     """
-    _require_noncompact(a, b)
+    a, b = _require_noncompact(a, b)
+    p = _require_prime(p)
     if p == 2:
         raise OddPrimeRequired("the matrix method requires an odd prime")
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if (a * b - 4) % p == 0:
         return p
     field = quadratic_field(p)
@@ -565,7 +574,7 @@ def _valuation_rows(a: int, b: int, p: int, s_max: int) -> list[tuple[int, int, 
     x_{(s+2)k} = V_k x_{sk} - x_{(s-2)k}: one step per s from x_{-k} = -x_k,
     x_0 = 0, x_k and x_{2k}, and c, d are built to index 2k only.
     """
-    _require_at_least(1, s_max, "s_max")
+    s_max = _require_at_least(1, s_max, "s_max")
     k = prime_order_closed(a, b, p).k
     c, d = _cd_lists(a, b, 2 * k)
     t = a * b - 2
@@ -676,7 +685,7 @@ def hk_modp_crosscheck(a: int, b: int, p: int, deg_max: int) -> bool:
     dimension in degree m, and a finite one also gives one in degree m-1.
     Raises ValueError for a negative ``deg_max``.
     """
-    _require_at_least(0, deg_max, "deg_max")
+    deg_max = _require_at_least(0, deg_max, "deg_max")
     k = prime_order_closed(a, b, p).k
     # side one: (1 + t^3)(1 + t^{2k-1}) / (1 - t^{2k})
     side1 = [0] * (deg_max + 1)

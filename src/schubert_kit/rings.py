@@ -1,12 +1,12 @@
-"""Exact coefficient rings: integers, rationals and prime fields.
+"""Exact coefficient rings (integers, rationals, prime fields) and
+``Combination``, the one container type over them.
 
-Every container (Schubert vectors, tensors, polynomials) carries one of
-these ring descriptors.  Elements are plain Python values: ``int`` for Z
-and F_p (reduced to ``0..p-1``), ``fractions.Fraction`` for Q, and
-the containers combine them with Python's ``+``, ``-`` and ``*``.  A
-coefficient is read and reduced in one place, ``promote``, which every
-container constructor applies through ``_reduced``; so a stored coefficient
-is always reduced and nonzero.  Rings are never mixed inside one container.
+Schubert vectors, tensors and polynomials are combinations: dicts from keys
+to elements of one ring.  Elements are plain Python values: ``int`` for Z
+and F_p (reduced to ``0..p-1``), ``fractions.Fraction`` for Q, combined
+with Python's ``+``, ``-`` and ``*``.  A coefficient is read and reduced in
+one place, ``promote``, which every constructor applies through
+``_reduced``; so a stored coefficient is always reduced and nonzero.
 """
 
 from __future__ import annotations
@@ -136,6 +136,66 @@ def _reduced(ring, coeffs) -> dict:
         if c:
             out[key] = c
     return out
+
+
+class Combination:
+    """A finite linear combination of keys, stored as ``coeffs``.
+
+    A subclass supplies its key order, ``support``, and the text of one
+    term, ``_term``.  ``_space`` is what two combinations of one class must
+    share to add or be equal (the ring, and a polynomial's number of
+    variables), and the constructor's arguments before the terms.
+    """
+
+    __slots__ = ("ring", "coeffs")
+
+    def __init__(self, ring, coeffs=None):
+        self.ring = ring
+        self.coeffs = _reduced(ring, coeffs)
+
+    def _space(self) -> tuple:
+        return (self.ring,)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def coefficient(self, key):
+        return self.coeffs.get(key, self.ring.zero)
+
+    def items(self):
+        return [(key, self.coeffs[key]) for key in self.support()]
+
+    def scale(self, c):
+        c = self.ring.promote(c)
+        return type(self)(*self._space(), {k: c * x for k, x in self.coeffs.items()})
+
+    def _check(self, other):
+        if type(other) is not type(self) or other._space() != self._space():
+            raise ValueError(f"cannot combine a {type(self).__name__} with a "
+                             f"{type(other).__name__}: their classes or rings differ")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0) + c
+        return type(self)(*self._space(), out)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and other._space() == self._space()
+                and other.coeffs == self.coeffs)
+
+    def __hash__(self):
+        raise TypeError(f"{type(self).__name__} is not hashable")
+
+    def __repr__(self) -> str:
+        return " + ".join(self._term(k, c) for k, c in self.items()) or "0"
 
 
 def parse_ring(name: str):

@@ -1,9 +1,11 @@
 """The free graded module on Schubert classes and its operator calculus.
 
 A ``SchubertVector`` is a finite formal sum of basis classes indexed by
-group elements, graded by twice the length.  The annihilation operator for
-generator ``i`` sends the class of ``w`` to the class of ``w r_i`` when that
-is shorter and to zero otherwise; composites along reduced words give the
+group elements, graded by twice the length, and a ``TensorVector`` one of
+ordered pairs of classes: ``rings.Combination``s that add only their key
+order and the text of a term.  The annihilation operator for generator
+``i`` sends the class of ``w`` to the class of ``w r_i`` when that is
+shorter and to zero otherwise; composites along reduced words give the
 full operator basis.  The coproduct of a basis class sums the tensors over
 all length-additive factorizations of its element, read off the right
 weak-order interval below it.
@@ -19,7 +21,7 @@ from __future__ import annotations
 from . import intmat
 from .errors import NotReduced
 from .gcm import GeneralizedCartanMatrix
-from .rings import ZZ, _reduced
+from .rings import ZZ, Combination
 from .weyl import (
     WeylElement,
     _is_negative_column,
@@ -31,14 +33,14 @@ from .weyl import (
 )
 
 
-class SchubertVector:
+def _word_text(w: WeylElement) -> str:
+    return ",".join(map(str, w.word)) if w.length else "e"
+
+
+class SchubertVector(Combination):
     """Finite formal sum of Schubert classes with exact coefficients."""
 
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs=None):
-        self.ring = ring
-        self.coeffs = _reduced(ring, coeffs)
+    __slots__ = ()
 
     @classmethod
     def zero(cls, ring):
@@ -48,96 +50,26 @@ class SchubertVector:
     def basis(cls, ring, w: WeylElement):
         return cls(ring, {w: ring.one})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, w: WeylElement):
-        return self.coeffs.get(w, self.ring.zero)
-
     def support(self):
         return sorted(self.coeffs, key=lambda w: (w.length, w.word))
 
-    def items(self):
-        return [(w, self.coeffs[w]) for w in self.support()]
-
-    def scale(self, c) -> "SchubertVector":
-        c = self.ring.promote(c)
-        return SchubertVector(self.ring, {w: c * x for w, x in self.coeffs.items()})
-
-    def __add__(self, other: "SchubertVector") -> "SchubertVector":
-        self._check(other)
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, 0) + c
-        return SchubertVector(self.ring, out)
-
-    def __sub__(self, other: "SchubertVector") -> "SchubertVector":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "SchubertVector":
-        return self.scale(-1)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SchubertVector)
-            and self.ring == other.ring
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        raise TypeError("SchubertVector is not hashable")
-
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise ValueError("coefficient rings differ")
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for w, c in self.items():
-            word = ",".join(map(str, w.word)) if w.length else "e"
-            parts.append(f"{c}*d[{word}]")
-        return " + ".join(parts)
+    def _term(self, w, c) -> str:
+        return f"{c}*d[{_word_text(w)}]"
 
 
-class TensorVector:
+class TensorVector(Combination):
     """Finite sum of ordered tensor pairs of Schubert classes."""
 
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs=None):
-        self.ring = ring
-        self.coeffs = _reduced(ring, coeffs)
+    __slots__ = ()
 
     def coefficient(self, u: WeylElement, v: WeylElement):
         return self.coeffs.get((u, v), self.ring.zero)
 
     def support(self):
-        return sorted(
-            self.coeffs, key=lambda p: (p[0].length, p[0].word, p[1].word)
-        )
+        return sorted(self.coeffs, key=lambda p: (p[0].length, p[0].word, p[1].word))
 
-    def items(self):
-        return [(p, self.coeffs[p]) for p in self.support()]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorVector)
-            and self.ring == other.ring
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        raise TypeError("TensorVector is not hashable")
-
-    def __repr__(self) -> str:
-        parts = []
-        for (u, v), c in self.items():
-            lw = ",".join(map(str, u.word)) if u.length else "e"
-            rw = ",".join(map(str, v.word)) if v.length else "e"
-            parts.append(f"{c}*d[{lw}](x)d[{rw}]")
-        return " + ".join(parts) if parts else "0"
+    def _term(self, pair, c) -> str:
+        return f"{c}*d[{_word_text(pair[0])}](x)d[{_word_text(pair[1])}]"
 
 
 def _check_letter_positive(i) -> None:
@@ -313,4 +245,5 @@ def tensor_to_jsonable(t: TensorVector) -> list:
 
 
 def identity_vector(gcm: GeneralizedCartanMatrix, ring) -> SchubertVector:
+    """The class of the identity, the unit of the Schubert basis."""
     return SchubertVector.basis(ring, identity_element(gcm))

@@ -237,7 +237,3 @@ def longest_element(gcm: GeneralizedCartanMatrix, subset) -> WeylElement:
 def to_dict(w: WeylElement) -> dict:
     """Interchange form; matrices are derived data and never serialized."""
     return {"word": list(w.word)}
-
-
-def from_dict(gcm: GeneralizedCartanMatrix, data: dict) -> WeylElement:
-    return from_word(gcm, data["word"])

@@ -1,0 +1,80 @@
+"""Every definition in the package has a caller in the package, except a short
+list of public, documented entry points that only users and tests call.
+
+A definition is a top-level function or class, or a method of a top-level
+class; dunder methods are called by Python itself and are not listed.  A name
+counts as called when it appears anywhere in the package outside its own body:
+as a name, an attribute, an imported name or an identifier string (the lazy
+export table of ``__init__`` names the public surface that way).  The check
+is by name, so a method shares its callers with every definition of the same
+name.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import schubert_kit
+
+SRC = Path(schubert_kit.__file__).resolve().parent
+
+# public, documented names whose callers live outside the package
+ENTRY_POINTS = {
+    "gcm.GeneralizedCartanMatrix.to_dict",
+    "polyring.WeightRing.generalized_invariants",
+    "ranktwo.cup_schubert",
+    "ranktwo.generalized_binomial_C",
+    "ranktwo.generalized_binomial_D",
+    "ranktwo.p_adic_valuation",
+    "schubert.counit_collapse",
+    "schubert.identity_vector",
+    "selftests.coproduct_matches_definition",
+    "weyl.to_dict",
+}
+
+
+def named(node):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            yield n.value
+
+
+def definitions(module, tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield f"{module}.{node.name}.{sub.name}", sub
+
+
+def uncalled():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    uses = Counter(name for tree in trees.values() for name in named(tree))
+    out = {}
+    for module, tree in trees.items():
+        for qualname, node in definitions(module, tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if uses[name] == Counter(named(node))[name]:
+                out[qualname] = node
+    return out
+
+
+def test_only_the_entry_points_lack_a_caller():
+    assert sorted(uncalled()) == sorted(ENTRY_POINTS)
+
+
+def test_entry_points_are_public_and_documented():
+    for qualname, node in uncalled().items():
+        assert not node.name.startswith("_"), qualname
+        assert ast.get_docstring(node), qualname

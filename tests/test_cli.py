@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from schubert_kit import cli, selftests
-from schubert_kit.errors import NonIntegral
+from schubert_kit.errors import TheoremViolation
 from schubert_kit.gcm import rank_two
 
 
@@ -250,7 +250,7 @@ def test_selftest_reports_a_broken_check(monkeypatch, capsys):
 
 def test_theorem_violation_exit_code(monkeypatch, capsys):
     def boom(a, b, n):
-        raise NonIntegral("forced for the exit-code contract")
+        raise TheoremViolation("forced for the exit-code contract")
 
     monkeypatch.setattr("schubert_kit.ranktwo.cd_sequences", boom)
     code = cli.main(["rank2", "table", "-a", "2", "-b", "2", "-N", "3"])

@@ -9,7 +9,7 @@ import pytest
 
 from schubert_kit.gcm import rank_two
 from schubert_kit.polyring import GradedPolynomial
-from schubert_kit.rings import GF, QQ, ZZ
+from schubert_kit.rings import GF, QQ, ZZ, Combination
 from schubert_kit.schubert import SchubertVector, TensorVector, peterson_coproduct
 from schubert_kit.weyl import from_word
 
@@ -89,9 +89,16 @@ def test_items_in_print_order():
     assert t.support() == [p for p, _ in t.items()]
 
 
+def test_polynomial_items_by_degree_then_exponents():
+    f = GradedPolynomial(ZZ, 2, {(2, 0): 4, (0, 2): 2, (1, 1): 3, (0, 0): 1, (1, 0): 5})
+    assert f.items() == [((0, 0), 1), ((1, 0), 5), ((0, 2), 2), ((1, 1), 3), ((2, 0), 4)]
+    assert f.coefficient([1, 1]) == 3 and f.terms is f.coeffs
+
+
 MISMATCHED = {
     "vector-rings": (vector(ZZ), vector(GF(2))),
     "vector-q-fp": (vector(QQ), vector(GF(3))),
+    "tensor-rings": (tensor(ZZ), tensor(GF(2))),
     "polynomial-rings": (poly(ZZ), poly(QQ)),
     "polynomial-nvars": (poly(ZZ, 2), poly(ZZ, 3)),
 }
@@ -151,3 +158,20 @@ CROSS_CLASS = [
 def test_arithmetic_across_classes_is_refused(left, right, op):
     with pytest.raises(ValueError):
         op(MAKERS[left](ZZ), MAKERS[right](ZZ))
+
+
+@pytest.mark.parametrize("kind", MAKERS)
+def test_one_arithmetic_for_every_class(kind):
+    x = MAKERS[kind](GF(3))
+    assert x + x == x.scale(2) == -x
+    assert (x - x).is_zero() and not x.is_zero()
+    assert repr(x.scale(0)) == "0"
+
+
+@pytest.mark.parametrize("cls", [SchubertVector, TensorVector, GradedPolynomial],
+                         ids=lambda c: c.__name__)
+def test_the_shared_rules_live_in_the_base_class(cls):
+    shared = ("__eq__", "__hash__", "_check", "__add__", "__sub__", "__neg__",
+              "scale", "is_zero", "items", "__repr__")
+    assert issubclass(cls, Combination)
+    assert not set(shared) & set(vars(cls))

@@ -66,6 +66,17 @@ NOT_INTEGERS = {
     "valuation-float-base": lambda: ranktwo.p_adic_valuation(6, 2.5),
     "valuation-float-n": lambda: ranktwo.p_adic_valuation(12.0, 2),
     "valuation-bool": lambda: ranktwo.p_adic_valuation(True, 2),
+    "prime-order-float-p": lambda: ranktwo.prime_order_closed(2, 3, 3.0),
+    "prime-order-bool-a": lambda: ranktwo.prime_order_closed(True, 4, 3),
+    "prime-scan-float-p": lambda: ranktwo.prime_order_scan(2, 3, 3.0, 10),
+    "matrix-order-str-p": lambda: ranktwo.matrix_order_method(2, 3, "5"),
+    "leibniz-bool-a": lambda: ranktwo.leibniz_cup_solver(True, 4, 3),
+    "leibniz-float-bound": lambda: ranktwo.leibniz_cup_solver(2, 3, 3.0),
+    "cd-sequences-float-a": lambda: ranktwo.cd_sequences(2.5, 3, 4),
+    "hk-integral-float-bound": lambda: ranktwo.hk_integral(2, 3, 2.0),
+    "bockstein-float-p": lambda: ranktwo.bockstein_valuation_check(2, 3, 3.0, 5),
+    "bockstein-float-bound": lambda: ranktwo.bockstein_valuation_check(2, 3, 3, 5.0),
+    "hk-modp-float-bound": lambda: ranktwo.hk_modp_crosscheck(2, 3, 3, 4.0),
 }
 
 

@@ -13,7 +13,7 @@ import schubert_kit
 # read the package's own table
 HOMES = {
     "errors": (
-        "DiagonalNotTwo", "GCMValidationError", "NonIntegral", "NotHomogeneous",
+        "DiagonalNotTwo", "GCMValidationError", "NotHomogeneous",
         "NotHyperbolicOrAffine", "NotInGroup", "NotReduced", "NotSpherical",
         "OddPrimeRequired", "PositiveOffDiagonal", "SchubertKitError",
         "TheoremViolation", "UnderdeterminedSystem", "ZeroAsymmetry", "ZeroElement",

@@ -260,5 +260,6 @@ def test_steenrod_sides_on_dual_generator(gcm_a23):
 def test_polynomial_serialization(gcm_a23):
     model = WeightRing(gcm_a23, QQ)
     f = model.from_terms([((1, 2), "1/3"), ((0, 0), 2)])
-    data = model.to_jsonable(f)
+    data = [{"exponents": [0, 0], "coefficient": 2},
+            {"exponents": [1, 2], "coefficient": "1/3"}]
     assert model.from_jsonable(data) == f
