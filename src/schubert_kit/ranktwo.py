@@ -639,11 +639,13 @@ def dual_polynomial_check(a: int, b: int, p: int, n_max: int) -> bool:
     when the coefficient of tau_k (x) tau_{(n-1)k} in the coproduct of
     tau_{nk}, rewritten through the quotient functionals, is nonzero
     mod p.  The coproduct comes from ``peterson_coproduct``, which walks the
-    weak-order interval in the group, not from any closed form.
+    weak-order interval in the group, not from any closed form.  Raises
+    ValueError for a negative ``n_max``.
     """
     from .gcm import rank_two
     from .schubert import peterson_coproduct
 
+    n_max = _require_at_least(0, n_max, "n_max")
     k = prime_order_closed(a, b, p).k
     tables = cd_sequences(a, b, n_max * k + 1)
     gcm = rank_two(a, b)

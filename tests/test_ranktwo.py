@@ -562,6 +562,13 @@ def test_dual_polynomial_check():
     assert mod_p_identities(dual_polynomial=cases) == []
 
 
+@pytest.mark.parametrize("n_max,message", [(-1, "n_max must be at least 0, got -1"),
+                                           (2.0, "n_max 2.0 is not an integer")])
+def test_dual_polynomial_check_reads_its_own_bound(n_max, message):
+    with pytest.raises(ValueError, match=message):
+        ranktwo.dual_polynomial_check(2, 3, 3, n_max)
+
+
 def test_hk_modp_crosscheck():
     cases = [(2, 2, 2, 40), (2, 2, 3, 40), (2, 3, 3, 40), (1, 5, 2, 40)]
     assert mod_p_identities(hk_modp=cases) == []
