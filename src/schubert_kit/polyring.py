@@ -107,6 +107,7 @@ class GradedPolynomial(Combination):
         return self.scale(other)
 
     def __pow__(self, n: int):
+        n = intmat.as_int(n, "exponent")
         if n < 0:
             raise ValueError("negative power")
         out = GradedPolynomial.constant(self.ring, self.nvars, 1)

@@ -220,19 +220,40 @@ class RankTwoProductTable:
     ``constants(kind1, m, kind2, n)`` is the pair (P, Q) with
     x_m cup y_n = P delta_{m+n} + Q tau_{m+n}, for 1 <= m, n, m+n <= N.
     ``cup`` extends bilinearly to sparse vectors keyed by basis keys.
+
+    Only two integer tables are stored, both indexed one above the half
+    degree: ``D[m + 1][n + 1]`` is P(delta_m delta_n) and
+    ``T[m + 1][n + 1]`` is Q(tau_m tau_n); the other coefficient of
+    these two products is 0.  Index 1 is the unit (every entry there is
+    1) and index 0 a border of zeros standing for degree -1.  A mixed
+    product is a copy of two lower-degree entries, by the Leibniz steps
+    of ``leibniz_cup_solver``: delta_m tau_n is
+    (Q(tau_{m-1} tau_n), P(delta_m delta_{n-1})) = (T[m][n + 1], D[m + 1][n])
+    and tau_m delta_n is (Q(tau_m tau_{n-1}), P(delta_{m-1} delta_n)) =
+    (T[m + 1][n], D[m][n + 1]); at m = 1 or n = 1 one of them is a unit
+    entry.  An unknown kind raises KeyError.
     """
 
-    def __init__(self, a: int, b: int, n_max: int, tables: dict):
-        self.a = a
-        self.b = b
+    def __init__(self, n_max: int, delta: list[list[int]], tau: list[list[int]]):
         self.max_half_degree = n_max
-        # (kind1, kind2) -> rows indexed [m][n]
-        self._tables = tables
+        self._delta = delta
+        self._tau = tau
 
     def constants(self, kind1: str, m: int, kind2: str, n: int):
         if m < 1 or n < 1 or m + n > self.max_half_degree:
             raise ValueError("product outside the table bound")
-        return self._tables[kind1, kind2][m][n]
+        D, T = self._delta, self._tau
+        if kind1 == DELTA:
+            if kind2 == DELTA:
+                return (D[m + 1][n + 1], 0)
+            if kind2 == TAU:
+                return (T[m][n + 1], D[m + 1][n])
+        elif kind1 == TAU:
+            if kind2 == TAU:
+                return (0, T[m + 1][n + 1])
+            if kind2 == DELTA:
+                return (T[m + 1][n], D[m][n + 1])
+        raise KeyError((kind1, kind2))
 
     def product(self, key1, key2) -> dict:
         """Product of two basis keys as a sparse vector (unit-aware)."""
@@ -286,18 +307,24 @@ def leibniz_cup_solver(a: int, b: int, n_max: int) -> RankTwoProductTable:
         tau_m delta_n:    P = Q(tau_m tau_{n-1}), Q = P(delta_{m-1} delta_n);
         tau_m tau_n:      P = 0, and Q from A_2 (both terms).
 
-    The constants live in four lists of rows, one per kind pair, indexed
-    ``[m][n]``; row 0 and column 0 hold the unit products (the unit times
-    y_n is y_n, and x_m times the unit is x_m), which is where A_i(x) or
-    A_i(y) is the unit.  Degrees are solved in increasing order, and within
-    one the steps run for m = 1 .. s-1 and the kind pairs in the order
-    above.  The two reflections r_1(delta_n) and r_2(tau_n) are pairs in
-    degree n, kept in two lists and computed once as soon as degree n is
-    complete (r_1(tau_n) = tau_n and r_2(delta_n) = delta_n).  For the
-    delta-delta and tau-tau steps the coordinate the operator must kill
-    (delta_{s-1} for A_1, tau_{s-1} for A_2) is computed and a nonzero value
-    raises UnderdeterminedSystem; in the two mixed steps that coordinate is
-    a zero coefficient of a delta-delta or tau-tau product.
+    The two mixed steps only copy products of degree s-1, so nothing is
+    stored for them: the solver fills the two integer tables D and T of
+    ``RankTwoProductTable`` (layout, unit and border there), and in their
+    indices the A_1 step for delta_m delta_n is
+
+        P = r_d D[m-1][n+1] + r_t T[m][n+1] + D[m+1][n-1],
+
+    with (r_d, r_t) = r_1(delta_n); the A_2 step for tau_m tau_n mirrors it
+    with r_2(tau_n).  Degrees are solved in increasing order, and within
+    one the steps run for m = 1 .. s-1, delta-delta before tau-tau; every
+    read is of degree s-1 or lower.  The two reflections r_1(delta_n) and
+    r_2(tau_n) are pairs in degree n, kept in two lists and computed once
+    as soon as degree n is complete (r_1(tau_n) = tau_n and
+    r_2(delta_n) = delta_n).  For the delta-delta and tau-tau steps the
+    coordinate the operator must kill (delta_{s-1} for A_1, tau_{s-1} for
+    A_2) is computed and a nonzero value raises UnderdeterminedSystem; in
+    the two mixed steps that coordinate is a zero coefficient of a
+    delta-delta or tau-tau product.
 
     This solver is the independent oracle for the closed-form product
     families; it never consults them.  Raises ValueError for a negative
@@ -305,50 +332,40 @@ def leibniz_cup_solver(a: int, b: int, n_max: int) -> RankTwoProductTable:
     """
     a, b = _require_noncompact(a, b)
     n_max = _require_at_least(0, n_max, "n_max")
-    size = n_max + 1
-    one_d, one_t = (1, 0), (0, 1)
-    # row 0 and column 0: products with the unit
-    dd = [[one_d] * size] + [[one_d] + [None] * n_max for _ in range(n_max)]
-    dt = [[one_t] * size] + [[one_d] + [None] * n_max for _ in range(n_max)]
-    td = [[one_d] * size] + [[one_t] + [None] * n_max for _ in range(n_max)]
-    tt = [[one_t] * size] + [[one_t] + [None] * n_max for _ in range(n_max)]
+    # row and column 0: the border; row and column 1: the unit
+    D = [[0] * (n_max + 1), [0] + [1] * n_max]
+    D += ([0, 1] + [None] * (n_max - 1) for _ in range(n_max - 1))
+    T = [list(row) for row in D]
     # r_1(delta_n) and r_2(tau_n) as (delta_n, tau_n) pairs; index 0 unused
     r1_delta = [None]
     r2_tau = [None]
 
     for s in range(2, n_max + 1):
         # degree s - 1 is complete: r_i(y) = y - alpha_i A_i(y), with
-        # alpha_1 = 2 delta - b tau and alpha_2 = -a delta + 2 tau
-        dt_p, dt_q = dt[1][s - 2]
-        td_p, td_q = td[1][s - 2]
-        r1_delta.append((1 - 2 * dt_p, b * tt[1][s - 2][1] - 2 * dt_q))
-        r2_tau.append((a * dd[1][s - 2][0] - 2 * td_p, 1 - 2 * td_q))
+        # alpha_1 = 2 delta - b tau and alpha_2 = -a delta + 2 tau; the
+        # products read are delta_1 tau_{s-2}, tau_1 tau_{s-2},
+        # tau_1 delta_{s-2} and delta_1 delta_{s-2}
+        r1_delta.append((1 - 2 * T[1][s - 1], b * T[2][s - 1] - 2 * D[2][s - 2]))
+        r2_tau.append((a * D[2][s - 1] - 2 * T[2][s - 2], 1 - 2 * D[1][s - 1]))
         for m in range(1, s):
             n = s - m
-            dd_m, dd_l = dd[m], dd[m - 1]
-            dt_m, dt_l = dt[m], dt[m - 1]
-            td_m, td_l = td[m], td[m - 1]
-            tt_m, tt_l = tt[m], tt[m - 1]
-            # delta delta: A_1 = A_1(delta_m) r_1(delta_n) + delta_m A_1(delta_n)
+            D_l, D_m, D_h = D[m - 1], D[m], D[m + 1]
+            T_l, T_m, T_h = T[m - 1], T[m], T[m + 1]
+            # delta delta: A_1 = A_1(delta_m) r_1(delta_n) + delta_m A_1(delta_n),
+            # with A_1(delta_m) = tau_{m-1}, tau_{m-1} delta_n = (T_m[n], D_l[n+1])
+            # and delta_m tau_{n-1} = (T_m[n], D_h[n-1])
             r_d, r_t = r1_delta[n]
-            x_p, x_q = td_l[n]
-            y_p, y_q = dt_m[n - 1]
-            if r_d * x_p + y_p:
+            if r_d * T_m[n] + T_m[n]:
                 raise _unexpected(1, DELTA, m, DELTA, n, DELTA)
-            dd_m[n] = (r_d * x_q + r_t * tt_l[n][1] + y_q, 0)
-            # delta tau: A_1 = A_1(delta_m) tau_n, A_2 = delta_m A_2(tau_n)
-            dt_m[n] = (tt_l[n][1], dd_m[n - 1][0])
-            # tau delta: A_1 = tau_m A_1(delta_n), A_2 = A_2(tau_m) delta_n
-            td_m[n] = (tt_m[n - 1][1], dd_l[n][0])
-            # tau tau: A_2 = A_2(tau_m) r_2(tau_n) + tau_m A_2(tau_n)
+            D_h[n + 1] = r_d * D_l[n + 1] + r_t * T_m[n + 1] + D_h[n - 1]
+            # tau tau: A_2 = A_2(tau_m) r_2(tau_n) + tau_m A_2(tau_n),
+            # with delta_{m-1} tau_n = (T_l[n+1], D_m[n])
+            # and tau_m delta_{n-1} = (T_h[n-1], D_m[n])
             r_d, r_t = r2_tau[n]
-            x_p, x_q = dt_l[n]
-            y_p, y_q = td_m[n - 1]
-            if r_t * x_q + y_q:
+            if r_t * D_m[n] + D_m[n]:
                 raise _unexpected(2, TAU, m, TAU, n, TAU)
-            tt_m[n] = (0, r_d * dd_l[n][0] + r_t * x_p + y_p)
-    tables = {(DELTA, DELTA): dd, (DELTA, TAU): dt, (TAU, DELTA): td, (TAU, TAU): tt}
-    return RankTwoProductTable(a, b, n_max, tables)
+            T_h[n + 1] = r_d * D_m[n + 1] + r_t * T_l[n + 1] + T_h[n - 1]
+    return RankTwoProductTable(n_max, D, T)
 
 
 def closed_generator_product(tables: RankTwoTables, gen_kind: str,
@@ -466,7 +483,16 @@ def prime_order_scan(a: int, b: int, p: int, n_max: int) -> ScanResult:
     p | g_n exactly when p divides both c_n and d_n, so the recursion runs
     modulo p.  When k is found the pattern check verifies p | g_n iff k | n
     for every n up to the bound.  A missing k just means the bound was too
-    small.  Raises ValueError for a non-prime p or a negative ``n_max``.
+    small.
+
+    The step (c_{n-1}, c_n, d_{n-1}, d_n) -> (c_n, c_{n+1}, d_n, d_{n+1}) is
+    invertible mod p (c_{n-1} = a d_n - c_{n+1}, and likewise for d), so the
+    states are purely periodic: they return to the start state
+    (c_{-1}, c_0, d_{-1}, d_0) = (-1, 0, -1, 0) at some n = P, which is a hit.
+    From there the hits repeat with period P, and k divides P, so a pattern
+    that holds up to P holds for every n.  The scan stops at P when P < n_max;
+    ``scanned_to`` is n_max all the same, the bound the result is decided
+    up to.  Raises ValueError for a non-prime p or a negative ``n_max``.
     """
     a, b = _require_noncompact(a, b)
     n_max = _require_at_least(0, n_max, "n_max")
@@ -480,6 +506,8 @@ def prime_order_scan(a: int, b: int, p: int, n_max: int) -> ScanResult:
                 k = n
         elif hit != (n % k == 0):
             ok = False
+        if hit and c0 == d0 == p - 1:
+            break  # the start state again: n is the period
         c0, c1, d0, d1 = c1, (a * d1 - c0) % p, d1, (b * c1 - d0) % p
     return ScanResult(k, ok, n_max)
 

@@ -63,6 +63,9 @@ NOT_INTEGERS = {
     "gen-bool": lambda: WeightRing(G, QQ).gen(True),
     "gen-float": lambda: WeightRing(G, QQ).gen(1.0),
     "gen-str": lambda: WeightRing(G, QQ).gen("1"),
+    "power-bool": lambda: T1 ** True,
+    "power-float": lambda: T1 ** 2.0,
+    "power-str": lambda: T1 ** "2",
     "valuation-float-base": lambda: ranktwo.p_adic_valuation(6, 2.5),
     "valuation-float-n": lambda: ranktwo.p_adic_valuation(12.0, 2),
     "valuation-bool": lambda: ranktwo.p_adic_valuation(True, 2),

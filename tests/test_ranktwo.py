@@ -192,6 +192,8 @@ def _associativity_table(a, b, n_max):
 @pytest.mark.parametrize("a, b, n_max", [
     (2, 3, 60), (2, 3, 40), (3, 2, 40), (1, 5, 30), (5, 1, 30), (3, 3, 30),
     (2, 2, 30), (1, 4, 25), (4, 1, 25), (7, 9, 20),
+    # every constant of these sits on or next to the unit border
+    (2, 3, 2), (2, 3, 3), (1, 4, 3),
 ])
 def test_solver_matches_associativity_oracle(a, b, n_max):
     table = ranktwo.leibniz_cup_solver(a, b, n_max)
@@ -359,6 +361,8 @@ def test_prime_order_scan():
     assert s.k == 6 and s.pattern_consistent
     s = ranktwo.prime_order_scan(2, 3, 3, 5)
     assert s.k is None and not s.found
+    # only the stop at the period can finish this bound
+    assert ranktwo.prime_order_scan(2, 3, 3, 10**12) == ranktwo.ScanResult(6, True, 10**12)
 
 
 def _gcd_scan(a, b, p, n_max):
@@ -369,13 +373,20 @@ def _gcd_scan(a, b, p, n_max):
     return k, k is None or all(hit == (n % k == 0) for n, hit in enumerate(hits, 1))
 
 
+def _period(c, d, p):
+    """Least n >= 1 with (c_{n-1}, c_n, d_{n-1}, d_n) = (-1, 0, -1, 0) mod p."""
+    return next(n for n in range(1, len(c))
+                if c[n] % p == d[n] % p == 0 and (c[n - 1] + 1) % p == (d[n - 1] + 1) % p == 0)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29])
 def test_prime_order_scan_matches_gcd_scan(p):
     for a in range(1, 7):
         for b in range(1, 7):
             if a * b < 4:
                 continue
-            for n_max in (0, 1, 5, 200):
+            period = _period(*_own_cd(a, b, 200), p)
+            for n_max in (0, 1, 5, period - 1, period, 200):
                 s = ranktwo.prime_order_scan(a, b, p, n_max)
                 k, consistent = _gcd_scan(a, b, p, n_max)
                 assert (s.k, s.pattern_consistent, s.scanned_to) == (k, consistent, n_max)
