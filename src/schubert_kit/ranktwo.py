@@ -489,10 +489,11 @@ def prime_order_scan(a: int, b: int, p: int, n_max: int) -> ScanResult:
     invertible mod p (c_{n-1} = a d_n - c_{n+1}, and likewise for d), so the
     states are purely periodic: they return to the start state
     (c_{-1}, c_0, d_{-1}, d_0) = (-1, 0, -1, 0) at some n = P, which is a hit.
-    From there the hits repeat with period P, and k divides P, so a pattern
-    that holds up to P holds for every n.  The scan stops at P when P < n_max;
-    ``scanned_to`` is n_max all the same, the bound the result is decided
-    up to.  Raises ValueError for a non-prime p or a negative ``n_max``.
+    From there the hits repeat with period P.  If the pattern holds up to P,
+    then k divides P and it holds for every n; if not, it has already failed
+    within the bound.  So the scan stops at P when P < n_max, and
+    ``scanned_to`` is n_max all the same: the bound the result is decided up
+    to.  Raises ValueError for a non-prime p or a negative ``n_max``.
     """
     a, b = _require_noncompact(a, b)
     n_max = _require_at_least(0, n_max, "n_max")
