@@ -18,15 +18,17 @@ failed check on stderr, and exit 3 if any check fails.
 The parser is declared once, by the ``COMMANDS`` table: each command group
 with its help text and, for each subcommand, its handler, help text and
 options.  ``build_parser`` adds --format, --output and --selftest to every
-subcommand.  Handlers pass rows of plain values to ``_emit``; a list-valued
-cell is a word, shown as ``1,2,1`` (or ``e`` when empty) in table and CSV
-and kept as a list in JSON.  Each handler imports the modules it uses, so a
-command loads only what its group needs.
+subcommand.  A handler returns its table, ``(params, bounds, columns, rows)``
+and optional extras, with rows of plain values; ``main`` alone renders it
+through ``_emit`` and returns the exit code.  A list-valued cell is a word,
+shown as ``1,2,1`` (or ``e`` when empty) in table and CSV and kept as a list
+in JSON.  Each handler imports the modules it uses, so a command loads only
+what its group needs.
 
 Input checks live in the library: the JSON of --class and --poly goes from
 ``json.loads`` straight to its decoder, and the words, exponents and bounds
-the library rejects raise ValueError, which exits 2.  The parser also
-range-checks --max-len, -S and the -N of products and hk.
+the library rejects raise ValueError, which exits 2.  The parser reads
+integers only; it checks no range.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ def _word_text(word) -> str:
     return ",".join(map(str, word)) or "e"
 
 
-def _emit(args, params: dict, bounds: dict, columns, rows, extras=None):
-    """Render rows (list of dicts) in the selected format, deterministically."""
+def _emit(args, params: dict, bounds: dict, columns, rows, extras=None) -> int:
+    """Render rows (list of dicts) in the selected format, deterministically;
+    the exit code of every rendered table is EXIT_OK."""
     cells = [
         [_word_text(row[c]) if isinstance(row[c], list) else row[c] for c in columns]
         for row in rows
@@ -87,6 +90,7 @@ def _emit(args, params: dict, bounds: dict, columns, rows, extras=None):
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return EXIT_OK
 
 
 def _run_selftest(group: str) -> int:
@@ -136,15 +140,13 @@ def cmd_gcm_check(args):
     g = _gcm_from_args(args)
     poset = spherical_poset(g)
     rows = [{"subset": _fmt_subset(s), "size": len(s)} for s in poset.subsets]
-    _emit(
-        args,
+    return (
         {"matrix": repr(g), "labels": ",".join(g.labels)},
         {},
         ["subset", "size"],
         rows,
         {"valid": True, "spherical_subsets": len(rows)},
     )
-    return EXIT_OK
 
 
 def cmd_gcm_poset(args):
@@ -156,15 +158,13 @@ def cmd_gcm_poset(args):
         {"subset": _fmt_subset(sub), "covered_by": _fmt_subset(sup)}
         for sub, sup in poset.covers
     ]
-    _emit(
-        args,
+    return (
         {"matrix": repr(g)},
         {},
         ["subset", "covered_by"],
         rows,
         {"members": " ".join(_fmt_subset(s) for s in poset.subsets)},
     )
-    return EXIT_OK
 
 
 # -- weyl ----------------------------------------------------------------
@@ -179,15 +179,13 @@ def cmd_weyl_enum(args):
     for length, level in enumerate(levels):
         for w in level:
             rows.append({"length": length, "word": ",".join(map(str, w.word))})
-    _emit(
-        args,
+    return (
         {"matrix": repr(g)},
         {"max_len": args.max_len},
         ["length", "word"],
         rows,
         {"counts": " ".join(str(len(level)) for level in levels)},
     )
-    return EXIT_OK
 
 
 def cmd_weyl_bruhat(args):
@@ -197,8 +195,7 @@ def cmd_weyl_bruhat(args):
     u = from_word(g, _word_arg(args.u))
     v = from_word(g, _word_arg(args.v))
     rows = [{"u": _word_text(u.word), "v": _word_text(v.word), "u_leq_v": bruhat_leq(u, v)}]
-    _emit(args, {"matrix": repr(g)}, {}, ["u", "v", "u_leq_v"], rows)
-    return EXIT_OK
+    return {"matrix": repr(g)}, {}, ["u", "v", "u_leq_v"], rows
 
 
 # -- schubert -------------------------------------------------------------
@@ -218,14 +215,12 @@ def cmd_schubert_act(args):
     vec = schubert_from_jsonable(g, ring, json.loads(args.cls))
     word = _word_arg(args.word)
     check_operator_word(g, word)
-    _emit(
-        args,
+    return (
         {"matrix": repr(g), "operator_word": args.word, "ring": ring.name},
         {},
         ["word", "coefficient"],
         schubert_to_jsonable(nil_aw(word, vec)),
     )
-    return EXIT_OK
 
 
 def cmd_schubert_coproduct(args):
@@ -235,15 +230,13 @@ def cmd_schubert_coproduct(args):
     g = _gcm_from_args(args)
     w = from_word(g, _word_arg(args.word))
     rows = tensor_to_jsonable(peterson_coproduct(w))
-    _emit(
-        args,
+    return (
         {"matrix": repr(g), "word": _word_text(w.word)},
         {},
         ["left_word", "right_word", "coefficient"],
         rows,
         {"terms": len(rows)},
     )
-    return EXIT_OK
 
 
 # -- poly -----------------------------------------------------------------
@@ -269,8 +262,7 @@ def cmd_poly_psi(args):
     ring = parse_ring(args.field)
     model = _model_from_args(args, g, ring)
     f = model.from_jsonable(json.loads(args.poly))
-    _emit(
-        args,
+    return (
         {
             "matrix": repr(g),
             "field": ring.name,
@@ -281,7 +273,6 @@ def cmd_poly_psi(args):
         ["word", "coefficient"],
         schubert_to_jsonable(model.characteristic_map(f)),
     )
-    return EXIT_OK
 
 
 def cmd_poly_invariants(args):
@@ -303,15 +294,13 @@ def cmd_poly_invariants(args):
         "factored": report.factored,
         "torus_rank": report.torus_rank,
     }
-    _emit(
-        args,
+    return (
         {"matrix": repr(g), "field": ring.name, "realization": args.realization},
         {"max_deg": args.max_deg},
         ["degree", "dim_kernel", "dim_image"],
         rows,
         extras,
     )
-    return EXIT_OK
 
 
 # -- rank2 ----------------------------------------------------------------
@@ -325,14 +314,7 @@ def cmd_rank2_table(args):
         {"n": n, "c": str(t.c[n]), "d": str(t.d[n]), "g": str(t.g[n])}
         for n in range(args.N + 1)
     ]
-    _emit(
-        args,
-        {"a": args.a, "b": args.b},
-        {"N": args.N},
-        ["n", "c", "d", "g"],
-        rows,
-    )
-    return EXIT_OK
+    return {"a": args.a, "b": args.b}, {"N": args.N}, ["n", "c", "d", "g"], rows
 
 
 def cmd_rank2_products(args):
@@ -358,14 +340,8 @@ def cmd_rank2_products(args):
                             "tau_coeff": str(q),
                         }
                     )
-    _emit(
-        args,
-        {"a": args.a, "b": args.b},
-        {"N": args.N},
-        ["x", "m", "y", "n", "delta_coeff", "tau_coeff"],
-        rows,
-    )
-    return EXIT_OK
+    return ({"a": args.a, "b": args.b}, {"N": args.N},
+            ["x", "m", "y", "n", "delta_coeff", "tau_coeff"], rows)
 
 
 def cmd_rank2_hk(args):
@@ -379,14 +355,7 @@ def cmd_rank2_hk(args):
         }
         for deg, order in ranktwo.hk_integral(args.a, args.b, args.N)
     ]
-    _emit(
-        args,
-        {"a": args.a, "b": args.b},
-        {"N": args.N},
-        ["degree", "order", "group"],
-        rows,
-    )
-    return EXIT_OK
+    return {"a": args.a, "b": args.b}, {"N": args.N}, ["degree", "order", "group"], rows
 
 
 def cmd_rank2_prime_order(args):
@@ -417,15 +386,13 @@ def cmd_rank2_prime_order(args):
     if closed.detail is not None:
         extras["quadratic"] = f"x^2 - {closed.detail.trace}*x + 1"
         extras["root"] = str(closed.detail.root)
-    _emit(
-        args,
+    return (
         {"a": args.a, "b": args.b, "p": args.p},
         {"N": args.N},
         ["method", "k", "note"],
         rows,
         extras,
     )
-    return EXIT_OK
 
 
 def cmd_rank2_bockstein(args):
@@ -436,15 +403,13 @@ def cmd_rank2_bockstein(args):
         {"s": s, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
         for s, lhs, rhs in ranktwo._valuation_rows(args.a, args.b, args.p, args.S)
     ]
-    _emit(
-        args,
+    return (
         {"a": args.a, "b": args.b, "p": args.p, "k": k},
         {"S": args.S},
         ["s", "lhs", "rhs", "equal"],
         rows,
         {"identity_holds": all(row["equal"] for row in rows)},
     )
-    return EXIT_OK
 
 
 def cmd_rank2_hopf(args):
@@ -460,21 +425,19 @@ def cmd_rank2_hopf(args):
         "k": k,
         "series": str(series),
         "dual_polynomial": ranktwo.dual_polynomial_check(
-            args.a, args.b, args.p, min(args.N // max(k, 1), 10) or 1
+            args.a, args.b, args.p, min(args.N // k, 10) or 1
         ),
         "homology_crosscheck": ranktwo.hk_modp_crosscheck(
             args.a, args.b, args.p, 2 * args.N
         ),
     }
-    _emit(
-        args,
+    return (
         {"a": args.a, "b": args.b, "p": args.p},
         {"N": args.N},
         ["degree", "dim"],
         rows,
         extras,
     )
-    return EXIT_OK
 
 
 # -- parser ----------------------------------------------------------------
@@ -487,16 +450,6 @@ def _int_arg(text: str) -> int:
         return parse_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-
-
-def _int_at_least(low: int):
-    """An argparse type: an ``_int_arg`` no smaller than ``low``."""
-    def parse(text):
-        value = _int_arg(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-    return parse
 
 
 def _opt(*flags, **kwargs):
@@ -529,7 +482,7 @@ COMMANDS = {
     }),
     "weyl": ("Weyl group combinatorics", {
         "enum": (cmd_weyl_enum, "enumerate elements by length",
-                 (*_GCM, _opt("--max-len", type=_int_at_least(0), default=8))),
+                 (*_GCM, _opt("--max-len", type=_int_arg, default=8))),
         "bruhat": (cmd_weyl_bruhat, "compare two elements in Bruhat order",
                    (*_GCM, _opt("--u", default="", help='word "1,2,1"'),
                     _opt("--v", default="", help='word "1,2"'))),
@@ -558,14 +511,14 @@ COMMANDS = {
         "table": (cmd_rank2_table, "the c, d, g sequences",
                   (*_AB, _opt("-N", type=_int_arg, default=20))),
         "products": (cmd_rank2_products, "cup-product structure constants",
-                     (*_AB, _opt("-N", type=_int_at_least(0), default=20))),
+                     (*_AB, _opt("-N", type=_int_arg, default=20))),
         "hk": (cmd_rank2_hk, "integral cohomology of the group",
-               (*_AB, _opt("-N", type=_int_at_least(0), default=20))),
+               (*_AB, _opt("-N", type=_int_arg, default=20))),
         "prime-order": (cmd_rank2_prime_order, "least k with p | g_k, by all three methods",
                         (*_AB, _P, _opt("-N", type=_int_arg, default=200))),
         "bockstein": (cmd_rank2_bockstein,
                       "the valuation identity for g along multiples of k",
-                      (*_AB, _P, _opt("-S", type=_int_at_least(1), default=20))),
+                      (*_AB, _P, _opt("-S", type=_int_arg, default=20))),
         "hopf": (cmd_rank2_hopf, "mod-p image Hopf algebra series and duals",
                  (*_AB, _P, _opt("-N", type=_int_arg, default=20))),
     }),
@@ -596,7 +549,7 @@ def main(argv=None) -> int:
     try:
         if args.selftest:
             return _run_selftest(args.group)
-        return args.func(args)
+        return _emit(args, *args.func(args))
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return EXIT_THEOREM

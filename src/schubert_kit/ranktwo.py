@@ -38,8 +38,7 @@ infinite cyclic summand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from math import gcd
 
 from . import intmat
@@ -78,16 +77,13 @@ class RankTwoTables:
     c: tuple[int, ...]
     d: tuple[int, ...]
     g: tuple[int, ...]
-
-    @cached_property
-    def _c_binomials(self) -> list[list[int]]:
-        """Rows C(n, .) up to the largest n + m read so far."""
-        return [[1]]
-
-    @cached_property
-    def _d_binomials(self) -> list[list[int]]:
-        """Rows D(n, .), grown the same way."""
-        return [[1]]
+    # the rows C(n, .) and D(n, .) up to the largest n + m read so far (see
+    # ``_grown``); fields, not cached properties, because an instance value
+    # behind a class descriptor is found by a slower attribute lookup
+    _c_binomials: list[list[int]] = field(
+        default_factory=lambda: [[1]], init=False, repr=False, compare=False)
+    _d_binomials: list[list[int]] = field(
+        default_factory=lambda: [[1]], init=False, repr=False, compare=False)
 
 
 # the entry points read a, b, p and bounds through these, by intmat.as_int,
@@ -150,7 +146,10 @@ def _grown(rows: list[list[int]], t, s, n: int, m: int) -> list[list[int]]:
     the largest n + m read, not by the length of the sequences.  The quotient
     is symmetric, T(n, m) = T(m, n), so a level runs the rule for k = 1 ..
     level // 2 and, for the rest, appends the same int as T(level - k, k).
+    The two binomial readers call this for any read that is not of two ints
+    inside the grown rows, so n and m are read here by ``intmat.as_int``.
     """
+    n, m = intmat.as_int(n, "binomial index"), intmat.as_int(m, "binomial index")
     if n < 0 or m < 0 or n + m >= len(t):
         raise ValueError("indices out of table range")
     while len(rows) <= n + m:
@@ -171,7 +170,9 @@ def _grown(rows: list[list[int]], t, s, n: int, m: int) -> list[list[int]]:
 def generalized_binomial_C(tables: RankTwoTables, n: int, m: int) -> int:
     """C(n, m) = (c_{n+m} ... c_1) / ((c_n ... c_1)(c_m ... c_1)), exactly."""
     rows = tables._c_binomials
-    if n < 0 or m < 0 or n + m >= len(rows):
+    # two ints inside the grown rows are read at once ((n | m) < 0 when
+    # either is negative); ``_grown`` reads and checks anything else
+    if type(n) is not int or type(m) is not int or (n | m) < 0 or n + m >= len(rows):
         rows = _grown(rows, tables.c, tables.d, n, m)
     return rows[n][m]
 
@@ -179,7 +180,7 @@ def generalized_binomial_C(tables: RankTwoTables, n: int, m: int) -> int:
 def generalized_binomial_D(tables: RankTwoTables, n: int, m: int) -> int:
     """D(n, m), the same ratio built from the d sequence."""
     rows = tables._d_binomials
-    if n < 0 or m < 0 or n + m >= len(rows):
+    if type(n) is not int or type(m) is not int or (n | m) < 0 or n + m >= len(rows):
         rows = _grown(rows, tables.d, tables.c, n, m)
     return rows[n][m]
 
@@ -188,15 +189,16 @@ def generalized_binomial_D(tables: RankTwoTables, n: int, m: int) -> int:
 
 
 def basis_word(kind: str, n: int) -> tuple[int, ...]:
-    """Alternating word of length n ending in 1 (delta) or 2 (tau)."""
-    if n == 0:
-        return ()
+    """Alternating word of length n ending in 1 (delta) or 2 (tau).
+
+    The unit key ``UNIT`` gives the empty word; any other kind, or a
+    negative n, raises ValueError.
+    """
+    n = intmat.as_int(n, "basis index")
+    if n < 0 or (kind not in (DELTA, TAU) and (kind, n) != UNIT):
+        raise ValueError(f"no basis class {(kind, n)!r}")
     last = 1 if kind == DELTA else 2
-    other = 3 - last
-    word = []
-    for pos in range(n):
-        word.append(last if (n - pos) % 2 == 1 else other)
-    return tuple(word)
+    return tuple(last if (n - pos) % 2 else 3 - last for pos in range(n))
 
 
 def basis_element(gcm: GeneralizedCartanMatrix, kind: str, n: int) -> WeylElement:
@@ -231,7 +233,8 @@ class RankTwoProductTable:
     (Q(tau_{m-1} tau_n), P(delta_m delta_{n-1})) = (T[m][n + 1], D[m + 1][n])
     and tau_m delta_n is (Q(tau_m tau_{n-1}), P(delta_{m-1} delta_n)) =
     (T[m + 1][n], D[m][n + 1]); at m = 1 or n = 1 one of them is a unit
-    entry.  An unknown kind raises KeyError.
+    entry.  ``m`` and ``n`` are read by ``intmat.as_int``, and an unknown
+    kind raises KeyError.
     """
 
     def __init__(self, n_max: int, delta: list[list[int]], tau: list[list[int]]):
@@ -240,6 +243,7 @@ class RankTwoProductTable:
         self._tau = tau
 
     def constants(self, kind1: str, m: int, kind2: str, n: int):
+        m, n = intmat.as_int(m, "half degree"), intmat.as_int(n, "half degree")
         if m < 1 or n < 1 or m + n > self.max_half_degree:
             raise ValueError("product outside the table bound")
         D, T = self._delta, self._tau
@@ -370,8 +374,16 @@ def leibniz_cup_solver(a: int, b: int, n_max: int) -> RankTwoProductTable:
 
 def closed_generator_product(tables: RankTwoTables, gen_kind: str,
                              kind: str, n: int):
-    """The closed-form product of a degree-2 generator with a basis class."""
+    """The closed-form product of a degree-2 generator with a basis class.
+
+    ``n`` is read by ``intmat.as_int``; the product lies in half degree
+    n + 1, so n must be in 0 .. len(tables.c) - 2, and an index outside
+    that or an unknown kind raises ValueError.
+    """
     c, d = tables.c, tables.d
+    n = intmat.as_int(n, "half degree")
+    if not 0 <= n < len(c) - 1:
+        raise ValueError(f"half degree {n} outside the table 0..{len(c) - 2}")
     if gen_kind == DELTA and kind == DELTA:
         return (d[n + 1], 0)
     if gen_kind == DELTA and kind == TAU:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from schubert_kit import cli, selftests
+from schubert_kit import cli, ranktwo, selftests, weyl
 from schubert_kit.errors import TheoremViolation
 from schubert_kit.gcm import rank_two
 
@@ -345,6 +345,33 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.strip()
+
+
+# the parser reads these four bounds as plain integers; the library checks them
+LIBRARY_BOUNDS = {
+    "max-len": (["weyl", "enum", "--gcm", "2,-2;-2,2", "--max-len", "-1"],
+                lambda: weyl.enumerate_by_length(rank_two(2, 2), -1)),
+    "products-N": (["rank2", "products", "-N", "-1"],
+                   lambda: ranktwo.leibniz_cup_solver(2, 3, -1)),
+    "hk-N": (["rank2", "hk", "-N", "-1"], lambda: ranktwo.hk_integral(2, 3, -1)),
+    "bockstein-S": (["rank2", "bockstein", "-S", "0"],
+                    lambda: ranktwo.bockstein_valuation_check(2, 3, 2, 0)),
+}
+
+
+@pytest.mark.parametrize("argv, library_call", LIBRARY_BOUNDS.values(), ids=LIBRARY_BOUNDS)
+def test_bound_errors_come_from_the_library(argv, library_call, capsys):
+    with pytest.raises(ValueError) as raised:
+        library_call()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # the parser rejected the value itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {raised.value}\n"
+    assert "usage:" not in captured.err
 
 
 def test_gcm_file_input(tmp_path, capsys):

@@ -32,6 +32,8 @@ from schubert_kit.weyl import (
 
 G = parse_gcm("2,-2;-3,2")
 T1 = WeightRing(G, QQ).gen(1)
+T23 = ranktwo.cd_sequences(2, 3, 10)
+PRODUCTS23 = ranktwo.leibniz_cup_solver(2, 3, 6)
 
 
 def class_of(word):
@@ -80,6 +82,18 @@ NOT_INTEGERS = {
     "bockstein-float-p": lambda: ranktwo.bockstein_valuation_check(2, 3, 3.0, 5),
     "bockstein-float-bound": lambda: ranktwo.bockstein_valuation_check(2, 3, 3, 5.0),
     "hk-modp-float-bound": lambda: ranktwo.hk_modp_crosscheck(2, 3, 3, 4.0),
+    "binomial-C-float": lambda: ranktwo.generalized_binomial_C(T23, 1.0, 1),
+    "binomial-C-bool": lambda: ranktwo.generalized_binomial_C(T23, True, 1),
+    "binomial-D-str": lambda: ranktwo.generalized_binomial_D(T23, "1", 1),
+    "binomial-D-bool": lambda: ranktwo.generalized_binomial_D(T23, 2, False),
+    "closed-product-bool": lambda: ranktwo.closed_generator_product(
+        T23, ranktwo.DELTA, ranktwo.DELTA, True),
+    "closed-product-float": lambda: ranktwo.closed_generator_product(
+        T23, ranktwo.TAU, ranktwo.DELTA, 2.0),
+    "basis-word-bool": lambda: ranktwo.basis_word(ranktwo.DELTA, True),
+    "basis-word-float": lambda: ranktwo.basis_word(ranktwo.TAU, 2.0),
+    "constants-bool": lambda: PRODUCTS23.constants(ranktwo.DELTA, True, ranktwo.DELTA, 1),
+    "constants-float": lambda: PRODUCTS23.constants(ranktwo.DELTA, 1.0, ranktwo.DELTA, 1),
 }
 
 
@@ -147,6 +161,27 @@ BOUNDS = {
 
 @pytest.mark.parametrize("call", BOUNDS.values(), ids=BOUNDS)
 def test_out_of_range_bound_raises(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+# a rank-two index outside its table, or an unknown kind, must not wrap round
+# or fall through to the other kind
+RANK_TWO_INDICES = {
+    "closed-product-minus-one": lambda: ranktwo.closed_generator_product(
+        T23, ranktwo.DELTA, ranktwo.DELTA, -1),
+    "closed-product-minus-five": lambda: ranktwo.closed_generator_product(
+        T23, ranktwo.TAU, ranktwo.DELTA, -5),
+    "closed-product-past-table": lambda: ranktwo.closed_generator_product(
+        T23, ranktwo.DELTA, ranktwo.TAU, 10),
+    "basis-word-negative": lambda: ranktwo.basis_word(ranktwo.DELTA, -2),
+    "basis-word-unknown-kind": lambda: ranktwo.basis_word("delt", 3),
+    "basis-element-unknown-kind": lambda: ranktwo.basis_element(G, "x", 2),
+}
+
+
+@pytest.mark.parametrize("call", RANK_TWO_INDICES.values(), ids=RANK_TWO_INDICES)
+def test_rank_two_index_out_of_range_raises(call):
     with pytest.raises(ValueError):
         call()
 

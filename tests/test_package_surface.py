@@ -85,5 +85,22 @@ def test_bare_import_loads_only_errors():
     assert done.stdout.strip() == "['schubert_kit', 'schubert_kit.errors']"
 
 
+def test_library_modules_load_neither_cli_nor_selftests():
+    # so a change confined to cli or selftests leaves library imports as they were
+    src = Path(schubert_kit.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import schubert_kit.gcm, schubert_kit.polyring, schubert_kit.ranktwo\n"
+        "import schubert_kit.rings, schubert_kit.schubert, schubert_kit.weyl\n"
+        "print(sorted(m for m in ('schubert_kit.cli', 'schubert_kit.selftests')"
+        " if m in sys.modules))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_dir_lists_every_public_name():
     assert set(schubert_kit.__all__) <= set(dir(schubert_kit))

@@ -42,6 +42,20 @@ def test_readme_example_stdout(command, capsys):
     assert capsys.readouterr().out == GOLDEN[command]
 
 
+@pytest.mark.parametrize("command", list(GOLDEN),
+                         ids=[f"example{k:02d}" for k in range(len(GOLDEN))])
+def test_readme_example_handler_returns_its_table(command, capsys):
+    # only main renders: a handler maps its arguments to a table and writes nothing
+    args = cli.build_parser().parse_args(shlex.split(command)[1:])
+    table = args.func(args)
+    assert capsys.readouterr() == ("", "")
+    assert isinstance(table, tuple) and len(table) in (4, 5)
+    params, bounds, columns, rows, *extras = table
+    assert isinstance(params, dict) and isinstance(bounds, dict)
+    assert all(set(row) == set(columns) for row in rows)
+    assert all(isinstance(extra, dict) for extra in extras)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", list(FORMATS),
                          ids=[f"example{k:02d}" for k in range(len(FORMATS))])
