@@ -27,11 +27,12 @@ def rank(matrix, ring) -> int:
 def kernel_basis(matrix, ncols, ring):
     """Basis of {v : M v = 0} for M given as rows, read off the reduced row
     echelon form: one vector per non-pivot column, in increasing order, with
-    ``Fraction`` entries over Q and ``int`` entries in ``0..p-1`` over F_p."""
+    ``Fraction`` entries over Q and ``int`` entries in ``0..p-1`` over F_p.
+    A row that does not have ``ncols`` entries raises ValueError."""
     p = ring.char
     rows = _integer_rows(matrix, p)
-    for row in rows:
-        assert len(row) == ncols
+    if any(len(row) != ncols for row in rows):
+        raise ValueError(f"every row must have {ncols} entries")
     pivots, d = _eliminate(rows, ncols, p)
     inv = pow(d, -1, p) if p else 0
     pivot_set = set(pivots)

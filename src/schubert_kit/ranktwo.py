@@ -77,12 +77,10 @@ class RankTwoTables:
     c: tuple[int, ...]
     d: tuple[int, ...]
     g: tuple[int, ...]
-    # the rows C(n, .) and D(n, .) up to the largest n + m read so far (see
-    # ``_grown``); fields, not cached properties, because an instance value
-    # behind a class descriptor is found by a slower attribute lookup
+    # the rows C(n, .) up to the largest n + m read so far (see ``_grown``;
+    # D is read from them); a field, not a cached property, because an
+    # instance value behind a class descriptor is found by a slower lookup
     _c_binomials: list[list[int]] = field(
-        default_factory=lambda: [[1]], init=False, repr=False, compare=False)
-    _d_binomials: list[list[int]] = field(
         default_factory=lambda: [[1]], init=False, repr=False, compare=False)
 
 
@@ -128,29 +126,53 @@ def cd_sequences(a: int, b: int, n_max: int) -> RankTwoTables:
 
     gcd(0, 0) is taken to be 0, so g_0 = 0 (the infinite cyclic marker used
     by ``hk_integral``).
+
+    c and d are Lehmer sequences with parameters (ab, 1) (Lehmer, "An
+    extended theory of Lucas' functions", Ann. Math. 31, 1930).  With U
+    the Lucas sequence U(ab - 2, 1), U_0 = 0, U_1 = 1 and
+    U_{j+1} = (ab - 2) U_j - U_{j-1},
+
+        c_{2j} = a U_j,   d_{2j} = b U_j,   c_{2j+1} = d_{2j+1} = U_j + U_{j+1}.
+
+    By induction on j: at j = 0 these read c_0 = d_0 = 0 and
+    c_1 = d_1 = 1.  If they hold at j, the two recurrences give
+    c_{2j+2} = a d_{2j+1} - c_{2j} = a (U_j + U_{j+1}) - a U_j = a U_{j+1},
+    likewise d_{2j+2} = b U_{j+1}, and
+    c_{2j+3} = a d_{2j+2} - c_{2j+1} = ab U_{j+1} - U_j - U_{j+1}
+    = ((ab - 2) U_{j+1} - U_j) + U_{j+1} = U_{j+2} + U_{j+1}, and
+    d_{2j+3} = b c_{2j+2} - d_{2j+1} is the same ab U_{j+1} - U_j - U_{j+1}.
+    As ab - 2 >= 2, U never decreases, so U_j >= j, and
+    g_{2j} = gcd(a, b) U_j, g_{2j+1} = c_{2j+1}.
     """
     c, d = _cd_lists(a, b, n_max)
     g = [gcd(x, y) for x, y in zip(c, d)]
     return RankTwoTables(a, b, tuple(c), tuple(d), tuple(g))
 
 
-def _grown(rows: list[list[int]], t, s, n: int, m: int) -> list[list[int]]:
-    """``rows`` grown until it holds T(n, m), for the sequence t and the other s.
+def _grown(tables: RankTwoTables, n: int, m: int) -> list[list[int]]:
+    """The rows of ``tables`` grown until they hold C(n, m).
 
-    T(n, 0) = T(0, m) = 1 and T(n, m) = x_{n+1} T(n, m-1) - y_{m-1} T(n-1, m),
-    where x = s when n is odd and m even, else t, and y = s when n is even
-    and m odd, else t: the two-sequence form of the Lucasnomial Pascal rule.
+    C(n, 0) = C(0, m) = 1 and C(n, m) = x_{n+1} C(n, m-1) - y_{m-1} C(n-1, m),
+    where x = d when n is odd and m even, else c, and y = d when n is even
+    and m odd, else c: the two-sequence form of the Lucasnomial Pascal rule.
     Every entry is an integer by construction; the test suite checks them
-    against the quotient of prefix products.  Row k holds T(k, 0 .. level - k),
+    against the quotient of prefix products.  Row k holds C(k, 0 .. level - k),
     and the rows grow one level n + m at a time, so the work is bounded by
     the largest n + m read, not by the length of the sequences.  The quotient
-    is symmetric, T(n, m) = T(m, n), so a level runs the rule for k = 1 ..
-    level // 2 and, for the rest, appends the same int as T(level - k, k).
-    The two binomial readers call this for any read that is not of two ints
-    inside the grown rows, so n and m are read here by ``intmat.as_int``.
+    is symmetric, C(n, m) = C(m, n), so a level runs the rule for k = 1 ..
+    level // 2 and, for the rest, appends the same int as C(level - k, k).
+
+    These are the only rows: by the Lehmer form (``cd_sequences``) the
+    prefix products of c and d differ only in a^{n // 2} against b^{n // 2},
+    so D(n, m) is C(n, m) times (b / a)^e with e = (n + m) // 2 - n // 2 -
+    m // 2, which is 1 when n and m are both odd and 0 otherwise
+    (``generalized_binomial_D``).  The binomial reader calls this for any
+    read that is not of two ints inside the grown rows, so n and m are read
+    here by ``intmat.as_int``.
     """
     n, m = intmat.as_int(n, "binomial index"), intmat.as_int(m, "binomial index")
-    if n < 0 or m < 0 or n + m >= len(t):
+    c, d, rows = tables.c, tables.d, tables._c_binomials
+    if n < 0 or m < 0 or n + m >= len(c):
         raise ValueError("indices out of table range")
     while len(rows) <= n + m:
         level = len(rows)
@@ -158,8 +180,8 @@ def _grown(rows: list[list[int]], t, s, n: int, m: int) -> list[list[int]]:
         rows[0].append(1)
         for k in range(1, half + 1):
             j = level - k
-            x = s[k + 1] if k % 2 and not j % 2 else t[k + 1]
-            y = s[j - 1] if j % 2 and not k % 2 else t[j - 1]
+            x = d[k + 1] if k % 2 and not j % 2 else c[k + 1]
+            y = d[j - 1] if j % 2 and not k % 2 else c[j - 1]
             rows[k].append(x * rows[k][-1] - y * rows[k - 1][j])
         for k in range(half + 1, level):
             rows[k].append(rows[level - k][k])
@@ -173,16 +195,25 @@ def generalized_binomial_C(tables: RankTwoTables, n: int, m: int) -> int:
     # two ints inside the grown rows are read at once ((n | m) < 0 when
     # either is negative); ``_grown`` reads and checks anything else
     if type(n) is not int or type(m) is not int or (n | m) < 0 or n + m >= len(rows):
-        rows = _grown(rows, tables.c, tables.d, n, m)
+        rows = _grown(tables, n, m)
     return rows[n][m]
 
 
 def generalized_binomial_D(tables: RankTwoTables, n: int, m: int) -> int:
-    """D(n, m), the same ratio built from the d sequence."""
-    rows = tables._d_binomials
-    if type(n) is not int or type(m) is not int or (n | m) < 0 or n + m >= len(rows):
-        rows = _grown(rows, tables.d, tables.c, n, m)
-    return rows[n][m]
+    """D(n, m), the same ratio built from the d sequence, read from C(n, m).
+
+    By the Lehmer form (``cd_sequences``), c_i = d_i for odd i while
+    c_{2j} = a U_j and d_{2j} = b U_j, so c_1 ... c_n = a^{n // 2} L_n and
+    d_1 ... d_n = b^{n // 2} L_n with the same L_n > 0.  Hence
+    D(n, m) = C(n, m) (b / a)^e with e = (n + m) // 2 - n // 2 - m // 2.
+    e is 1 when n and m are both odd, where D = C b / a (exact, as D is an
+    integer), and 0 otherwise, where D = C.  C is read first, so its int
+    fast path and its reading of n and m by ``intmat.as_int`` hold here too.
+    """
+    value = generalized_binomial_C(tables, n, m)
+    if type(n) is not int or type(m) is not int:
+        n, m = intmat.as_int(n, "binomial index"), intmat.as_int(m, "binomial index")
+    return value * tables.b // tables.a if n & m & 1 else value
 
 
 # -- the basis bookkeeping ---------------------------------------------
@@ -329,6 +360,16 @@ def leibniz_cup_solver(a: int, b: int, n_max: int) -> RankTwoProductTable:
     A_2) is computed and a nonzero value raises UnderdeterminedSystem; in
     the two mixed steps that coordinate is a zero coefficient of a
     delta-delta or tau-tau product.
+
+    Neither check can fire as the code stands.  In the delta-delta step
+    the coordinate is r_d T[m][n] + T[m][n], where r_d, the delta
+    coefficient of r_1(delta_n), is 1 - 2 P(delta_1 tau_{n-1}) =
+    1 - 2 T[1][n]; T[1][n] = 1 is read from the unit row, so r_d = -1 and
+    the coordinate is 0.  The tau-tau step mirrors this: the tau
+    coefficient of r_2(tau_n) is 1 - 2 D[1][n] = -1, so the coordinate
+    r_t D[m][n] + D[m][n] is 0.  A wrong step is caught instead by
+    ``selftests.solver_matches_closed_products``, which checks every entry
+    of both tables against the generalized binomials.
 
     This solver is the independent oracle for the closed-form product
     families; it never consults them.  Raises ValueError for a negative

@@ -320,19 +320,79 @@ def symbolic_low_rows(trials, max_entry, seed):
     return failures
 
 
+def cd_matches_lehmer(pairs, n_max):
+    """c, d and g up to ``n_max`` in their Lehmer form (see
+    ``ranktwo.cd_sequences``): with U_0 = 0, U_1 = 1 and
+    U_{j+1} = (ab - 2) U_j - U_{j-1}, c_{2j} = a U_j, d_{2j} = b U_j,
+    g_{2j} = gcd(a, b) U_j and c_{2j+1} = d_{2j+1} = g_{2j+1} = U_j + U_{j+1}.
+    U is run here, apart from the c, d recursion: [(a, b, index)]."""
+    failures = []
+    for a, b in pairs:
+        t = ranktwo.cd_sequences(a, b, n_max)
+        u = [0, 1]
+        while len(u) < n_max // 2 + 2:
+            u.append((a * b - 2) * u[-1] - u[-2])
+        for i, (c, d, g) in enumerate(zip(t.c, t.d, t.g)):
+            j = i // 2
+            want = ((a * u[j], b * u[j], gcd(a, b) * u[j]) if i % 2 == 0
+                    else (u[j] + u[j + 1],) * 3)
+            if (c, d, g) != want:
+                failures.append((a, b, i))
+    return failures
+
+
+def binomials_match_prefix_quotients(pairs, n_max):
+    """``generalized_binomial_C`` and ``_D`` at every n + m <= ``n_max`` are
+    the exact quotients of prefix products (c_1 ... c_{n+m}) / ((c_1 ... c_n)
+    (c_1 ... c_m)), of c and of d, run here by the defining recursion:
+    [(a, b, name, n, m)]."""
+    failures = []
+    for a, b in pairs:
+        t = ranktwo.cd_sequences(a, b, n_max)
+        c, d = [0, 1], [0, 1]
+        for j in range(1, n_max):
+            c.append(a * d[j] - c[j - 1])
+            d.append(b * c[j] - d[j - 1])
+        for name, seq, binomial in (("C", c, ranktwo.generalized_binomial_C),
+                                    ("D", d, ranktwo.generalized_binomial_D)):
+            prefix = [1]
+            for x in seq[1:n_max + 1]:
+                prefix.append(prefix[-1] * x)
+            for n in range(n_max + 1):
+                for m in range(n_max + 1 - n):
+                    q, r = divmod(prefix[n + m], prefix[n] * prefix[m])
+                    if r or binomial(t, n, m) != q:
+                        failures.append((a, b, name, n, m))
+    return failures
+
+
 def solver_matches_closed_products(pairs, degree):
-    """The Leibniz solver's product of each degree-2 generator with each
-    class of degree 1..degree-1 equals its closed form:
-    [(a, b, generator, kind, n)]."""
-    kinds = (ranktwo.DELTA, ranktwo.TAU)
+    """Every product of the Leibniz solver's table up to ``degree`` equals its
+    closed form: a degree-2 generator times a class of degree 1..degree-1 by
+    ``closed_generator_product``, and for every m, n >= 1 with
+    m + n <= ``degree``, by the generalized binomials,
+    delta_m delta_n = (D(m, n), 0), tau_m tau_n = (0, C(m, n)),
+    delta_m tau_n = (C(m - 1, n), D(m, n - 1)) and
+    tau_m delta_n = (C(m, n - 1), D(m - 1, n)):
+    [(a, b, kind1, m, kind2, n)]."""
+    DELTA, TAU = kinds = (ranktwo.DELTA, ranktwo.TAU)
+    C, D = ranktwo.generalized_binomial_C, ranktwo.generalized_binomial_D
     failures = []
     for a, b in pairs:
         t = ranktwo.cd_sequences(a, b, degree)
         table = ranktwo.leibniz_cup_solver(a, b, degree)
-        failures += [(a, b, gen, kind, n) for n in range(1, degree)
-                     for gen in kinds for kind in kinds
-                     if table.constants(gen, 1, kind, n)
-                     != ranktwo.closed_generator_product(t, gen, kind, n)]
+        failures += [(a, b, k1, 1, k2, n) for n in range(1, degree)
+                     for k1 in kinds for k2 in kinds
+                     if table.constants(k1, 1, k2, n)
+                     != ranktwo.closed_generator_product(t, k1, k2, n)]
+        for m in range(1, degree):
+            for n in range(1, degree + 1 - m):
+                want = {(DELTA, DELTA): (D(t, m, n), 0),
+                        (TAU, TAU): (0, C(t, m, n)),
+                        (DELTA, TAU): (C(t, m - 1, n), D(t, m, n - 1)),
+                        (TAU, DELTA): (C(t, m, n - 1), D(t, m - 1, n))}
+                failures += [(a, b, k1, m, k2, n) for (k1, k2), pq in want.items()
+                             if table.constants(k1, m, k2, n) != pq]
     return failures
 
 
@@ -400,6 +460,10 @@ SUITES = {
     ],
     "rank2": [
         ("symbolic low rows", symbolic_low_rows, {"trials": 8, "max_entry": 9, "seed": 3}),
+        ("c, d and g in Lehmer form", cd_matches_lehmer,
+         {"pairs": ((2, 2), (2, 3), (1, 5), (4, 1), (3, 7)), "n_max": 30}),
+        ("binomials match prefix-product quotients", binomials_match_prefix_quotients,
+         {"pairs": ((2, 3), (1, 5), (3, 7)), "n_max": 16}),
         ("solver matches closed products", solver_matches_closed_products,
          {"pairs": ((2, 2), (2, 3), (1, 5)), "degree": 8}),
         ("prime order methods agree", prime_order_methods_agree,

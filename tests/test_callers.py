@@ -21,10 +21,9 @@ SRC = Path(schubert_kit.__file__).resolve().parent
 # public, documented names whose callers live outside the package
 ENTRY_POINTS = {
     "gcm.GeneralizedCartanMatrix.to_dict",
+    "polyring.WeightRing.gen",
     "polyring.WeightRing.generalized_invariants",
     "ranktwo.cup_schubert",
-    "ranktwo.generalized_binomial_C",
-    "ranktwo.generalized_binomial_D",
     "ranktwo.p_adic_valuation",
     "schubert.counit_collapse",
     "schubert.identity_vector",

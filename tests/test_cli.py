@@ -213,6 +213,8 @@ SELFTEST_STDOUT = {
 """,
     "rank2": """\
 [PASS] rank2: symbolic low rows
+[PASS] rank2: c, d and g in Lehmer form
+[PASS] rank2: binomials match prefix-product quotients
 [PASS] rank2: solver matches closed products
 [PASS] rank2: prime order methods agree
 [PASS] rank2: valuations, homology series, dual generator

@@ -11,6 +11,7 @@ import pytest
 import schubert_kit
 from schubert_kit import cli, ranktwo
 from schubert_kit.gcm import coxeter_exponent, is_finite_type, parse_gcm
+from schubert_kit.linalg import kernel_basis
 from schubert_kit.polyring import GradedPolynomial, WeightRing
 from schubert_kit.rings import GF, QQ, ZZ, parse_ring
 from schubert_kit.schubert import (
@@ -156,6 +157,8 @@ BOUNDS = {
     "valuation-base-negative": lambda: ranktwo.p_adic_valuation(6, -1),
     "gen-zero": lambda: WeightRing(G, QQ).gen(0),
     "gen-above-rank": lambda: WeightRing(G, QQ).gen(3),
+    "kernel-row-longer-than-ncols": lambda: kernel_basis([[1, 2, 3]], 2, QQ),
+    "kernel-ragged-rows": lambda: kernel_basis([[1, 2], [3]], 2, QQ),
 }
 
 

@@ -9,6 +9,8 @@ from schubert_kit.ranktwo import DELTA, TAU, UNIT
 from schubert_kit.rings import GF, QQ, ZZ
 from schubert_kit.schubert import SchubertVector, peterson_coproduct
 from schubert_kit.selftests import (
+    binomials_match_prefix_quotients,
+    cd_matches_lehmer,
     mod_p_identities,
     prime_order_methods_agree,
     solver_matches_closed_products,
@@ -37,6 +39,11 @@ def test_sequences_positive(rng):
         t = ranktwo.cd_sequences(a, b, 30)
         assert all(x > 0 for x in t.c[1:])
         assert all(x > 0 for x in t.d[1:])
+
+
+def test_sequences_match_lehmer_form():
+    pairs = [(a, b) for a in range(1, 13) for b in range(1, 13) if a * b >= 4]
+    assert cd_matches_lehmer(pairs, 60) == []
 
 
 def test_sequences_reject_compact():
@@ -73,22 +80,13 @@ def _own_cd(a, b, top):
 @pytest.mark.parametrize("a", range(1, 13))
 def test_binomials_equal_quotient_of_prefix_products(a):
     # the definition: C(n, m) = (c_{n+m} ... c_1) / ((c_n ... c_1)(c_m ... c_1)),
-    # each division asserted exact, and D(n, m) the same from d
+    # each division exact, and D(n, m) the same from d
     n_max = 40
-    for b in range(1, 13):
-        if a * b < 4:
-            continue
+    pairs = [(a, b) for b in range(1, 13) if a * b >= 4]
+    assert binomials_match_prefix_quotients(pairs, n_max) == []
+    for _, b in pairs:
         t = ranktwo.cd_sequences(a, b, n_max)
-        for seq, binomial in zip(_own_cd(a, b, n_max), (ranktwo.generalized_binomial_C,
-                                                         ranktwo.generalized_binomial_D)):
-            prefix = [1]
-            for x in seq[1:]:
-                prefix.append(prefix[-1] * x)
-            for n in range(n_max + 1):
-                for m in range(n_max + 1 - n):
-                    q, r = divmod(prefix[n + m], prefix[n] * prefix[m])
-                    assert r == 0, (a, b, n, m)
-                    assert binomial(t, n, m) == q, (binomial.__name__, a, b, n, m)
+        for binomial in (ranktwo.generalized_binomial_C, ranktwo.generalized_binomial_D):
             for n, m in ((0, n_max + 1), (n_max, 1), (-1, 0), (0, -1)):
                 with pytest.raises(ValueError):
                     binomial(t, n, m)
@@ -102,21 +100,38 @@ def test_binomials_do_not_depend_on_the_order_of_reads():
         assert [binomial(down, n, m) for n, m in reversed(cells)] == want[::-1]
 
 
+class _Index:
+    """An integer-like index: an ``__index__`` value, not an int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_binomials_read_index_values_as_integers():
+    t = ranktwo.cd_sequences(2, 3, 12)
+    for n, m in ((3, 3), (3, 4), (1, 5), (0, 0)):
+        for binomial in (ranktwo.generalized_binomial_C, ranktwo.generalized_binomial_D):
+            assert binomial(t, _Index(n), _Index(m)) == binomial(t, n, m)
+
+
 def test_a_binomial_read_grows_the_rows_only_to_its_level():
     # one low read on a long table must not build the whole triangle:
     # about N^2 / 2 entries of up to order N^2 bits each
     t = ranktwo.cd_sequences(2, 3, 5000)
     assert ranktwo.generalized_binomial_D(t, 2, 2) == 20
-    assert len(t._d_binomials) == 5 and len(t._c_binomials) == 1
+    assert len(t._c_binomials) == 5
 
 
 def test_grown_levels_share_each_mirrored_cell():
-    # T(n, m) = T(m, n), so every cell past the middle of a level is the int
-    # computed for its mirror, not a second product
+    # C(n, m) = C(m, n), so every cell past the middle of a level is the int
+    # computed for its mirror, not a second product; D reads the same rows
     for a, b in PAIRS:
-        t = ranktwo.cd_sequences(a, b, 30)
-        for binomial, rows in ((ranktwo.generalized_binomial_C, t._c_binomials),
-                               (ranktwo.generalized_binomial_D, t._d_binomials)):
+        for binomial in (ranktwo.generalized_binomial_C, ranktwo.generalized_binomial_D):
+            t = ranktwo.cd_sequences(a, b, 30)
+            rows = t._c_binomials
             for level in (1, 2, 7, 30):
                 binomial(t, level, 0)
                 assert len(rows) == level + 1
@@ -154,7 +169,8 @@ def test_solver_unit_and_closed_forms():
     for a, b in pairs:
         table = ranktwo.leibniz_cup_solver(a, b, 12)
         assert table.product(UNIT, (DELTA, 4)) == {(DELTA, 4): 1}
-    assert solver_matches_closed_products(pairs, 12) == []
+    grid = [(a, b) for a in range(1, 8) for b in range(1, 8) if a * b >= 4]
+    assert solver_matches_closed_products(grid, 24) == []
 
 
 def _associativity_table(a, b, n_max):
