@@ -102,18 +102,11 @@ class Fp2Element:
         return self ** (p * p - 2)
 
     def __pow__(self, n: int) -> "Fp2Element":
-        """Square-and-multiply on component pairs; one element is built."""
+        """The element of ``_power``'s pair; a negative ``n`` raises the
+        inverse to ``-n``.  One element is built."""
         if n < 0:
             return self.inverse() ** -n
-        field = self.field
-        x, y, bx, by = 1, 0, self.x, self.y
-        while n:
-            if n & 1:
-                x, y = _product(field, x, y, bx, by)
-            n >>= 1
-            if n:  # square only while bits remain
-                bx, by = _product(field, bx, by, bx, by)
-        return Fp2Element(field, x, y)
+        return Fp2Element(self.field, *_power(self.field, self.x, self.y, n))
 
     def _check(self, other):
         # ``quadratic_field`` interns one descriptor per prime
@@ -130,6 +123,20 @@ def _product(field: QuadraticField, x1: int, y1: int, x2: int, y2: int) -> tuple
     p = field.p
     sq = y1 * y2  # coefficient of theta^2 = u*theta + v
     return (x1 * x2 + sq * field.v) % p, (x1 * y2 + x2 * y1 + sq * field.u) % p
+
+
+def _power(field: QuadraticField, x: int, y: int, n: int) -> tuple[int, int]:
+    """The components of (x + y*theta)^n for n >= 0, by square-and-multiply
+    on pairs: one ``_product`` per set bit of n and one square per bit
+    after the first, none after the last; n = 0 gives (1, 0)."""
+    rx, ry = 1, 0
+    while n:
+        if n & 1:
+            rx, ry = _product(field, rx, ry, x, y)
+        n >>= 1
+        if n:  # square only while bits remain
+            x, y = _product(field, x, y, x, y)
+    return rx, ry
 
 
 # the slot setters, which bypass the refusing ``__setattr__``
@@ -194,13 +201,13 @@ def quadratic_roots(b: int, c: int, p: int):
         assert len(roots) == 2
         r1, r2 = roots
     else:
-        disc = (b * b - 4 * c) % p
-        root = sqrt_fp2(disc, p)
+        # (-b +- root) / 2, component by component
+        root = sqrt_fp2((b * b - 4 * c) % p, p)
         inv2 = pow(2, -1, p)
-        r1 = Fp2Element(field, (-b) * inv2, 0) + root * embed(field, inv2)
-        r2 = Fp2Element(field, (-b) * inv2, 0) - root * embed(field, inv2)
-    assert (r1 + r2) == embed(field, -b)
-    assert (r1 * r2) == embed(field, c)
+        r1 = Fp2Element(field, (root.x - b) * inv2, root.y * inv2)
+        r2 = Fp2Element(field, (-root.x - b) * inv2, -root.y * inv2)
+    assert ((r1.x + r2.x) % p, (r1.y + r2.y) % p) == (-b % p, 0)
+    assert _product(field, r1.x, r1.y, r2.x, r2.y) == (c % p, 0)
     return r1, r2
 
 
@@ -218,14 +225,21 @@ def _trial_factor(n: int) -> dict[int, int]:
 
 
 def multiplicative_order(e: Fp2Element) -> int:
-    """Least n >= 1 with e^n = 1, by divisor descent through p^2 - 1."""
+    """Least n >= 1 with e^n = 1, by divisor descent through p^2 - 1.
+
+    The order divides the group order p^2 - 1; for each prime q of it, the
+    candidate is divided by q while e to the quotient is still 1 (Cohen, A
+    Course in Computational Algebraic Number Theory, Alg. 1.4.3).  The
+    powers are ``_power`` pairs compared with (1, 0), so no element is
+    built; the result is checked by one more power.
+    """
     if e.is_zero():
         raise ZeroElement("zero has no multiplicative order")
-    group = e.field.p ** 2 - 1
-    unit = one(e.field)
+    field, x, y = e.field, e.x, e.y
+    group = field.p ** 2 - 1
     order = group
     for q in _trial_factor(group):
-        while order % q == 0 and (e ** (order // q)) == unit:
+        while order % q == 0 and _power(field, x, y, order // q) == (1, 0):
             order //= q
-    assert (e ** order) == unit
+    assert _power(field, x, y, order) == (1, 0)
     return order

@@ -13,15 +13,25 @@ from operator import index
 from .intmat import _eliminate
 
 
-def _integer_rows(matrix, p):
+def _integer_rows(matrix, p, ncols=None):
+    """The rows as integers (residues when p > 0) and their width, ``ncols``
+    or, when it is None, that of the first row; a row of another width
+    raises ValueError."""
     if p:
-        return [[index(x) % p for x in row] for row in matrix]
-    return [[index(x) for x in row] for row in matrix]
+        rows = [[index(x) % p for x in row] for row in matrix]
+    else:
+        rows = [[index(x) for x in row] for row in matrix]
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError(f"every row must have {ncols} entries")
+    return rows, ncols
 
 
 def rank(matrix, ring) -> int:
-    rows = _integer_rows(matrix, ring.char)
-    return len(_eliminate(rows, len(rows[0]) if rows else 0, ring.char)[0])
+    """Rank of M given as rows; rows of unequal length raise ValueError."""
+    rows, ncols = _integer_rows(matrix, ring.char)
+    return len(_eliminate(rows, ncols, ring.char)[0])
 
 
 def kernel_basis(matrix, ncols, ring):
@@ -30,9 +40,7 @@ def kernel_basis(matrix, ncols, ring):
     ``Fraction`` entries over Q and ``int`` entries in ``0..p-1`` over F_p.
     A row that does not have ``ncols`` entries raises ValueError."""
     p = ring.char
-    rows = _integer_rows(matrix, p)
-    if any(len(row) != ncols for row in rows):
-        raise ValueError(f"every row must have {ncols} entries")
+    rows, _ = _integer_rows(matrix, p, ncols)
     pivots, d = _eliminate(rows, ncols, p)
     inv = pow(d, -1, p) if p else 0
     pivot_set = set(pivots)

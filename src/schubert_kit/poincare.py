@@ -28,10 +28,6 @@ class PoincareSeries:
             return self.coeffs[degree]
         raise IndexError(f"series truncated below degree {degree}")
 
-    @property
-    def max_degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __str__(self) -> str:
         parts = []
         for d, c in enumerate(self.coeffs):

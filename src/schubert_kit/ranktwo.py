@@ -355,19 +355,25 @@ def leibniz_cup_solver(a: int, b: int, n_max: int) -> RankTwoProductTable:
     read is of degree s-1 or lower.  The two reflections r_1(delta_n) and
     r_2(tau_n) are pairs in degree n, kept in two lists and computed once
     as soon as degree n is complete (r_1(tau_n) = tau_n and
-    r_2(delta_n) = delta_n).  For the delta-delta and tau-tau steps the
-    coordinate the operator must kill (delta_{s-1} for A_1, tau_{s-1} for
-    A_2) is computed and a nonzero value raises UnderdeterminedSystem; in
-    the two mixed steps that coordinate is a zero coefficient of a
-    delta-delta or tau-tau product.
+    r_2(delta_n) = delta_n).
 
-    Neither check can fire as the code stands.  In the delta-delta step
-    the coordinate is r_d T[m][n] + T[m][n], where r_d, the delta
-    coefficient of r_1(delta_n), is 1 - 2 P(delta_1 tau_{n-1}) =
-    1 - 2 T[1][n]; T[1][n] = 1 is read from the unit row, so r_d = -1 and
-    the coordinate is 0.  The tau-tau step mirrors this: the tau
-    coefficient of r_2(tau_n) is 1 - 2 D[1][n] = -1, so the coordinate
-    r_t D[m][n] + D[m][n] is 0.  A wrong step is caught instead by
+    In the delta-delta and tau-tau steps the operator must also kill one
+    coordinate (delta_{s-1} for A_1, tau_{s-1} for A_2), and a nonzero
+    value raises UnderdeterminedSystem; in the two mixed steps that
+    coordinate is a zero coefficient of a delta-delta or tau-tau product.
+    At step (m, n) the A_1 coordinate is r_d T[m][n] + T[m][n] =
+    (r_d + 1) T[m][n], with r_d the delta coefficient of r_1(delta_n).  At
+    m = 1 it is r_d + 1, as T[1][n] = 1 is the unit row, and m = 1 is the
+    first step that reads r_1(delta_n), in degree n + 1, right after it
+    is computed.  So (r_d + 1) T[m][n] is nonzero at some step exactly
+    when r_d != -1 for some n, and the first such step is (1, n): the
+    check runs once per degree, on the pair just computed, and raises the
+    same error.  The A_2 coordinate (r_t + 1) D[m][n] mirrors it, with r_t
+    the tau coefficient of r_2(tau_n), checked second as at m = 1.
+
+    Neither check can fire as the code stands: r_d = 1 - 2 P(delta_1
+    tau_{n-1}) = 1 - 2 T[1][n] = -1, read from the unit row, and likewise
+    r_t = 1 - 2 D[1][n] = -1.  A wrong step is caught instead by
     ``selftests.solver_matches_closed_products``, which checks every entry
     of both tables against the generalized binomials.
 
@@ -392,6 +398,11 @@ def leibniz_cup_solver(a: int, b: int, n_max: int) -> RankTwoProductTable:
         # tau_1 delta_{s-2} and delta_1 delta_{s-2}
         r1_delta.append((1 - 2 * T[1][s - 1], b * T[2][s - 1] - 2 * D[2][s - 2]))
         r2_tau.append((a * D[2][s - 1] - 2 * T[2][s - 2], 1 - 2 * D[1][s - 1]))
+        # the kill coordinates, once per degree (see the docstring)
+        if r1_delta[s - 1][0] != -1:
+            raise _unexpected(1, DELTA, 1, DELTA, s - 1, DELTA)
+        if r2_tau[s - 1][1] != -1:
+            raise _unexpected(2, TAU, 1, TAU, s - 1, TAU)
         for m in range(1, s):
             n = s - m
             D_l, D_m, D_h = D[m - 1], D[m], D[m + 1]
@@ -400,15 +411,11 @@ def leibniz_cup_solver(a: int, b: int, n_max: int) -> RankTwoProductTable:
             # with A_1(delta_m) = tau_{m-1}, tau_{m-1} delta_n = (T_m[n], D_l[n+1])
             # and delta_m tau_{n-1} = (T_m[n], D_h[n-1])
             r_d, r_t = r1_delta[n]
-            if r_d * T_m[n] + T_m[n]:
-                raise _unexpected(1, DELTA, m, DELTA, n, DELTA)
             D_h[n + 1] = r_d * D_l[n + 1] + r_t * T_m[n + 1] + D_h[n - 1]
             # tau tau: A_2 = A_2(tau_m) r_2(tau_n) + tau_m A_2(tau_n),
             # with delta_{m-1} tau_n = (T_l[n+1], D_m[n])
             # and tau_m delta_{n-1} = (T_h[n-1], D_m[n])
             r_d, r_t = r2_tau[n]
-            if r_t * D_m[n] + D_m[n]:
-                raise _unexpected(2, TAU, m, TAU, n, TAU)
             T_h[n + 1] = r_d * D_m[n + 1] + r_t * T_l[n + 1] + T_h[n - 1]
     return RankTwoProductTable(n_max, D, T)
 
@@ -654,23 +661,29 @@ def _valuation_rows(a: int, b: int, p: int, s_max: int) -> list[tuple[int, int, 
     V_{h+1} = t V_h - V_{h-1}, then x_{j+2h} + x_{j-2h} = V_h x_j, as both
     sides obey V's recursion in h and agree at h = 0, 1.  So
     x_{(s+2)k} = V_k x_{sk} - x_{(s-2)k}: one step per s from x_{-k} = -x_k,
-    x_0 = 0, x_k and x_{2k}, and c, d are built to index 2k only.
+    x_0 = 0, x_k and x_{2k}, and c is built to index 2k only.
+
+    Only c is stepped, and g is read from it by the Lehmer form
+    (``cd_sequences``): g_n = c_n for odd n, and for even n = 2j,
+    c_{2j} = a U_j and g_{2j} = gcd(a, b) U_j with U_j >= j > 0, so
+    v_p(g_n) = v_p(c_n) + v_p(gcd(a, b)) - v_p(a).  That shift is the
+    same for every even n, and no row takes a gcd of big integers.
     """
     s_max = _require_at_least(1, s_max, "s_max")
     k = prime_order_closed(a, b, p).k
-    c, d = _cd_lists(a, b, 2 * k)
+    c, _ = _cd_lists(a, b, 2 * k)
     t = a * b - 2
     v_prev, v = 2, t
     for _ in range(k - 1):
         v_prev, v = v, t * v - v_prev
-    cs, ds = [-c[k], 0, c[k], c[2 * k]], [-d[k], 0, d[k], d[2 * k]]
+    cs = [-c[k], 0, c[k], c[2 * k]]
     for _ in range(3, s_max + 1):
         cs.append(v * cs[-2] - cs[-4])
-        ds.append(v * ds[-2] - ds[-4])
-    base = _valuation(gcd(c[k], d[k]), p)
+    shift = _valuation(gcd(a, b), p) - _valuation(a, p)
+    base = _valuation(c[k], p) + (0 if k % 2 else shift)
     return [
-        (s, _valuation(gcd(x, y), p), _valuation(s, p) + base)
-        for s, x, y in zip(range(1, s_max + 1), cs[2:], ds[2:])
+        (s, _valuation(x, p) + (0 if s * k % 2 else shift), _valuation(s, p) + base)
+        for s, x in zip(range(1, s_max + 1), cs[2:])
     ]
 
 

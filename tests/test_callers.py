@@ -5,9 +5,10 @@ A definition is a top-level function or class, or a method of a top-level
 class; dunder methods are called by Python itself and are not listed.  A name
 counts as called when it appears anywhere in the package outside its own body:
 as a name, an attribute, an imported name or an identifier string (the lazy
-export table of ``__init__`` names the public surface that way).  The check
-is by name, so a method shares its callers with every definition of the same
-name.
+export table of ``__init__`` names the public surface that way).  A name read
+or bound inside a function that binds it (an argument, or an assignment, loop,
+``with`` or comprehension target) is a local, not a caller.  The check is by
+name, so a method shares its callers with every definition of the same name.
 """
 
 import ast
@@ -32,16 +33,29 @@ ENTRY_POINTS = {
 }
 
 
-def named(node):
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            yield n.id
-        elif isinstance(n, ast.Attribute):
-            yield n.attr
-        elif isinstance(n, ast.alias):
-            yield n.name
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
-            yield n.value
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def bound_by(function):
+    """The names a function binds: its arguments and every stored name."""
+    return {n.arg if isinstance(n, ast.arg) else n.id for n in ast.walk(function)
+            if isinstance(n, ast.arg) or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+
+def named(node, local=frozenset()):
+    if isinstance(node, FUNCTIONS):
+        local = local | bound_by(node)
+    if isinstance(node, ast.Name):
+        if node.id not in local:
+            yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.alias):
+        yield node.name
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+        yield node.value
+    for child in ast.iter_child_nodes(node):
+        yield from named(child, local)
 
 
 def definitions(module, tree):

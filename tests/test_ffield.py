@@ -138,15 +138,23 @@ def test_order_divides_group_order():
 
 
 def test_powers_match_running_products():
-    # e ** n against e * ... * e, and e ** -n against the same product of inverses
+    # e ** n and the pair _power(e, n) against e * ... * e, e ** -n against
+    # the same product of inverses, and the order of e (and of its inverse)
+    # against the first n >= 1 where the product returns to 1
     for p in (2, 3, 5, 7):
         for e in all_elements(p):
             factors = [e] if e.is_zero() else [e, e.inverse()]
             for sign, factor in zip((1, -1), factors):
-                running = one(e.field)
+                running, first_return = one(e.field), None
                 for n in range(p * p + 2):
                     assert e ** (sign * n) == running, (e, sign * n)
+                    if sign == 1:
+                        assert ffield._power(e.field, e.x, e.y, n) == (running.x, running.y)
+                    if n and first_return is None and running == one(e.field):
+                        first_return = n
                     running = running * factor
+                if not e.is_zero():
+                    assert multiplicative_order(e) == first_return, e
             if e.is_zero():
                 with pytest.raises(ZeroDivisionError):
                     e ** -1

@@ -11,7 +11,7 @@ import pytest
 import schubert_kit
 from schubert_kit import cli, ranktwo
 from schubert_kit.gcm import coxeter_exponent, is_finite_type, parse_gcm
-from schubert_kit.linalg import kernel_basis
+from schubert_kit.linalg import kernel_basis, rank
 from schubert_kit.polyring import GradedPolynomial, WeightRing
 from schubert_kit.rings import GF, QQ, ZZ, parse_ring
 from schubert_kit.schubert import (
@@ -159,6 +159,8 @@ BOUNDS = {
     "gen-above-rank": lambda: WeightRing(G, QQ).gen(3),
     "kernel-row-longer-than-ncols": lambda: kernel_basis([[1, 2, 3]], 2, QQ),
     "kernel-ragged-rows": lambda: kernel_basis([[1, 2], [3]], 2, QQ),
+    "rank-short-first-row": lambda: rank([[1], [2, 3]], QQ),
+    "rank-short-later-row": lambda: rank([[1, 2], [3]], QQ),
 }
 
 

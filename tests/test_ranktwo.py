@@ -461,23 +461,29 @@ def _own_valuation(n, p):
 
 # criterion 5's p = 2 counterexamples: ab odd with v_2(ab - 1) = 1
 P2_EXCEPTIONS = [(1, 7), (3, 5), (5, 3), (5, 7), (7, 1), (7, 5)]
+# with p^2 | a or p^2 | b, so that v_p(gcd(a, b)) - v_p(a), the shift from
+# v_p(c_n) to v_p(g_n) at even n, runs through -3 .. 0
+P_SQUARED = [(9, 1, 3), (9, 3, 3), (1, 9, 3), (9, 9, 3), (8, 2, 2), (8, 1, 2), (2, 8, 2)]
 VALUATION_GRID = [(a, b, p) for a in range(1, 7) for b in range(1, 7) if a * b >= 4
-                  for p in (2, 3, 5, 7)] + [(a, b, 2) for a, b in P2_EXCEPTIONS]
+                  for p in (2, 3, 5, 7)] + [(a, b, 2) for a, b in P2_EXCEPTIONS] + P_SQUARED
 
 
 @pytest.mark.parametrize("s_max", [1, 2, 3, 12])
 def test_valuation_rows_match_the_full_recursion(s_max):
     # the rows read c_{sk}, d_{sk} from the recursion run through every index
-    parities = set()
+    parities, shifts = set(), set()
     for a, b, p in VALUATION_GRID:
         k = ranktwo.prime_order_closed(a, b, p).k
         parities.add(k % 2)
+        if any(s * k % 2 == 0 for s in range(1, s_max + 1)):
+            shifts.add(_own_valuation(gcd(a, b), p) - _own_valuation(a, p))
         c, d = _own_cd(a, b, s_max * k)
         base = _own_valuation(gcd(c[k], d[k]), p)
         want = [(s, _own_valuation(gcd(c[s * k], d[s * k]), p), _own_valuation(s, p) + base)
                 for s in range(1, s_max + 1)]
         assert ranktwo._valuation_rows(a, b, p, s_max) == want, (a, b, p)
     assert parities == {0, 1}
+    assert shifts == {-3, -2, -1, 0}
 
 
 def test_valuation_check_builds_the_sequences_to_2k_only(monkeypatch):
