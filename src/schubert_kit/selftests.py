@@ -6,9 +6,9 @@ The unit tests call every check at their full bounds and assert ``== []``.
 ``SUITES`` lists, per command-line group, each check with the reduced bounds
 that ``--selftest`` runs it at in seconds; the command prints one
 ``[PASS]``/``[FAIL]`` line per check and the first failing input of a
-failed check on stderr.  The oracles here (the order of ``r_1 r_2`` by
-matrix powers, Bruhat order by the subword property) share no code path
-with what they check.
+failed check on stderr.  The module holds only those checks and the oracles
+they call, which (the order of ``r_1 r_2`` by matrix powers, Bruhat order
+by the subword property) share no code path with what they check.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from .gcm import (
     standard_realization,
     validate_gcm,
 )
-from .intmat import identity, integer_inverse, mat_mul
+from .intmat import identity, mat_mul
 from .polyring import WeightRing, monomial_exponents
 from .rings import GF, QQ, ZZ
-from .schubert import SchubertVector, TensorVector, nil_a, nil_aw, peterson_coproduct
+from .schubert import SchubertVector, nil_a, nil_aw, peterson_coproduct
 from .weyl import (
     bruhat_leq,
     enumerate_by_length,
@@ -47,13 +47,12 @@ def _elements(g, max_len):
 
 
 # -- oracles and random inputs ---------------------------------------------
-# Oracles keep full products (mat_mul, reflection_matrix, integer_inverse), not rank-one updates.
+# Oracles keep full products (mat_mul, reflection_matrix), not rank-one updates.
 
 
 def dihedral_order(g, bound):
     """Order of r_1 r_2 by repeated matrix products, or None past ``bound``."""
-    m = mat_mul(reflection_matrix(g, 1), reflection_matrix(g, 2))
-    cur = m
+    cur = m = mat_mul(reflection_matrix(g, 1), reflection_matrix(g, 2))
     for k in range(1, bound + 1):
         if cur == identity(g.size):
             return k
@@ -75,27 +74,13 @@ def subword_set(w):
     return reachable
 
 
-def inverted_ball(g, max_len):
-    """Matrix -> (element, inverse matrix) for every element up to ``max_len``."""
-    return {u.matrix: (u, integer_inverse(u.matrix)) for u in _elements(g, max_len)}
-
-
-def definitional_coproduct(w, ball):
-    """The coproduct of ``w`` from its definition: u (x) v for every u of
-    length at most l(w) whose complement v = u^-1 w has l(u) + l(v) = l(w).
-
-    ``ball`` is an ``inverted_ball`` of radius at least l(w).  Runs over
-    every u in it and finds v in it by its matrix, so the words of both
-    factors are the ones enumeration gives.  Shares no code with the
-    weak-order walk of ``peterson_coproduct``.
-    """
-    out = {}
-    for u, u_inv in ball.values():
-        if u.length <= w.length:
-            v, _ = ball.get(mat_mul(u_inv, w.matrix), (None, None))
-            if v is not None and u.length + v.length == w.length:
-                out[(u, v)] = ZZ.one
-    return TensorVector(ZZ, out)
+def cd_by_recursion(a, b, top):
+    """c_0 .. c_top and d_0 .. d_top by the defining recursion, apart from ``ranktwo``."""
+    c, d = [0, 1], [0, 1]
+    for j in range(1, top):
+        c.append(a * d[j] - c[j - 1])
+        d.append(b * c[j] - d[j - 1])
+    return c[: top + 1], d[: top + 1]
 
 
 def random_poly(model, rng, degrees, density=0.5, bound=4, denominators=1):
@@ -224,23 +209,6 @@ def coproduct_grading(gcms, max_len):
             for u, v in peterson_coproduct(w).coeffs if u.length + v.length != w.length]
 
 
-def coproduct_matches_definition(gcms, max_len):
-    """``peterson_coproduct`` equals the definitional coproduct, with the same
-    lengths and words in the same support order, for every w up to
-    ``max_len``: [(g, w.word)]."""
-    def terms(t):
-        return [(u.length, u.word, v.length, v.word) for u, v in t.support()]
-
-    failures = []
-    for g in gcms:
-        ball = inverted_ball(g, max_len)
-        for w, _ in ball.values():
-            got, want = peterson_coproduct(w), definitional_coproduct(w, ball)
-            if got != want or terms(got) != terms(want):
-                failures.append((g, w.word))
-    return failures
-
-
 # -- poly ------------------------------------------------------------------
 
 
@@ -349,10 +317,7 @@ def binomials_match_prefix_quotients(pairs, n_max):
     failures = []
     for a, b in pairs:
         t = ranktwo.cd_sequences(a, b, n_max)
-        c, d = [0, 1], [0, 1]
-        for j in range(1, n_max):
-            c.append(a * d[j] - c[j - 1])
-            d.append(b * c[j] - d[j - 1])
+        c, d = cd_by_recursion(a, b, n_max)
         for name, seq, binomial in (("C", c, ranktwo.generalized_binomial_C),
                                     ("D", d, ranktwo.generalized_binomial_D)):
             prefix = [1]

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -222,17 +223,30 @@ SELFTEST_STDOUT = {
 }
 
 
+SELFTEST_ARGV = (
+    ["gcm", "poset", "--selftest"],
+    ["weyl", "bruhat", "--selftest"],
+    ["schubert", "act", "--selftest"],
+    ["poly", "psi", "--selftest"],
+    ["rank2", "hopf", "--selftest"],
+)
+
+
 def test_selftest_flag_everywhere(capsys):
-    for argv in (
-        ["gcm", "poset", "--selftest"],
-        ["weyl", "bruhat", "--selftest"],
-        ["schubert", "act", "--selftest"],
-        ["poly", "psi", "--selftest"],
-        ["rank2", "hopf", "--selftest"],
-    ):
+    for argv in SELFTEST_ARGV:
         code, out = run(capsys, argv)
         assert code == 0, argv
         assert out == SELFTEST_STDOUT[argv[0]]
+
+
+@pytest.mark.parametrize("argv", SELFTEST_ARGV, ids=[argv[0] for argv in SELFTEST_ARGV])
+def test_selftest_without_asserts(argv):
+    # python -O strips every assert, so no registry check may rest on one
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-O", "-S", "-m", "schubert_kit", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert (done.returncode, done.stderr) == (0, ""), argv
+    assert done.stdout == SELFTEST_STDOUT[argv[0]]
 
 
 def test_selftest_reports_a_broken_check(monkeypatch, capsys):

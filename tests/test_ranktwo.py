@@ -10,6 +10,7 @@ from schubert_kit.rings import GF, QQ, ZZ
 from schubert_kit.schubert import SchubertVector, peterson_coproduct
 from schubert_kit.selftests import (
     binomials_match_prefix_quotients,
+    cd_by_recursion,
     cd_matches_lehmer,
     mod_p_identities,
     prime_order_methods_agree,
@@ -66,15 +67,6 @@ def test_binomial_reduces_to_binomial_for_22():
             expected = comb(n + m, n)
             assert ranktwo.generalized_binomial_C(t, n, m) == expected
             assert ranktwo.generalized_binomial_D(t, n, m) == expected
-
-
-def _own_cd(a, b, top):
-    """c_0 .. c_top and d_0 .. d_top by the defining recursion, written here."""
-    c, d = [0, 1], [0, 1]
-    for j in range(1, top):
-        c.append(a * d[j] - c[j - 1])
-        d.append(b * c[j] - d[j - 1])
-    return c[: top + 1], d[: top + 1]
 
 
 @pytest.mark.parametrize("a", range(1, 13))
@@ -179,7 +171,7 @@ def _associativity_table(a, b, n_max):
     delta_m = delta delta_{m-1} / d_m and tau_m = tau tau_{m-1} / c_m, so
     x_m y_n is the generator times x_{m-1} y_n, divided exactly.
     """
-    c, d = _own_cd(a, b, n_max + 1)
+    c, d = cd_by_recursion(a, b, n_max + 1)
 
     def gen_times(gen, pq, k):
         # gen cup (P delta_k + Q tau_k) in degree k + 1
@@ -383,7 +375,7 @@ def test_prime_order_scan():
 
 def _gcd_scan(a, b, p, n_max):
     """(k, pattern) from the big-integer g_n = gcd(c_n, d_n) of the recursion."""
-    c, d = _own_cd(a, b, n_max)
+    c, d = cd_by_recursion(a, b, n_max)
     hits = [gcd(c[n], d[n]) % p == 0 for n in range(1, n_max + 1)]
     k = next((n for n, hit in enumerate(hits, 1) if hit), None)
     return k, k is None or all(hit == (n % k == 0) for n, hit in enumerate(hits, 1))
@@ -401,7 +393,7 @@ def test_prime_order_scan_matches_gcd_scan(p):
         for b in range(1, 7):
             if a * b < 4:
                 continue
-            period = _period(*_own_cd(a, b, 200), p)
+            period = _period(*cd_by_recursion(a, b, 200), p)
             for n_max in (0, 1, 5, period - 1, period, 200):
                 s = ranktwo.prime_order_scan(a, b, p, n_max)
                 k, consistent = _gcd_scan(a, b, p, n_max)
@@ -477,7 +469,7 @@ def test_valuation_rows_match_the_full_recursion(s_max):
         parities.add(k % 2)
         if any(s * k % 2 == 0 for s in range(1, s_max + 1)):
             shifts.add(_own_valuation(gcd(a, b), p) - _own_valuation(a, p))
-        c, d = _own_cd(a, b, s_max * k)
+        c, d = cd_by_recursion(a, b, s_max * k)
         base = _own_valuation(gcd(c[k], d[k]), p)
         want = [(s, _own_valuation(gcd(c[s * k], d[s * k]), p), _own_valuation(s, p) + base)
                 for s in range(1, s_max + 1)]

@@ -40,6 +40,8 @@ GROUPS = [
     (validate_gcm(NON_SYMMETRIZABLE), 5),
 ]
 IDS = ["affine-A2", "hyperbolic-rank-3", "2-3", "B4", "non-symmetrizable"]
+# the coproduct check is cheap on (2,3), two elements per length, so it goes further
+COPRODUCT_GROUPS = [*GROUPS[:2], (rank_two(2, 3), 30), *GROUPS[3:]]
 
 
 def _negative_column(m, i):
@@ -112,20 +114,25 @@ def test_bruhat_matches_full_products(g, max_len):
         assert bruhat_leq(v, w) == (vm == identity(g.size)), (v, w)
 
 
-@pytest.mark.parametrize("g,max_len", GROUPS, ids=IDS)
+@pytest.mark.parametrize("g,max_len", COPRODUCT_GROUPS, ids=IDS)
 def test_coproduct_matches_full_products(g, max_len):
+    # every w up to the bound: the terms are u (x) u^-1 w over the u no longer
+    # than w with l(u) + l(u^-1 w) = l(w), in support order (l(u), u, v words)
     ball = _ball(g, max_len)
     inverses = {m: integer_inverse(m) for m in ball}
-    for w in enumerate_by_length(g, max_len)[max_len][:6]:
-        expected = set()
+    elements = [w for level in enumerate_by_length(g, max_len) for w in level]
+    for w in elements:
+        expected = []
         for um, uword in ball.items():
-            vm = mat_mul(inverses[um], w.matrix)
-            vword = ball.get(vm)
-            if vword is not None and len(uword) + len(vword) == w.length:
-                expected.add((um, uword, vm, vword))
-        terms = peterson_coproduct(w).coeffs
-        assert set(terms.values()) == {1}
-        assert {(u.matrix, u.word, v.matrix, v.word) for u, v in terms} == expected
+            if len(uword) <= w.length:
+                vm = mat_mul(inverses[um], w.matrix)
+                vword = ball.get(vm)
+                if vword is not None and len(uword) + len(vword) == w.length:
+                    expected.append((len(uword), uword, vword, um, vm))
+        cop = peterson_coproduct(w)
+        assert set(cop.coeffs.values()) == {1}
+        got = [(u.length, u.word, v.word, u.matrix, v.matrix) for u, v in cop.support()]
+        assert got == sorted(expected), w.word
 
 
 @pytest.mark.parametrize("g,max_len", GROUPS, ids=IDS)
