@@ -53,6 +53,7 @@ class GradedPolynomial(Combination):
 
     @property
     def terms(self) -> dict:
+        """Exponent vector -> coefficient; the public name of ``coeffs``."""
         return self.coeffs
 
     def _space(self) -> tuple:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from . import ranktwo
@@ -232,14 +232,15 @@ def operator_identities(gcms, rings, trials, degree, seed):
     return failures
 
 
-def characteristic_map_commutes(gcms, rings, degrees, trials, seed):
+def characteristic_map_commutes(gcms, rings, degrees, trials, seed,
+                                realizations=(standard_realization,)):
     """psi(h_i*) is the class of r_i, and psi(A_i f) = A_i psi(f) for random
-    homogeneous f of each degree: [(g, ring, f, i)]."""
+    homogeneous f of each degree, in each realization: [(g, ring, f, i)]."""
     rng = random.Random(seed)
     failures = []
     for g in gcms:
-        for ring in rings:
-            model = WeightRing(g, ring)
+        for ring, realize in product(rings, realizations):
+            model = WeightRing(g, ring, realize(g))
             psi = model.characteristic_map
             failures += [(g, ring.name, model.coroot_dual(i), i) for i in g.index_set
                          if psi(model.coroot_dual(i))

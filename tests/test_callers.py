@@ -9,10 +9,15 @@ names it by a bare name, another module imports it from its module or reads
 it as an attribute of that module's name (``ranktwo.cd_sequences``), or
 ``__init__`` lists it under its module in ``_HOMES``.  A method is called
 when its name appears anywhere in the package outside its own body: as a
-name, an attribute, an imported name or an identifier string, so a method
-shares its callers with every definition of the same name.  A name read or
-bound inside a function that binds it (an argument, or an assignment, loop,
+name, an attribute or an imported name, so a method shares its callers with
+every definition of the same name.  A string is not a caller, even when it
+spells the name (a JSON key such as ``"terms"``).  A name read or bound
+inside a function that binds it (an argument, or an assignment, loop,
 ``with`` or comprehension target) is a local, not a caller.
+
+Every check in ``selftests.SUITES``, which ``--selftest`` runs at reduced
+bounds, is also called by name from a test module other than the CLI's, where
+it runs at its full bounds.
 """
 
 import ast
@@ -20,14 +25,18 @@ from collections import Counter
 from pathlib import Path
 
 import schubert_kit
+from schubert_kit import selftests
 
 SRC = Path(schubert_kit.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 # public, documented names whose callers live outside the package
 ENTRY_POINTS = {
     "gcm.GeneralizedCartanMatrix.to_dict",
+    "polyring.GradedPolynomial.terms",
     "polyring.WeightRing.gen",
     "polyring.WeightRing.generalized_invariants",
+    "polyring.WeightRing.operator_word",
     "ranktwo.cup_schubert",
     "ranktwo.p_adic_valuation",
     "schubert.counit_collapse",
@@ -36,9 +45,11 @@ ENTRY_POINTS = {
 }
 
 # no caller in the package, but held: the benchmark worker imports both modules,
-# and deleting one definition there moved the garbage collector's count after
-# set-up across the edge that doubles coxeter setup_s; delete them once the
-# harness pins the collector state before its first speed probe
+# and deleting the two moved the garbage collector's count after coxeter set-up
+# (seed 11) from 115 to 104 and its first speed probe from about 2.5 to 1.2 ms,
+# which doubles coxeter setup_s; a module the worker imports keeps its net import
+# allocations within about -10 .. +150 objects until the harness pins the
+# collector state before its first speed probe
 HELD = {
     "ffield.one",
     "weyl.inverse",
@@ -64,8 +75,6 @@ def named(node, local=frozenset()):
         yield node.attr
     elif isinstance(node, ast.alias):
         yield node.name
-    elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
-        yield node.value
     for child in ast.iter_child_nodes(node):
         yield from named(child, local)
 
@@ -130,3 +139,12 @@ def test_entry_points_are_public_and_documented():
             continue
         assert not node.name.startswith("_"), qualname
         assert ast.get_docstring(node), qualname
+
+
+def test_every_selftest_check_has_a_unit_test():
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for path in TESTS.glob("test_*.py") if path.name != "test_cli.py"
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Call)}
+    checks = {check.__name__ for suite in selftests.SUITES.values() for _, check, _ in suite}
+    assert sorted(checks - called) == []

@@ -15,11 +15,10 @@ import pytest
 from schubert_kit.gcm import derived_realization, standard_realization, validate_gcm
 from schubert_kit.polyring import WeightRing, monomial_exponents
 from schubert_kit.rings import GF, QQ, ZZ
-from schubert_kit.schubert import nil_a
-from schubert_kit.selftests import random_poly
+from schubert_kit.selftests import characteristic_map_commutes, random_poly
 from schubert_kit.weyl import enumerate_by_length
 
-from conftest import AFFINE_A2
+from conftest import AFFINE_A2, SEED
 
 HYPERBOLIC_RANK3 = [[2, -2, -2], [-2, 2, -2], [-2, -2, 2]]
 
@@ -162,17 +161,8 @@ def test_operators_match_oracle(name, rows, top, real_name, rng):
 
 @pytest.mark.parametrize("real_name", sorted(REALIZATIONS))
 @pytest.mark.parametrize("name,rows,top", MATRICES, ids=[m[0] for m in MATRICES])
-def test_characteristic_map_commutes_with_every_operator(name, rows, top, real_name, rng):
+def test_characteristic_map_commutes_with_every_operator(name, rows, top, real_name):
     # psi(A_i f) = a_i psi(f) for every generator i, whichever descent
     # the characteristic map itself reads its coefficients through
-    g = validate_gcm(rows)
-    real = REALIZATIONS[real_name](g)
-    for ring in FIELDS:
-        model = WeightRing(g, ring, real)
-        for deg in range(1, top + 1):
-            monos = monomial_exponents(model.nvars, deg)
-            f = model.from_terms((e, rng.randint(-4, 4)) for e in rng.sample(monos, min(4, len(monos))))
-            image = model.characteristic_map(f)
-            for i in range(1, g.size + 1):
-                lhs = model.characteristic_map(model.divided_difference(i, f))
-                assert lhs == nil_a(i, image), (name, ring.name, deg, i)
+    assert characteristic_map_commutes([validate_gcm(rows)], FIELDS, range(1, top + 1), trials=1,
+                                       seed=SEED, realizations=[REALIZATIONS[real_name]]) == []

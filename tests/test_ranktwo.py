@@ -132,15 +132,6 @@ def test_grown_levels_share_each_mirrored_cell():
                         assert rows[n][m] is rows[m][n], (a, b, n, m)
 
 
-def test_binomial_integrality_small_sweep():
-    for a, b in PAIRS:
-        t = ranktwo.cd_sequences(a, b, 20)
-        for n in range(10):
-            for m in range(10 - n + 1):
-                ranktwo.generalized_binomial_C(t, n, m)
-                ranktwo.generalized_binomial_D(t, n, m)
-
-
 def test_basis_words():
     assert ranktwo.basis_word(DELTA, 3) == (1, 2, 1)
     assert ranktwo.basis_word(TAU, 4) == (1, 2, 1, 2)
@@ -268,26 +259,6 @@ def test_quadratic_relation_degree_four():
             for key, c in vec.items():
                 acc[key] = acc.get(key, 0) + coef * c
         assert all(v == 0 for v in acc.values())
-
-
-def test_partial_flag_lines_match_binomials():
-    for a, b in ((2, 3), (1, 5)):
-        t = ranktwo.cd_sequences(a, b, 22)
-        table = ranktwo.leibniz_cup_solver(a, b, 10)
-        for n in range(1, 9):
-            for m in range(1, 10 - n + 1):
-                if n + m > 10:
-                    continue
-                prod = table.product((TAU, n), (TAU, m))
-                assert set(prod) <= {(TAU, n + m)}
-                assert prod.get((TAU, n + m), 0) == ranktwo.generalized_binomial_C(
-                    t, n, m
-                )
-                prod = table.product((DELTA, n), (DELTA, m))
-                assert set(prod) <= {(DELTA, n + m)}
-                assert prod.get((DELTA, n + m), 0) == ranktwo.generalized_binomial_D(
-                    t, n, m
-                )
 
 
 def test_degreewise_span_is_full_over_q():

@@ -86,10 +86,6 @@ def test_nil_aw_top_class(gcm_a11):
     assert nil_aw((1, 2, 1), w0) == identity_vector(gcm_a11, ZZ)
 
 
-def test_nil_aw_braid_words_agree(gcm_a11):
-    assert braid_relations_on_basis([gcm_a11], 3) == []
-
-
 def test_nil_aw_rejects_non_reduced(gcm_a11):
     v = basis(gcm_a11, (1, 2))
     with pytest.raises(NotReduced):
