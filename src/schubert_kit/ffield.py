@@ -6,7 +6,15 @@ positive quadratic non-residue; for p = 2, theta^2 = theta + 1.  The model
 is deterministic, so printed elements are stable across runs.
 
 Primes are expected at desk scale (p <= 10^4 or so); multiplicative orders
-factor p^2 - 1 by trial division.
+factor p - 1, p + 1 or p^2 - 1 by trial division.  The Frobenius map
+e -> e^p fixes F_p and sends theta to its conjugate u - theta, so e^p is the
+conjugate of e and e^(p+1) = e * e^p is the norm x^2 + u*x*y - v*y^2 of
+e = x + y*theta, an element of F_p.  So an element of F_p has order
+dividing p - 1, and one of norm 1 has order dividing p + 1.  A root of
+x^2 - t*x + 1 is one or the other: either both roots lie in F_p, or they
+are conjugate and the norm is their product, 1.  This is Lucas's law of
+apparition for U(t, 1) with p not dividing t^2 - 4 (Lucas, "Theorie des
+fonctions numeriques simplement periodiques", Amer. J. Math. 1, 1878).
 """
 
 from __future__ import annotations
@@ -225,20 +233,29 @@ def _trial_factor(n: int) -> dict[int, int]:
 
 
 def multiplicative_order(e: Fp2Element) -> int:
-    """Least n >= 1 with e^n = 1, by divisor descent through p^2 - 1.
+    """Least n >= 1 with e^n = 1, by divisor descent through a multiple of it.
 
-    The order divides the group order p^2 - 1; for each prime q of it, the
-    candidate is divided by q while e to the quotient is still 1 (Cohen, A
-    Course in Computational Algebraic Number Theory, Alg. 1.4.3).  The
-    powers are ``_power`` pairs compared with (1, 0), so no element is
-    built; the result is checked by one more power.
+    The order divides the group order p^2 - 1.  It divides p - 1 when e
+    lies in F_p (y = 0), and p + 1 when the norm x^2 + u*x*y - v*y^2 is 1,
+    as e^(p+1) is the norm (module docstring; Lucas, Amer. J. Math. 1,
+    1878); the descent starts from the first of p - 1, p + 1 and p^2 - 1
+    that applies.  For each prime q of the start, the candidate is divided
+    by q while e to the quotient is still 1 (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 1.4.3).  The powers are
+    ``_power`` pairs compared with (1, 0), so no element is built; the
+    result is checked by one more power.
     """
     if e.is_zero():
         raise ZeroElement("zero has no multiplicative order")
     field, x, y = e.field, e.x, e.y
-    group = field.p ** 2 - 1
-    order = group
-    for q in _trial_factor(group):
+    p = field.p
+    if y == 0:
+        order = p - 1
+    elif (x * x + field.u * x * y - field.v * y * y) % p == 1:
+        order = p + 1
+    else:
+        order = p * p - 1
+    for q in _trial_factor(order):
         while order % q == 0 and _power(field, x, y, order // q) == (1, 0):
             order //= q
     assert _power(field, x, y, order) == (1, 0)

@@ -77,9 +77,10 @@ class RankTwoTables:
     c: tuple[int, ...]
     d: tuple[int, ...]
     g: tuple[int, ...]
-    # the rows C(n, .) up to the largest n + m read so far (see ``_grown``;
-    # D is read from them); a field, not a cached property, because an
-    # instance value behind a class descriptor is found by a slower lookup
+    # the levels C(k, L - k), k = 0 .. L, for L up to the largest n + m read
+    # so far, L = n + m indexing the level (see ``_grown``; D is read from
+    # them); a field, not a cached property, because an instance value
+    # behind a class descriptor is found by a slower lookup
     _c_binomials: list[list[int]] = field(
         default_factory=lambda: [[1]], init=False, repr=False, compare=False)
 
@@ -149,54 +150,60 @@ def cd_sequences(a: int, b: int, n_max: int) -> RankTwoTables:
     return RankTwoTables(a, b, tuple(c), tuple(d), tuple(g))
 
 
-def _grown(tables: RankTwoTables, n: int, m: int) -> list[list[int]]:
-    """The rows of ``tables`` grown until they hold C(n, m).
+def _grown(tables: RankTwoTables, n: int, m: int) -> tuple[int, int]:
+    """Grow the levels of ``tables`` until they hold C(n, m); return n, m.
 
     C(n, 0) = C(0, m) = 1 and C(n, m) = x_{n+1} C(n, m-1) - y_{m-1} C(n-1, m),
     where x = d when n is odd and m even, else c, and y = d when n is even
     and m odd, else c: the two-sequence form of the Lucasnomial Pascal rule.
     Every entry is an integer by construction; the test suite checks them
-    against the quotient of prefix products.  Row k holds C(k, 0 .. level - k),
-    and the rows grow one level n + m at a time, so the work is bounded by
-    the largest n + m read, not by the length of the sequences.  The quotient
-    is symmetric, C(n, m) = C(m, n), so a level runs the rule for k = 1 ..
-    level // 2 and, for the rest, appends the same int as C(level - k, k).
+    against the quotient of prefix products.  Level L = n + m holds
+    C(k, L - k) at index k, and the levels grow one at a time, each read
+    from the one below, so the work is bounded by the largest n + m read,
+    not by the length of the sequences.
 
-    These are the only rows: by the Lehmer form (``cd_sequences``) the
-    prefix products of c and d differ only in a^{n // 2} against b^{n // 2},
-    so D(n, m) is C(n, m) times (b / a)^e with e = (n + m) // 2 - n // 2 -
-    m // 2, which is 1 when n and m are both odd and 0 otherwise
-    (``generalized_binomial_D``).  The binomial reader calls this for any
-    read that is not of two ints inside the grown rows, so n and m are read
-    here by ``intmat.as_int``.
+    One sequence serves each level, by the Lehmer form (``cd_sequences``):
+    c_i = d_i for odd i.  The x index n + 1 is even only when n is odd,
+    and then x = d exactly when m is even, that is when L is odd; the y
+    index m - 1 is even only when m is odd, and then y = d exactly when n
+    is even, again when L is odd.  So an odd level reads only d and an even
+    level only c, and with s that sequence,
+
+        C(k, L - k) = s_{k+1} C(k, L-k-1) - s_{L-k-1} C(k-1, L-k).
+
+    The quotient is symmetric, C(n, m) = C(m, n), so a level runs the rule
+    for k = 1 .. L // 2 and mirrors the rest: index L - k holds the same
+    int as index k.
+
+    These are the only levels: by the Lehmer form the prefix products of c
+    and d differ only in a^{n // 2} against b^{n // 2}, so D(n, m) is
+    C(n, m) times (b / a)^e with e = (n + m) // 2 - n // 2 - m // 2, which
+    is 1 when n and m are both odd and 0 otherwise
+    (``generalized_binomial_D``).  The binomial readers call this for any
+    read that is not of two ints inside the grown levels, so n and m are
+    read here by ``intmat.as_int`` and returned as ints.
     """
     n, m = intmat.as_int(n, "binomial index"), intmat.as_int(m, "binomial index")
-    c, d, rows = tables.c, tables.d, tables._c_binomials
+    c, d, levels = tables.c, tables.d, tables._c_binomials
     if n < 0 or m < 0 or n + m >= len(c):
         raise ValueError("indices out of table range")
-    while len(rows) <= n + m:
-        level = len(rows)
-        half = level // 2
-        rows[0].append(1)
-        for k in range(1, half + 1):
-            j = level - k
-            x = d[k + 1] if k % 2 and not j % 2 else c[k + 1]
-            y = d[j - 1] if j % 2 and not k % 2 else c[j - 1]
-            rows[k].append(x * rows[k][-1] - y * rows[k - 1][j])
-        for k in range(half + 1, level):
-            rows[k].append(rows[level - k][k])
-        rows.append([1])
-    return rows
+    for level in range(len(levels), n + m + 1):
+        s = d if level % 2 else c
+        below = levels[-1]
+        head = [1] + [s[k + 1] * below[k] - s[level - k - 1] * below[k - 1]
+                      for k in range(1, level // 2 + 1)]
+        levels.append(head + head[level - level // 2 - 1::-1])
+    return n, m
 
 
 def generalized_binomial_C(tables: RankTwoTables, n: int, m: int) -> int:
     """C(n, m) = (c_{n+m} ... c_1) / ((c_n ... c_1)(c_m ... c_1)), exactly."""
-    rows = tables._c_binomials
-    # two ints inside the grown rows are read at once ((n | m) < 0 when
+    levels = tables._c_binomials
+    # two ints inside the grown levels are read at once ((n | m) < 0 when
     # either is negative); ``_grown`` reads and checks anything else
-    if type(n) is not int or type(m) is not int or (n | m) < 0 or n + m >= len(rows):
-        rows = _grown(tables, n, m)
-    return rows[n][m]
+    if type(n) is not int or type(m) is not int or (n | m) < 0 or n + m >= len(levels):
+        n, m = _grown(tables, n, m)
+    return levels[n + m][n]
 
 
 def generalized_binomial_D(tables: RankTwoTables, n: int, m: int) -> int:
@@ -207,12 +214,14 @@ def generalized_binomial_D(tables: RankTwoTables, n: int, m: int) -> int:
     d_1 ... d_n = b^{n // 2} L_n with the same L_n > 0.  Hence
     D(n, m) = C(n, m) (b / a)^e with e = (n + m) // 2 - n // 2 - m // 2.
     e is 1 when n and m are both odd, where D = C b / a (exact, as D is an
-    integer), and 0 otherwise, where D = C.  C is read first, so its int
-    fast path and its reading of n and m by ``intmat.as_int`` hold here too.
+    integer), and 0 otherwise, where D = C.  The levels are read as in
+    ``generalized_binomial_C``, with the same int fast path and the same
+    reading of n and m by ``intmat.as_int``.
     """
-    value = generalized_binomial_C(tables, n, m)
-    if type(n) is not int or type(m) is not int:
-        n, m = intmat.as_int(n, "binomial index"), intmat.as_int(m, "binomial index")
+    levels = tables._c_binomials
+    if type(n) is not int or type(m) is not int or (n | m) < 0 or n + m >= len(levels):
+        n, m = _grown(tables, n, m)
+    value = levels[n + m][n]
     return value * tables.b // tables.a if n & m & 1 else value
 
 
@@ -668,6 +677,19 @@ def _valuation_rows(a: int, b: int, p: int, s_max: int) -> list[tuple[int, int, 
     c_{2j} = a U_j and g_{2j} = gcd(a, b) U_j with U_j >= j > 0, so
     v_p(g_n) = v_p(c_n) + v_p(gcd(a, b)) - v_p(a).  That shift is the
     same for every even n, and no row takes a gcd of big integers.
+
+    Each v_p(c_{sk}) is read from one remainder.  The row predicts
+    v_p(g_{sk}) = v_p(s) + v_p(g_k), so v_p(c_{sk}) = e with e that value
+    less the shift (when sk is even); as the shift is at most 0, e >= 0.
+    With r = c_{sk} mod p^(e+1), p^e | r and r != 0 give v_p(c_{sk}) = e
+    exactly: c_{sk} = r + q p^(e+1) is divisible by p^e, and not by
+    p^(e+1) as r is not.  One division of the big integer decides the row,
+    where ``_valuation`` divides by p once per unit of valuation and once
+    more.  Any other remainder means the prediction failed (the p = 2
+    cases of ``bockstein_valuation_check``), and ``_valuation`` counts the
+    exponent instead.  c itself stays an exact integer: nothing is reduced
+    modulo a power of p before it is stepped.  v_p(s) comes from a table
+    for s = 1 .. s_max, v_p(s) = v_p(s / p) + 1 when p | s.
     """
     s_max = _require_at_least(1, s_max, "s_max")
     k = prime_order_closed(a, b, p).k
@@ -681,10 +703,20 @@ def _valuation_rows(a: int, b: int, p: int, s_max: int) -> list[tuple[int, int, 
         cs.append(v * cs[-2] - cs[-4])
     shift = _valuation(gcd(a, b), p) - _valuation(a, p)
     base = _valuation(c[k], p) + (0 if k % 2 else shift)
-    return [
-        (s, _valuation(x, p) + (0 if s * k % 2 else shift), _valuation(s, p) + base)
-        for s, x in zip(range(1, s_max + 1), cs[2:])
-    ]
+    vs = [0] * (s_max + 1)
+    for s in range(p, s_max + 1, p):
+        vs[s] = vs[s // p] + 1
+    rows = []
+    for s in range(1, s_max + 1):
+        even_shift = 0 if s * k % 2 else shift
+        want = vs[s] + base
+        e = want - even_shift
+        pe = p ** e
+        x = cs[s + 1]
+        r = x % (pe * p)
+        got = e if r and not r % pe else _valuation(x, p)
+        rows.append((s, got + even_shift, want))
+    return rows
 
 
 def hopf_afp_series(a: int, b: int, p: int, n_max: int) -> PoincareSeries:

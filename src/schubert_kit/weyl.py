@@ -33,14 +33,18 @@ _DEFAULT_STRIP_BOUND = 10_000
 class WeylElement:
     """A group element with its canonical reduced word.
 
-    Equality and hashing use only the matrix (the word is derived data).
-    ``word`` is the lexicographically least reduced word for the element,
-    so its length is the element's length.
+    Equality compares the matrix and the group, never the word, which is
+    derived data; the hash reads the matrix alone, as equal elements have
+    equal matrices.  ``word`` is the lexicographically least reduced word
+    for the element, so its length is the element's length.
     """
 
     gcm: GeneralizedCartanMatrix
     matrix: Matrix
     word: tuple[int, ...] = field(compare=False)
+
+    def __hash__(self) -> int:
+        return hash(self.matrix)
 
     @property
     def length(self) -> int:

@@ -178,8 +178,6 @@ def test_usage_error_exit_code(capsys):
     ["poly", "psi", "--gcm", "2,-2;-3,2", "--poly",
      '[{"exponents": [1, 0], "coefficient": 0.5}]'],
     ["weyl", "enum", "--gcm-file", "MISSING"],
-    ["weyl", "enum", "--gcm", "2,-2;-2,2", "--max-len", "-2"],
-    ["rank2", "hk", "-N", "-3"],
     ["schubert", "act", "--gcm", "2,-1;-1,2", "--class", '[{"word": [1], "coefficient": true}]'],
     ["poly", "psi", "--gcm", "2,-1;-1,2", "--poly",
      '[{"exponents": [1, 0], "coefficient": false}]'],
@@ -222,7 +220,7 @@ def test_usage_error_exit_code(capsys):
     ["poly", "psi", "--gcm", "2,-1;-1,2", "--field", "F\uff13", "--poly",
      '[{"exponents": [1, 0], "coefficient": 1}]'],
 ], ids=["class-missing-key", "poly-missing-key", "class-word-not-list",
-        "poly-float-coefficient", "missing-file", "negative-max-len", "hk-negative-N",
+        "poly-float-coefficient", "missing-file",
         "class-bool-coefficient", "poly-bool-coefficient",
         "class-F2-half", "poly-F2-half", "class-bool-word", "zero-class-word-not-reduced",
         "zero-class-letter-out-of-range", "gcm-file-no-rows", "gcm-file-top-level-list",

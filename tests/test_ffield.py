@@ -160,6 +160,43 @@ def test_powers_match_running_products():
                     e ** -1
 
 
+def _first_return(field, x, y):
+    """The least n >= 1 with (x + y*theta)^n = 1, by a running ``_product``."""
+    rx, ry = x, y
+    n = 1
+    while (rx, ry) != (1, 0):
+        rx, ry = ffield._product(field, rx, ry, x, y)
+        n += 1
+    return n
+
+
+def _norm(field, x, y):
+    """(x + y*theta) times its conjugate (x + u*y) - y*theta, as a pair; the
+    conjugate because theta and u - theta are the roots of t^2 - u*t - v."""
+    return ffield._product(field, x, y, (x + field.u * y) % field.p, -y % field.p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
+def test_order_descent_start_against_running_products(p):
+    # the descent starts from p - 1 on F_p and from p + 1 on norm one; the
+    # oracle is the first return of a running product, never ``_power``
+    field = quadratic_field(p)
+    pairs = [(x, y) for x in range(p) for y in range(p) if x or y]
+    norms = {pair: _norm(field, *pair) for pair in pairs}
+    assert all(ny == 0 for _, ny in norms.values())
+    norm_one = [pair for pair in pairs if norms[pair] == (1, 0)]
+    assert len(norm_one) == p + 1
+    prime_field = [(x, 0) for x in range(1, p)]
+    cases = pairs if p in (11, 13) else prime_field + norm_one
+    for x, y in cases:
+        order = _first_return(field, x, y)
+        assert multiplicative_order(Fp2Element(field, x, y)) == order, (x, y)
+    for x, y in prime_field:
+        assert (p - 1) % _first_return(field, x, y) == 0
+    for x, y in norm_one:
+        assert (p + 1) % _first_return(field, x, y) == 0
+
+
 def test_powers_build_no_intermediate_elements(monkeypatch):
     field = quadratic_field(7)
     cases = [(Fp2Element(field, x, y), n) for x, y in ((1, 0), (2, 3), (0, 5)) for n in (-9, 0, 1, 48)]

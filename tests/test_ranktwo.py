@@ -119,17 +119,18 @@ def test_a_binomial_read_grows_the_rows_only_to_its_level():
 
 def test_grown_levels_share_each_mirrored_cell():
     # C(n, m) = C(m, n), so every cell past the middle of a level is the int
-    # computed for its mirror, not a second product; D reads the same rows
+    # computed for its mirror, not a second product; D reads the same levels
     for a, b in PAIRS:
         for binomial in (ranktwo.generalized_binomial_C, ranktwo.generalized_binomial_D):
             t = ranktwo.cd_sequences(a, b, 30)
-            rows = t._c_binomials
+            levels = t._c_binomials
             for level in (1, 2, 7, 30):
                 binomial(t, level, 0)
-                assert len(rows) == level + 1
-                for n in range(level + 1):
-                    for m in range(min(n, level - n + 1)):
-                        assert rows[n][m] is rows[m][n], (a, b, n, m)
+                assert len(levels) == level + 1
+                for L, cells in enumerate(levels):
+                    assert len(cells) == L + 1, (a, b, L)
+                    for k in range(L + 1):
+                        assert cells[k] is cells[L - k], (a, b, L, k)
 
 
 def test_basis_words():
