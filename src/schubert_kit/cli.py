@@ -18,12 +18,18 @@ failed check on stderr, and exit 3 if any check fails.
 The parser is declared once, by the ``COMMANDS`` table: each command group
 with its help text and, for each subcommand, its handler, help text and
 options.  ``build_parser`` adds --format, --output and --selftest to every
-subcommand.  A handler returns its table, ``(params, bounds, columns, rows)``
+subcommand.  ``main`` passes it the command line: when the first two words
+name a group and one of its commands, it builds every group parser (the
+program's usage lists them) and every command parser of that group (the
+group's usage lists them), but gives options and a handler to the named
+command alone; any other command line, and no command line, gets the whole
+tree.  A handler returns its table, ``(params, bounds, columns, rows)``
 and optional extras, with rows of plain values; ``main`` alone renders it
 through ``_emit`` and returns the exit code.  A list-valued cell is a word,
 shown as ``1,2,1`` (or ``e`` when empty) in table and CSV and kept as a list
 in JSON.  Each handler imports the modules it uses, so a command loads only
-what its group needs.
+what its group needs; ``csv`` and ``json`` load only for the format or the
+--class and --poly payloads that use them.
 
 Input checks live in the library: the JSON of --class and --poly goes from
 ``json.loads`` straight to its decoder, and the words, exponents and bounds
@@ -34,9 +40,7 @@ integers only; it checks no range.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 
 from .errors import SchubertKitError, TheoremViolation
@@ -59,10 +63,14 @@ def _emit(args, params: dict, bounds: dict, columns, rows, extras=None) -> int:
     ]
     out = io.StringIO()
     if args.format == "json":
+        import json
+
         doc = {"params": params, "bounds": bounds, "results": {"rows": rows, **(extras or {})}}
         out.write(json.dumps(doc, indent=2))
         out.write("\n")
     elif args.format == "csv":
+        import csv
+
         if bounds:
             out.write(
                 "# bounds: "
@@ -202,6 +210,8 @@ def cmd_weyl_bruhat(args):
 
 
 def cmd_schubert_act(args):
+    import json
+
     from .rings import parse_ring
     from .schubert import (
         check_operator_word,
@@ -255,6 +265,8 @@ def _model_from_args(args, g, ring):
 
 
 def cmd_poly_psi(args):
+    import json
+
     from .rings import parse_ring
     from .schubert import schubert_to_jsonable
 
@@ -525,18 +537,26 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schubert-kit",
         description="Exact Schubert calculus for Kac-Moody flag varieties.",
     )
+    # a command line that names a group and one of its commands gets the
+    # options and handler of that command only; any other gets the whole tree
+    named_group = named_command = None
+    if argv is not None and len(argv) > 1 and argv[1] in COMMANDS.get(argv[0], ("", {}))[1]:
+        named_group, named_command = argv[:2]
     groups = parser.add_subparsers(dest="group", required=True)
     for group, (group_help, commands) in COMMANDS.items():
-        subcommands = groups.add_parser(group, help=group_help).add_subparsers(
-            dest="cmd", required=True
-        )
+        group_parser = groups.add_parser(group, help=group_help)
+        if named_group not in (None, group):
+            continue
+        subcommands = group_parser.add_subparsers(dest="cmd", required=True)
         for name, (func, help_text, options) in commands.items():
             p = subcommands.add_parser(name, help=help_text)
+            if named_command not in (None, name):
+                continue
             for flags, kwargs in (*options, *_COMMON):
                 p.add_argument(*flags, **kwargs)
             p.set_defaults(func=func)
@@ -544,8 +564,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         if args.selftest:
             return _run_selftest(args.group)

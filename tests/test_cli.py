@@ -299,35 +299,42 @@ def test_rank2_rejects_compact_pairs(capsys):
     assert "ab < 4" in capsys.readouterr().err
 
 
-# modules that each one-shot command must not load, beyond selftests
+# modules that each one-shot command must not load, beyond selftests, and
+# the stdlib modules it must load; cli imports csv and json only to use them
 _NOT_WEYL = ("polyring", "ranktwo", "ffield", "schubert", "rings", "linalg")
 PLAIN_COMMANDS = [
-    (["gcm", "check", "2,-1;-1,2"], _NOT_WEYL),
-    (["weyl", "enum", "--gcm", "2,-1;-1,2", "--max-len", "3"], _NOT_WEYL),
-    (["weyl", "bruhat", "--gcm", "2,-1;-1,2", "--u", "1", "--v", "1,2"], _NOT_WEYL),
-    (["--help"], _NOT_WEYL),
-    (["rank2", "table", "-N", "5"], ("polyring", "schubert", "weyl", "gcm")),
+    (["gcm", "check", "2,-1;-1,2"], _NOT_WEYL, ()),
+    (["weyl", "enum", "--gcm", "2,-1;-1,2", "--max-len", "3"], _NOT_WEYL, ()),
+    (["weyl", "bruhat", "--gcm", "2,-1;-1,2", "--u", "1", "--v", "1,2"], _NOT_WEYL, ()),
+    (["--help"], _NOT_WEYL, ()),
+    (["rank2", "table", "-N", "5"], ("polyring", "schubert", "weyl", "gcm", "csv", "json"), ()),
+    (["rank2", "table", "-N", "5", "--format", "csv"], ("json",), ("csv",)),
     (["schubert", "coproduct", "--gcm", "2,-1;-1,2", "--word", "1,2"],
-     ("polyring", "ranktwo", "ffield")),
+     ("polyring", "ranktwo", "ffield"), ()),
 ]
 
 
 def test_plain_command_does_not_import_selftests():
     src = Path(cli.__file__).resolve().parents[1]
-    for argv, absent in PLAIN_COMMANDS:
+    for argv, absent, present in PLAIN_COMMANDS:
         script = (
             "import sys\n"
             f"sys.path.insert(0, {str(src)!r})\n"
             "from schubert_kit import cli\n"
+            "print(sorted(m for m in ('csv', 'json') if m in sys.modules))\n"
             "try:\n"
             f"    assert cli.main({argv!r}) == 0\n"
             "except SystemExit as exc:\n"
             "    assert exc.code == 0\n"
-            "print('schubert_kit.selftests' in sys.modules)\n"
-            f"print(sorted(m for m in {absent!r} if 'schubert_kit.' + m in sys.modules))\n"
+            "loaded = {m for m in sys.modules if m in ('csv', 'json')}\n"
+            "loaded |= {m[len('schubert_kit.'):] for m in sys.modules\n"
+            "           if m.startswith('schubert_kit.')}\n"
+            "print('selftests' in loaded)\n"
+            f"print(sorted(m for m in {absent!r} if m in loaded))\n"
+            f"print(sorted(m for m in {present!r} if m not in loaded))\n"
         )
         done = subprocess.run([sys.executable, "-S", "-c", script],
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, (argv, done.stderr)
-        assert done.stdout.splitlines()[-2] == "False", argv
-        assert done.stdout.splitlines()[-1] == "[]", argv
+        lines = done.stdout.splitlines()
+        assert [lines[0], *lines[-3:]] == ["[]", "False", "[]", "[]"], argv

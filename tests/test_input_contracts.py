@@ -331,3 +331,77 @@ def test_fuzzed_commands_exit_0_or_2_deterministically(capsys):
         assert run_cli(argv, capsys)[:2] == (code, out), argv
         codes.append(code)
     assert 0 in codes and 2 in codes
+
+
+# -- random Cartan matrices, inline and as --gcm-file payloads -------------
+
+MATRIX_SEED = 20261020
+
+
+def random_cartan_rows(rng):
+    """A matrix of rank at most 4 that meets the three Cartan axioms."""
+    n = rng.randint(1, 4)
+    rows = [[2] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            linked = rng.random() < 0.6
+            rows[i][j] = -rng.randint(1, 4) if linked else 0
+            rows[j][i] = -rng.randint(1, 4) if linked else 0
+    return rows
+
+
+def random_gcm_payload(rng, rows):
+    """The JSON text of a --gcm-file: the matrix as it is, or broken one way."""
+    doc = {"rows": [list(row) for row in rows]}
+    if rng.random() < 0.3:
+        doc["labels"] = [f"x{i}" for i in range(len(rows))]
+    flaw = rng.randrange(8)
+    if flaw == 1:
+        doc["labels"] = ["x"] * (len(rows) + 1)
+    elif flaw == 2:
+        doc["rows"][-1].append(0)
+    elif flaw == 3:
+        doc["rows"][0][0] = rng.choice((2.0, True, "2", None, 3))
+    elif flaw == 4:
+        doc = rng.choice(({}, doc["rows"], {"rows": "2"}, {"rows": doc["rows"], "labels": "x"}))
+    elif flaw == 5:
+        return json.dumps(doc)[:-1]
+    return json.dumps(doc)
+
+
+def matrix_text(rows):
+    return ";".join(",".join(map(str, row)) for row in rows)
+
+
+def random_matrix_argv(rng, rows, gcm_file):
+    source = ["--gcm-file", gcm_file] if rng.random() < 0.3 else ["--gcm", matrix_text(rows)]
+    top = len(rows) + (rng.random() < 0.1)  # sometimes one letter past the rank
+    word = ",".join(str(rng.randint(1, top)) for _ in range(rng.randint(0, 4)))
+    return rng.choice((
+        ["gcm", "check", *source],
+        ["gcm", "poset", *source],
+        ["weyl", "enum", *source, "--max-len", str(rng.randint(0, 3))],
+        ["schubert", "coproduct", *source, "--word", word],
+    ))
+
+
+def test_random_cartan_matrices_exit_0_or_2_deterministically(tmp_path, capsys):
+    rng = random.Random(MATRIX_SEED)
+    gcm_file = tmp_path / "gcm.json"
+    codes = {}
+    for _ in range(300):
+        rows = random_cartan_rows(rng)
+        payload = random_gcm_payload(rng, rows)
+        gcm_file.write_text(payload)
+        argv = random_matrix_argv(rng, rows, str(gcm_file))
+        code, out, err = run_cli(argv, capsys)
+        assert code in (0, 2), (argv, payload, code, err)
+        assert "Traceback" not in err, argv
+        assert (code == 2) == bool(err.strip()), (argv, payload, err)
+        assert run_cli(argv, capsys) == (code, out, err), argv
+        if "--gcm-file" in argv and '"labels"' not in payload and code == 0:
+            at = argv.index("--gcm-file")
+            inline = [*argv[:at], "--gcm", matrix_text(rows), *argv[at + 2:]]
+            assert run_cli(inline, capsys) == (0, out, ""), argv
+        codes.setdefault((argv[0], argv[1]), set()).add(code)
+    assert all(found == {0, 2} for found in codes.values()), codes
