@@ -34,7 +34,9 @@ what its group needs; ``csv`` and ``json`` load only for the format or the
 Input checks live in the library: the JSON of --class and --poly goes from
 ``json.loads`` straight to its decoder, and the words, exponents and bounds
 the library rejects raise ValueError, which exits 2.  The parser reads
-integers only; it checks no range.
+integers only; it checks no range.  To a JSON syntax error the command
+line adds only the name of the option, and the path of a --gcm-file, so it
+too exits 2 naming what was wrong: ``error: --class: Expecting value: ...``.
 """
 
 from __future__ import annotations
@@ -115,13 +117,23 @@ def _run_selftest(group: str) -> int:
     return EXIT_THEOREM if failed else EXIT_OK
 
 
+def _decoded(option: str, decode, source):
+    """``decode(source)``, with a JSON syntax error reported under ``option``."""
+    import json
+
+    try:
+        return decode(source)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{option}: {exc}") from None
+
+
 def _gcm_from_args(args):
     from .gcm import gcm_from_file, parse_gcm
 
     if getattr(args, "matrix", None):
         return parse_gcm(args.matrix)
     if args.gcm_file:
-        return gcm_from_file(args.gcm_file)
+        return _decoded(f"--gcm-file {args.gcm_file}", gcm_from_file, args.gcm_file)
     if args.gcm:
         return parse_gcm(args.gcm)
     raise SchubertKitError("a Cartan matrix is required (--gcm or --gcm-file)")
@@ -222,7 +234,7 @@ def cmd_schubert_act(args):
 
     g = _gcm_from_args(args)
     ring = parse_ring(args.ring)
-    vec = schubert_from_jsonable(g, ring, json.loads(args.cls))
+    vec = schubert_from_jsonable(g, ring, _decoded("--class", json.loads, args.cls))
     word = _word_arg(args.word)
     check_operator_word(g, word)
     return (
@@ -273,7 +285,7 @@ def cmd_poly_psi(args):
     g = _gcm_from_args(args)
     ring = parse_ring(args.field)
     model = _model_from_args(args, g, ring)
-    f = model.from_jsonable(json.loads(args.poly))
+    f = model.from_jsonable(_decoded("--poly", json.loads, args.poly))
     return (
         {
             "matrix": repr(g),

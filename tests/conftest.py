@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 
+from schubert_kit import cli
 from schubert_kit.gcm import rank_two, validate_gcm
 
 AFFINE_A2 = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
@@ -40,6 +41,17 @@ def gcm_a23():
 @pytest.fixture
 def gcm_affine_a2():
     return validate_gcm(AFFINE_A2)
+
+
+def run_main(argv, capsys):
+    """``cli.main(argv)`` as ``(exit code, stdout, stderr)``; the exit code of
+    an argparse rejection is read from its SystemExit."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def leibniz_det(m):

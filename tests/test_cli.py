@@ -10,15 +10,12 @@ from schubert_kit import cli, ranktwo, selftests, weyl
 from schubert_kit.errors import TheoremViolation
 from schubert_kit.gcm import rank_two
 
-
-def run(capsys, argv):
-    code = cli.main(argv)
-    return code, capsys.readouterr().out
+from conftest import run_main
 
 
 def test_rank2_table_json_big_ints_as_strings(capsys):
-    code, out = run(capsys, ["rank2", "table", "-a", "5", "-b", "9", "-N", "30",
-                             "--format", "json"])
+    code, out, _ = run_main(["rank2", "table", "-a", "5", "-b", "9", "-N", "30",
+                             "--format", "json"], capsys)
     assert code == 0
     doc = json.loads(out)
     row = doc["results"]["rows"][-1]
@@ -28,33 +25,26 @@ def test_rank2_table_json_big_ints_as_strings(capsys):
 
 
 def test_prime_order_p2_skips_matrix(capsys):
-    code, out = run(capsys, ["rank2", "prime-order", "-a", "1", "-b", "5",
-                             "-p", "2", "--format", "json"])
+    code, out, _ = run_main(["rank2", "prime-order", "-a", "1", "-b", "5",
+                             "-p", "2", "--format", "json"], capsys)
     assert code == 0
     doc = json.loads(out)
     ks = {row["method"]: row["k"] for row in doc["results"]["rows"]}
     assert ks["closed"] == 3 and ks["scan"] == 3 and ks["matrix"] == "skipped"
 
 
-def test_gcm_check_invalid_exit_code(capsys):
-    code = cli.main(["gcm", "check", "2,-1;0,2"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "a[1,2]" in captured.err
-
-
 def test_weyl_enum(capsys):
-    code, out = run(capsys, ["weyl", "enum", "--gcm", "2,-1;-1,2",
-                             "--max-len", "5", "--format", "json"])
+    code, out, _ = run_main(["weyl", "enum", "--gcm", "2,-1;-1,2",
+                             "--max-len", "5", "--format", "json"], capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["results"]["counts"] == "1 2 2 1 0 0"
 
 
 def test_poly_invariants(capsys):
-    code, out = run(capsys, ["poly", "invariants", "--gcm", "2,-2;-3,2",
+    code, out, _ = run_main(["poly", "invariants", "--gcm", "2,-2;-3,2",
                              "--field", "Q", "--max-deg", "8",
-                             "--format", "json"])
+                             "--format", "json"], capsys)
     assert code == 0
     doc = json.loads(out)
     dims = [(r["dim_kernel"], r["dim_image"]) for r in doc["results"]["rows"]]
@@ -63,8 +53,8 @@ def test_poly_invariants(capsys):
 
 
 def test_rank2_hopf(capsys):
-    code, out = run(capsys, ["rank2", "hopf", "-a", "2", "-b", "2",
-                             "-p", "2", "-N", "10", "--format", "json"])
+    code, out, _ = run_main(["rank2", "hopf", "-a", "2", "-b", "2",
+                             "-p", "2", "-N", "10", "--format", "json"], capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["results"]["k"] == 2
@@ -76,8 +66,8 @@ def test_rank2_hopf(capsys):
 
 def test_output_to_file(tmp_path, capsys):
     target = tmp_path / "out.csv"
-    code, out = run(capsys, ["rank2", "table", "-a", "2", "-b", "2", "-N", "3",
-                             "--format", "csv", "--output", str(target)])
+    code, out, _ = run_main(["rank2", "table", "-a", "2", "-b", "2", "-N", "3",
+                             "--format", "csv", "--output", str(target)], capsys)
     assert code == 0 and out == ""
     assert target.read_text().splitlines()[-1] == "3,3,3,3"
 
@@ -125,7 +115,7 @@ SELFTEST_ARGV = (
 
 def test_selftest_flag_everywhere(capsys):
     for argv in SELFTEST_ARGV:
-        code, out = run(capsys, argv)
+        code, out, _ = run_main(argv, capsys)
         assert code == 0, argv
         assert out == SELFTEST_STDOUT[argv[0]]
 
@@ -146,13 +136,12 @@ def test_selftest_reports_a_broken_check(monkeypatch, capsys):
     monkeypatch.setattr(selftests, "bruhat_leq", lambda v, w: True)
     failures = selftests.bruhat_matches_subword([rank_two(1, 1)], 3)
     assert len(failures) == 17 and failures[0] == (rank_two(1, 1), (1,), ())
-    code = cli.main(["weyl", "enum", "--selftest"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == SELFTEST_STDOUT["weyl"].replace(
-        "[PASS] weyl: bruhat", "[FAIL] weyl: bruhat")
-    assert captured.err == ("weyl: bruhat order matches subword oracle: "
-                            "first failing input (GCM(2,-1;-1,2), (1,), ())\n")
+    assert run_main(["weyl", "enum", "--selftest"], capsys) == (
+        3,
+        SELFTEST_STDOUT["weyl"].replace("[PASS] weyl: bruhat", "[FAIL] weyl: bruhat"),
+        "weyl: bruhat order matches subword oracle: "
+        "first failing input (GCM(2,-1;-1,2), (1,), ())\n",
+    )
 
 
 def test_theorem_violation_exit_code(monkeypatch, capsys):
@@ -160,94 +149,65 @@ def test_theorem_violation_exit_code(monkeypatch, capsys):
         raise TheoremViolation("forced for the exit-code contract")
 
     monkeypatch.setattr("schubert_kit.ranktwo.cd_sequences", boom)
-    code = cli.main(["rank2", "table", "-a", "2", "-b", "2", "-N", "3"])
+    code, _, err = run_main(["rank2", "table", "-a", "2", "-b", "2", "-N", "3"], capsys)
     assert code == 3
-    assert "theorem violation" in capsys.readouterr().err
+    assert "theorem violation" in err
 
 
-def test_usage_error_exit_code(capsys):
-    code = cli.main(["weyl", "enum", "--max-len", "3"])  # missing gcm
-    assert code == 2
-    assert "Cartan matrix" in capsys.readouterr().err
+# one row for each way bad input reaches cli.main: (argv, text that stderr
+# must hold).  In argv, "MISSING" names a file that does not exist and a
+# 1-tuple holds the contents of a file to pass in its place; stderr is read
+# with their directory removed, so the text names them by their base names.
+BAD_INPUT = {
+    "gcm-underscore": (["gcm", "check", "2,-1_0;-1,2"], "matrix entry"),
+    "gcm-zero-asymmetry": (["gcm", "check", "2,-1;0,2"], "a[1,2]"),
+    "no-matrix": (["weyl", "enum", "--max-len", "3"], "Cartan matrix"),
+    "max-len-underscore": (["weyl", "enum", "--gcm", "2,-1;-1,2", "--max-len", "1_0"],
+                           "--max-len"),
+    "word-underscore": (["weyl", "bruhat", "--gcm", "2,-1;-1,2", "--u", "0_1", "--v", "1,2"],
+                        "generator index"),
+    "ring-arabic-indic-digit": (["schubert", "act", "--gcm", "2,-1;-1,2", "--ring", "F\u0663",
+                                 "--class", '[{"word": [1], "coefficient": 1}]'],
+                                "coefficient ring"),
+    "invariants-over-Z": (["poly", "invariants", "--gcm", "2,-2;-3,2", "--field", "Z",
+                           "--max-deg", "4"], "field"),
+    "rank2-compact-pair": (["rank2", "table", "-a", "1", "-b", "3", "-N", "5"], "ab < 4"),
+    "class-missing-key": (["schubert", "act", "--gcm", "2,-2;-2,2", "--class", '[{"wrd": [1]}]'],
+                          "{word, coefficient}"),
+    "poly-missing-key": (["poly", "psi", "--gcm", "2,-2;-3,2", "--poly",
+                          '[{"exponents": [1, 0]}]'], "{exponents, coefficient}"),
+    "class-F3-zero-denominator": (["schubert", "act", "--gcm", "2,-1;-1,2", "--ring", "F3",
+                                   "--class", '[{"word": [1], "coefficient": "1/0"}]'],
+                                  "zero denominator"),
+    "zero-class-word-not-reduced": (["schubert", "act", "--gcm", "2,-1;-1,2", "--class", "[]",
+                                     "--word", "1,1"], "not reduced"),
+    "zero-class-letter-out-of-range": (["schubert", "act", "--gcm", "2,-1;-1,2", "--class", "[]",
+                                        "--word", "7"], "out of range"),
+    "missing-file": (["weyl", "enum", "--gcm-file", "MISSING"], "absent.json"),
+    "gcm-file-no-rows": (["gcm", "check", "--gcm-file", ('{"labels": ["1", "2"]}',)], '"rows"'),
+    "gcm-file-json-syntax": (["weyl", "enum", "--gcm-file",
+                              ('{"labels": ["1", "2"] "rows": [[2, -1], [-1, 2]]}',)],
+                             "--gcm-file gcm.json: Expecting ',' delimiter"),
+    "class-json-syntax": (["schubert", "act", "--gcm", "2,-1;-1,2", "--class", "[{"],
+                          "--class: Expecting property name"),
+    "poly-json-syntax": (["poly", "psi", "--gcm", "2,-1;-1,2", "--poly",
+                          '[{"exponents": [1, 0], "coefficient": 1}'],
+                         "--poly: Expecting ',' delimiter"),
+}
 
 
-@pytest.mark.parametrize("argv", [
-    ["schubert", "act", "--gcm", "2,-2;-2,2", "--class", '[{"wrd": [1]}]'],
-    ["poly", "psi", "--gcm", "2,-2;-3,2", "--poly", '[{"exponents": [1, 0]}]'],
-    ["schubert", "act", "--gcm", "2,-2;-2,2", "--class", '[{"word": 1, "coefficient": 1}]'],
-    ["poly", "psi", "--gcm", "2,-2;-3,2", "--poly",
-     '[{"exponents": [1, 0], "coefficient": 0.5}]'],
-    ["weyl", "enum", "--gcm-file", "MISSING"],
-    ["schubert", "act", "--gcm", "2,-1;-1,2", "--class", '[{"word": [1], "coefficient": true}]'],
-    ["poly", "psi", "--gcm", "2,-1;-1,2", "--poly",
-     '[{"exponents": [1, 0], "coefficient": false}]'],
-    ["schubert", "act", "--gcm", "2,-1;-1,2", "--ring", "F2", "--class",
-     '[{"word": [1], "coefficient": "1/2"}]'],
-    ["poly", "psi", "--gcm", "2,-1;-1,2", "--field", "F2", "--poly",
-     '[{"exponents": [1, 0], "coefficient": "1/2"}]'],
-    ["schubert", "act", "--gcm", "2,-1;-1,2", "--class", '[{"word": [true], "coefficient": 1}]'],
-    ["schubert", "act", "--gcm", "2,-1;-1,2", "--class", "[]", "--word", "1,1"],
-    ["schubert", "act", "--gcm", "2,-1;-1,2", "--class", "[]", "--word", "7"],
-    ["gcm", "check", "--gcm-file", ('{"labels": ["1", "2"]}',)],
-    ["gcm", "check", "--gcm-file", ("[[2, -1], [-1, 2]]",)],
-    ["weyl", "enum", "--gcm-file", ('{"rows": null}',)],
-    ["weyl", "enum", "--gcm-file", ('{"rows": [2, -1]}',)],
-    ["gcm", "check", "--gcm-file", ('{"rows": [[2, -1.5], [-1, 2]]}',)],
-    ["gcm", "poset", "--gcm-file", ('{"rows": [[2, false], [false, 2]]}',)],
-    ["gcm", "check", "--gcm-file", ('{"labels": "ab", "rows": [[2, -1], [-1, 2]]}',)],
-    ["schubert", "act", "--gcm", "2,-1;-1,2", "--class",
-     '[{"word": [1], "coefficient": "1/0"}]'],
-    ["schubert", "act", "--gcm", "2,-1;-1,2", "--ring", "Q", "--class",
-     '[{"word": [1], "coefficient": "1/0"}]'],
-    ["schubert", "act", "--gcm", "2,-1;-1,2", "--ring", "F3", "--class",
-     '[{"word": [1], "coefficient": "1/0"}]'],
-    ["poly", "psi", "--gcm", "2,-1;-1,2", "--field", "Z", "--poly",
-     '[{"exponents": [1, 0], "coefficient": "1/0"}]'],
-    ["poly", "psi", "--gcm", "2,-1;-1,2", "--poly",
-     '[{"exponents": [1, 0], "coefficient": "1/0"}]'],
-    ["poly", "psi", "--gcm", "2,-1;-1,2", "--field", "F3", "--poly",
-     '[{"exponents": [1, 0], "coefficient": "1/0"}]'],
-    ["weyl", "bruhat", "--gcm", "2,-1;-1,2", "--u", "0_1", "--v", "1,2"],
-    ["schubert", "coproduct", "--gcm", "2,-1;-1,2", "--word", "1,\u0662"],
-    ["schubert", "act", "--gcm", "2,-1;-1,2", "--class", "[]", "--word", "\uff11"],
-    ["gcm", "check", "2,-1_0;-1,2"],
-    ["gcm", "check", "--gcm", "2,-\u0661;-1,2"],
-    ["weyl", "enum", "--gcm", "2,-1;-1,2", "--max-len", "1_0"],
-    ["rank2", "bockstein", "-S", "\u0663"],
-    ["rank2", "table", "-a", "1_0", "-b", "3"],
-    ["schubert", "act", "--gcm", "2,-1;-1,2", "--ring", "F\u0663", "--class",
-     '[{"word": [1], "coefficient": 1}]'],
-    ["poly", "psi", "--gcm", "2,-1;-1,2", "--field", "F\uff13", "--poly",
-     '[{"exponents": [1, 0], "coefficient": 1}]'],
-], ids=["class-missing-key", "poly-missing-key", "class-word-not-list",
-        "poly-float-coefficient", "missing-file",
-        "class-bool-coefficient", "poly-bool-coefficient",
-        "class-F2-half", "poly-F2-half", "class-bool-word", "zero-class-word-not-reduced",
-        "zero-class-letter-out-of-range", "gcm-file-no-rows", "gcm-file-top-level-list",
-        "gcm-file-null-rows", "gcm-file-flat-rows", "gcm-file-float-entry",
-        "gcm-file-bool-entry", "gcm-file-string-labels", "class-Z-zero-denominator",
-        "class-Q-zero-denominator", "class-F3-zero-denominator", "poly-Z-zero-denominator",
-        "poly-Q-zero-denominator", "poly-F3-zero-denominator", "word-underscore",
-        "word-arabic-indic-digit", "word-fullwidth-digit", "gcm-underscore",
-        "gcm-arabic-indic-digit", "max-len-underscore", "S-arabic-indic-digit",
-        "a-underscore", "ring-arabic-indic-digit", "field-fullwidth-digit"])
-def test_bad_input_exits_2(argv, tmp_path, capsys):
-    # "MISSING" names a file that does not exist; a 1-tuple holds the
-    # contents of a file to pass in its place
+@pytest.mark.parametrize("argv, text", BAD_INPUT.values(), ids=BAD_INPUT)
+def test_bad_input_exits_2(argv, text, tmp_path, capsys):
     gcm_file = tmp_path / "gcm.json"
     for a in argv:
         if isinstance(a, tuple):
             gcm_file.write_text(a[0])
     argv = [str(tmp_path / "absent.json") if a == "MISSING"
             else str(gcm_file) if isinstance(a, tuple) else a for a in argv]
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # argparse rejects the value while parsing
-        code = exc.code
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.strip()
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert text in err.replace(f"{tmp_path}{os.sep}", "")
 
 
 # the parser reads these four bounds as plain integers; the library checks them
@@ -266,37 +226,16 @@ LIBRARY_BOUNDS = {
 def test_bound_errors_come_from_the_library(argv, library_call, capsys):
     with pytest.raises(ValueError) as raised:
         library_call()
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # the parser rejected the value itself
-        code = exc.code
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == f"error: {raised.value}\n"
-    assert "usage:" not in captured.err
+    assert run_main(argv, capsys) == (2, "", f"error: {raised.value}\n")
 
 
 def test_gcm_file_input(tmp_path, capsys):
     path = tmp_path / "gcm.json"
     path.write_text(json.dumps({"labels": ["1", "2"], "rows": [[2, -1], [-1, 2]]}))
-    code, out = run(capsys, ["weyl", "enum", "--gcm-file", str(path),
-                             "--max-len", "4", "--format", "json"])
+    code, out, _ = run_main(["weyl", "enum", "--gcm-file", str(path),
+                             "--max-len", "4", "--format", "json"], capsys)
     assert code == 0
     assert json.loads(out)["results"]["counts"] == "1 2 2 1 0"
-
-
-def test_poly_invariants_rejects_non_field(capsys):
-    code = cli.main(["poly", "invariants", "--gcm", "2,-2;-3,2",
-                     "--field", "Z", "--max-deg", "4"])
-    assert code == 2
-    assert "field" in capsys.readouterr().err
-
-
-def test_rank2_rejects_compact_pairs(capsys):
-    code = cli.main(["rank2", "table", "-a", "1", "-b", "3", "-N", "5"])
-    assert code == 2
-    assert "ab < 4" in capsys.readouterr().err
 
 
 # modules that each one-shot command must not load, beyond selftests, and

@@ -1,5 +1,6 @@
-"""Input contracts: outside integers, bounds and JSON payloads that the library
-rejects with ValueError, and a seeded fuzz of the command line over them."""
+"""Input contracts: outside integers, coefficients, matrix forms, bounds and
+JSON payloads that the library rejects with ValueError, and a seeded fuzz of
+the command line over them."""
 
 import json
 import random
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import schubert_kit
-from schubert_kit import cli, ranktwo
-from schubert_kit.gcm import coxeter_exponent, is_finite_type, parse_gcm
+from schubert_kit import ranktwo
+from schubert_kit.gcm import coxeter_exponent, gcm_from_dict, is_finite_type, parse_gcm
 from schubert_kit.linalg import kernel_basis, rank
 from schubert_kit.polyring import GradedPolynomial, WeightRing
 from schubert_kit.rings import GF, QQ, ZZ, parse_ring
@@ -30,6 +31,8 @@ from schubert_kit.weyl import (
     min_coset_reps,
     simple_reflection,
 )
+
+from conftest import run_main
 
 G = parse_gcm("2,-2;-3,2")
 T1 = WeightRing(G, QQ).gen(1)
@@ -143,6 +146,39 @@ def test_generator_index_rule_is_stated_once():
 def test_ring_name_digits_are_ascii(name):
     with pytest.raises(ValueError, match="unknown coefficient ring"):
         parse_ring(name)
+
+
+# a text coefficient that has no value in the ring
+NOT_IN_RING = {
+    "Z-zero-denominator": (ZZ, "1/0"),
+    "Q-zero-denominator": (QQ, "1/0"),
+    "F3-zero-denominator": (GF(3), "1/0"),
+    "F2-half": (GF(2), "1/2"),
+}
+
+
+@pytest.mark.parametrize("ring, text", NOT_IN_RING.values(), ids=NOT_IN_RING)
+def test_promote_rejects_coefficient_outside_ring(ring, text):
+    with pytest.raises(ValueError):
+        ring.promote(text)
+
+
+# the structured matrix form: a dict whose "rows" are lists of integers and
+# whose "labels", when given, are a list
+GCM_DICTS = {
+    "top-level-list": [[2, -1], [-1, 2]],
+    "null-rows": {"rows": None},
+    "flat-rows": {"rows": [2, -1]},
+    "float-entry": {"rows": [[2, -1.5], [-1, 2]]},
+    "bool-entry": {"rows": [[2, False], [False, 2]]},
+    "string-labels": {"labels": "ab", "rows": [[2, -1], [-1, 2]]},
+}
+
+
+@pytest.mark.parametrize("data", GCM_DICTS.values(), ids=GCM_DICTS)
+def test_gcm_from_dict_rejects_other_shapes(data):
+    with pytest.raises(ValueError):
+        gcm_from_dict(data)
 
 
 BOUNDS = {
@@ -310,25 +346,23 @@ def random_argv(rng):
     ))
 
 
-def run_cli(argv, capsys):
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # argparse rejects the value while parsing
-        code = exc.code
-    out, err = capsys.readouterr()
-    return code, out, err
+def assert_exit_contract(argv, capsys, *context):
+    """Runs a command line twice: it exits 0, or 2 with a message and no
+    output, with no traceback, and the same way both times."""
+    code, out, err = run_main(argv, capsys)
+    assert code in (0, 2), (argv, *context, code, err)
+    assert "Traceback" not in err, argv
+    assert (code == 2) == bool(err.strip()), (argv, *context, err)
+    assert code == 0 or out == "", (argv, out)
+    assert run_main(argv, capsys) == (code, out, err), argv
+    return code, out
 
 
 def test_fuzzed_commands_exit_0_or_2_deterministically(capsys):
     rng = random.Random(FUZZ_SEED)
     codes = []
     for _ in range(160):
-        argv = random_argv(rng)
-        code, out, err = run_cli(argv, capsys)
-        assert code in (0, 2), (argv, code, err)
-        assert "Traceback" not in err, argv
-        assert (code == 2) == bool(err.strip()), (argv, err)
-        assert run_cli(argv, capsys)[:2] == (code, out), argv
+        code, _ = assert_exit_contract(random_argv(rng), capsys)
         codes.append(code)
     assert 0 in codes and 2 in codes
 
@@ -394,14 +428,10 @@ def test_random_cartan_matrices_exit_0_or_2_deterministically(tmp_path, capsys):
         payload = random_gcm_payload(rng, rows)
         gcm_file.write_text(payload)
         argv = random_matrix_argv(rng, rows, str(gcm_file))
-        code, out, err = run_cli(argv, capsys)
-        assert code in (0, 2), (argv, payload, code, err)
-        assert "Traceback" not in err, argv
-        assert (code == 2) == bool(err.strip()), (argv, payload, err)
-        assert run_cli(argv, capsys) == (code, out, err), argv
+        code, out = assert_exit_contract(argv, capsys, payload)
         if "--gcm-file" in argv and '"labels"' not in payload and code == 0:
             at = argv.index("--gcm-file")
             inline = [*argv[:at], "--gcm", matrix_text(rows), *argv[at + 2:]]
-            assert run_cli(inline, capsys) == (0, out, ""), argv
+            assert run_main(inline, capsys) == (0, out, ""), argv
         codes.setdefault((argv[0], argv[1]), set()).add(code)
     assert all(found == {0, 2} for found in codes.values()), codes

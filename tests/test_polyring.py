@@ -8,12 +8,7 @@ from schubert_kit.linalg import kernel_basis
 from schubert_kit.polyring import WeightRing, monomial_exponents
 from schubert_kit.rings import GF, QQ, ZZ
 from schubert_kit.schubert import SchubertVector
-from schubert_kit.selftests import (
-    characteristic_map_commutes,
-    operator_identities,
-    random_poly,
-    steenrod_commutation,
-)
+from schubert_kit.selftests import operator_identities, random_poly, steenrod_commutation
 from schubert_kit.weyl import simple_reflection
 
 from conftest import AFFINE_A2, SEED, stack_depth
@@ -114,11 +109,6 @@ def test_characteristic_map_rejects_inhomogeneous(gcm_a22):
     model = WeightRing(gcm_a22, QQ)
     with pytest.raises(NotHomogeneous):
         model.characteristic_map(model.one() + model.gen(1))
-
-
-def test_characteristic_map_commutes_with_operators():
-    assert characteristic_map_commutes(SAMPLE_GCMS[:3], (QQ, GF(2)), degrees=(1, 2, 3),
-                                       trials=1, seed=SEED) == []
 
 
 def test_generalized_invariants_low_degrees(gcm_a11, gcm_a22):
