@@ -34,9 +34,10 @@ what its group needs; ``csv`` and ``json`` load only for the format or the
 Input checks live in the library: the JSON of --class and --poly goes from
 ``json.loads`` straight to its decoder, and the words, exponents and bounds
 the library rejects raise ValueError, which exits 2.  The parser reads
-integers only; it checks no range.  To a JSON syntax error the command
-line adds only the name of the option, and the path of a --gcm-file, so it
-too exits 2 naming what was wrong: ``error: --class: Expecting value: ...``.
+integers only; it checks no range.  To a JSON syntax error, or a --gcm-file
+that is not UTF-8, the command line adds only the name of the option (and
+the file's path), so it too exits 2 naming what was wrong.  A command line
+gives one matrix: two of the matrix argument, --gcm and --gcm-file exit 2.
 """
 
 from __future__ import annotations
@@ -118,25 +119,29 @@ def _run_selftest(group: str) -> int:
 
 
 def _decoded(option: str, decode, source):
-    """``decode(source)``, with a JSON syntax error reported under ``option``."""
+    """``decode(source)``, with a JSON or UTF-8 decoding error reported under ``option``."""
     import json
 
     try:
         return decode(source)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{option}: {exc}") from None
 
 
 def _gcm_from_args(args):
     from .gcm import gcm_from_file, parse_gcm
 
-    if getattr(args, "matrix", None):
-        return parse_gcm(args.matrix)
-    if args.gcm_file:
-        return _decoded(f"--gcm-file {args.gcm_file}", gcm_from_file, args.gcm_file)
-    if args.gcm:
-        return parse_gcm(args.gcm)
-    raise SchubertKitError("a Cartan matrix is required (--gcm or --gcm-file)")
+    sources = {"the matrix argument": getattr(args, "matrix", None),
+               "--gcm": args.gcm, "--gcm-file": args.gcm_file}
+    given = {name: value for name, value in sources.items() if value}
+    if not given:
+        raise SchubertKitError("a Cartan matrix is required (--gcm or --gcm-file)")
+    if len(given) > 1:
+        raise SchubertKitError(f"give one Cartan matrix, not {' and '.join(given)}")
+    [(name, value)] = given.items()
+    if name == "--gcm-file":
+        return _decoded(f"--gcm-file {value}", gcm_from_file, value)
+    return parse_gcm(value)
 
 
 def _word_arg(text: str) -> tuple[int, ...]:
@@ -283,6 +288,8 @@ def cmd_poly_psi(args):
     from .schubert import schubert_to_jsonable
 
     g = _gcm_from_args(args)
+    if args.poly is None:
+        raise SchubertKitError("--poly is required: a JSON list of {exponents, coefficient}")
     ring = parse_ring(args.field)
     model = _model_from_args(args, g, ring)
     f = model.from_jsonable(_decoded("--poly", json.loads, args.poly))
@@ -522,8 +529,7 @@ COMMANDS = {
     }),
     "poly": ("torus polynomial algebra", {
         "psi": (cmd_poly_psi, "characteristic map of a homogeneous polynomial",
-                (*_GCM, _opt("--poly", default='[{"exponents": [], "coefficient": 1}]',
-                            help="JSON list of {exponents, coefficient}"),
+                (*_GCM, _opt("--poly", help="JSON list of {exponents, coefficient}"),
                  _opt("--field", default="Q"), _REALIZATION)),
         "invariants": (cmd_poly_invariants, "kernel/image dimensions by degree",
                        (*_GCM, _opt("--field", default="Q"),

@@ -362,6 +362,62 @@ def solver_matches_closed_products(pairs, degree):
     return failures
 
 
+def _annihilator(vectors, p):
+    """A basis of the functionals mod p that vanish on the span of the pairs
+    ``vectors``: two when they span nothing, one when they span a line,
+    none when they span the plane."""
+    vectors = [(u % p, v % p) for u, v in vectors]
+    w = next((vec for vec in vectors if vec != (0, 0)), None)
+    if w is None:
+        return [(1, 0), (0, 1)]
+    if any((w[0] * v - w[1] * u) % p for u, v in vectors):
+        return []
+    return [(w[1], -w[0] % p)]
+
+
+def cup_powers_divided(pairs, primes, n_max):
+    """The cohomology half of the paper's theorem in rank two.  In
+    A = H^*(K/T; F_p) / (H^2), the quotient by the ideal that the degree-2
+    classes generate, half degree n has dimension 1 when k | n and 0
+    otherwise, with k from ``ranktwo.prime_order_closed``; and a class x of
+    half degree k outside the ideal has x^j != 0 in A for j < p and x^j = 0
+    for j >= p, for every jk <= ``n_max``.  So A is a divided-power algebra
+    with a new generator in each half degree k p^e, and not finitely
+    generated.  Products are read from ``ranktwo.leibniz_cup_solver``'s table
+    alone, and the ideal in half degree n >= 2, spanned by delta_1 e and
+    tau_1 e over the basis e of half degree n - 1, is reduced here mod p:
+    [(a, b, p, n)], n the first half degree that breaks either pattern."""
+    kinds = (ranktwo.DELTA, ranktwo.TAU)
+    failures = []
+    for a, b in pairs:
+        table = ranktwo.leibniz_cup_solver(a, b, n_max)
+        for p in primes:
+            k = ranktwo.prime_order_closed(a, b, p).k
+            # cut[n]: the functionals that cut A out of half degree n; in
+            # half degree 1 the ideal is everything
+            cut = [None, []] + [
+                _annihilator([table.constants(k1, 1, k2, n - 1)
+                              for k1 in kinds for k2 in kinds], p)
+                for n in range(2, n_max + 1)]
+            bad = [n for n in range(1, n_max + 1) if len(cut[n]) != (n % k == 0)]
+            if bad:
+                failures.append((a, b, p, bad[0]))
+                continue
+            if k > n_max:
+                continue  # no class of degree 2k within the bound
+            x = {(ranktwo.TAU if cut[k][0][1] else ranktwo.DELTA, k): 1}
+            power = x
+            for j in range(2, n_max // k + 1):
+                power = {key: c % p for key, c in table.cup(power, x).items()}
+                (f_delta, f_tau), = cut[j * k]
+                value = (f_delta * power.get((ranktwo.DELTA, j * k), 0)
+                         + f_tau * power.get((ranktwo.TAU, j * k), 0)) % p
+                if (value != 0) != (j < p):
+                    failures.append((a, b, p, j * k))
+                    break
+    return failures
+
+
 def prime_order_methods_agree(entries, primes, scan_bound):
     """The closed form, the scan of g_n up to ``scan_bound`` (with its
     divisibility pattern consistent) and, for odd p, the matrix order give
@@ -437,5 +493,7 @@ SUITES = {
         ("valuations, homology series, dual generator", mod_p_identities,
          {name: [(a, b, p, bound) for a, b, p in ((2, 2, 2), (2, 3, 3), (1, 5, 2))]
           for name, bound in (("bockstein", 10), ("hk_modp", 30), ("dual_polynomial", 5))}),
+        ("cup powers in the quotient by H^2 die at p", cup_powers_divided,
+         {"pairs": ((2, 2), (2, 3), (1, 5)), "primes": (2, 3), "n_max": 12}),
     ],
 }

@@ -1,7 +1,10 @@
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +13,10 @@ from schubert_kit.gcm import rank_two, validate_gcm
 
 AFFINE_A2 = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
 B2_INSIDE_RANK3 = [[2, -2, 0], [-1, 2, -1], [0, -1, 2]]
+HYPERBOLIC_RANK3 = [[2, -2, -2], [-2, 2, -2], [-2, -2, 2]]
+B4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -2, 2]]
 SEED = 20260808
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -52,6 +58,24 @@ def run_main(argv, capsys):
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_python(*args, timeout=60, cwd=None):
+    """``python *args`` in a new interpreter with ``src`` as PYTHONPATH; the
+    finished process, with its output captured as text."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=timeout, cwd=cwd, env=env)
+
+
+def loaded_modules(snippet):
+    """The ``schubert_kit`` modules, and which of ``csv`` and ``json``, that
+    ``snippet`` has loaded when it ends, run by ``python -S``."""
+    probe = (f"{snippet}\nimport sys\nprint('loaded:', *sorted(m for m in sys.modules\n"
+             "    if m.partition('.')[0] == 'schubert_kit' or m in ('csv', 'json')))\n")
+    done = run_python("-S", "-c", probe)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.rpartition("loaded:")[2].split())
 
 
 def leibniz_det(m):

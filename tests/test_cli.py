@@ -1,8 +1,5 @@
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -10,7 +7,7 @@ from schubert_kit import cli, ranktwo, selftests, weyl
 from schubert_kit.errors import TheoremViolation
 from schubert_kit.gcm import rank_two
 
-from conftest import run_main
+from conftest import loaded_modules, run_main, run_python
 
 
 def test_rank2_table_json_big_ints_as_strings(capsys):
@@ -100,6 +97,7 @@ SELFTEST_STDOUT = {
 [PASS] rank2: solver matches closed products
 [PASS] rank2: prime order methods agree
 [PASS] rank2: valuations, homology series, dual generator
+[PASS] rank2: cup powers in the quotient by H^2 die at p
 """,
 }
 
@@ -123,9 +121,7 @@ def test_selftest_flag_everywhere(capsys):
 @pytest.mark.parametrize("argv", SELFTEST_ARGV, ids=[argv[0] for argv in SELFTEST_ARGV])
 def test_selftest_without_asserts(argv):
     # python -O strips every assert, so no registry check may rest on one
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-O", "-S", "-m", "schubert_kit", *argv],
-                          capture_output=True, text=True, timeout=60, env=env)
+    done = run_python("-O", "-S", "-m", "schubert_kit", *argv)
     assert (done.returncode, done.stderr) == (0, ""), argv
     assert done.stdout == SELFTEST_STDOUT[argv[0]]
 
@@ -156,12 +152,18 @@ def test_theorem_violation_exit_code(monkeypatch, capsys):
 
 # one row for each way bad input reaches cli.main: (argv, text that stderr
 # must hold).  In argv, "MISSING" names a file that does not exist and a
-# 1-tuple holds the contents of a file to pass in its place; stderr is read
-# with their directory removed, so the text names them by their base names.
+# 1-tuple holds the contents of a file to pass in its place, as text or as
+# bytes; stderr is read with their directory removed, so the text names them
+# by their base names.
 BAD_INPUT = {
     "gcm-underscore": (["gcm", "check", "2,-1_0;-1,2"], "matrix entry"),
     "gcm-zero-asymmetry": (["gcm", "check", "2,-1;0,2"], "a[1,2]"),
     "no-matrix": (["weyl", "enum", "--max-len", "3"], "Cartan matrix"),
+    "matrix-and-gcm": (["gcm", "check", "2,-1;-1,2", "--gcm", "2,-2;-2,2"],
+                       "the matrix argument and --gcm"),
+    "gcm-and-gcm-file": (["weyl", "enum", "--gcm", "2,-1;-1,2", "--gcm-file",
+                          ('{"labels": ["1", "2"], "rows": [[2, -1], [-1, 2]]}',)],
+                         "--gcm and --gcm-file"),
     "max-len-underscore": (["weyl", "enum", "--gcm", "2,-1;-1,2", "--max-len", "1_0"],
                            "--max-len"),
     "word-underscore": (["weyl", "bruhat", "--gcm", "2,-1;-1,2", "--u", "0_1", "--v", "1,2"],
@@ -176,6 +178,7 @@ BAD_INPUT = {
                           "{word, coefficient}"),
     "poly-missing-key": (["poly", "psi", "--gcm", "2,-2;-3,2", "--poly",
                           '[{"exponents": [1, 0]}]'], "{exponents, coefficient}"),
+    "poly-no-payload": (["poly", "psi", "--gcm", "2,-1;-1,2"], "--poly"),
     "class-F3-zero-denominator": (["schubert", "act", "--gcm", "2,-1;-1,2", "--ring", "F3",
                                    "--class", '[{"word": [1], "coefficient": "1/0"}]'],
                                   "zero denominator"),
@@ -185,6 +188,9 @@ BAD_INPUT = {
                                         "--word", "7"], "out of range"),
     "missing-file": (["weyl", "enum", "--gcm-file", "MISSING"], "absent.json"),
     "gcm-file-no-rows": (["gcm", "check", "--gcm-file", ('{"labels": ["1", "2"]}',)], '"rows"'),
+    "gcm-file-not-utf8": (["weyl", "enum", "--gcm-file",
+                           (b'{"labels": ["1", "\xff"], "rows": [[2, -1], [-1, 2]]}',)],
+                          "--gcm-file gcm.json: 'utf-8' codec can't decode byte 0xff"),
     "gcm-file-json-syntax": (["weyl", "enum", "--gcm-file",
                               ('{"labels": ["1", "2"] "rows": [[2, -1], [-1, 2]]}',)],
                              "--gcm-file gcm.json: Expecting ',' delimiter"),
@@ -201,13 +207,30 @@ def test_bad_input_exits_2(argv, text, tmp_path, capsys):
     gcm_file = tmp_path / "gcm.json"
     for a in argv:
         if isinstance(a, tuple):
-            gcm_file.write_text(a[0])
+            (gcm_file.write_bytes if isinstance(a[0], bytes) else gcm_file.write_text)(a[0])
     argv = [str(tmp_path / "absent.json") if a == "MISSING"
             else str(gcm_file) if isinstance(a, tuple) else a for a in argv]
     code, out, err = run_main(argv, capsys)
     assert (code, out) == (2, "")
     assert "Traceback" not in err
     assert text in err.replace(f"{tmp_path}{os.sep}", "")
+
+
+# a value for each option that has no default; --gcm gives the one matrix
+NO_DEFAULT = {"--gcm": "2,-1;-1,2", "--poly": '[{"exponents": [1, 0], "coefficient": 1}]'}
+COMMAND_PATHS = {f"{group}-{name}": (group, name, options)
+                 for group, (_, commands) in cli.COMMANDS.items()
+                 for name, (_, _, options) in commands.items()}
+
+
+@pytest.mark.parametrize("group, name, options", COMMAND_PATHS.values(), ids=COMMAND_PATHS)
+def test_command_runs_on_its_defaults(group, name, options, capsys):
+    argv = [group, name]
+    for flags, kwargs in options:
+        if "default" not in kwargs and flags[0] not in ("matrix", "--gcm-file"):
+            argv += [flags[0], NO_DEFAULT[flags[0]]]
+    code, out, err = run_main(argv, capsys)
+    assert (code, err) == (0, "") and out, argv
 
 
 # the parser reads these four bounds as plain integers; the library checks them
@@ -254,26 +277,15 @@ PLAIN_COMMANDS = [
 
 
 def test_plain_command_does_not_import_selftests():
-    src = Path(cli.__file__).resolve().parents[1]
+    assert not loaded_modules("from schubert_kit import cli") & {"csv", "json"}
     for argv, absent, present in PLAIN_COMMANDS:
-        script = (
-            "import sys\n"
-            f"sys.path.insert(0, {str(src)!r})\n"
+        loaded = {m.removeprefix("schubert_kit.") for m in loaded_modules(
             "from schubert_kit import cli\n"
-            "print(sorted(m for m in ('csv', 'json') if m in sys.modules))\n"
             "try:\n"
-            f"    assert cli.main({argv!r}) == 0\n"
+            f"    code = cli.main({argv!r})\n"
             "except SystemExit as exc:\n"
-            "    assert exc.code == 0\n"
-            "loaded = {m for m in sys.modules if m in ('csv', 'json')}\n"
-            "loaded |= {m[len('schubert_kit.'):] for m in sys.modules\n"
-            "           if m.startswith('schubert_kit.')}\n"
-            "print('selftests' in loaded)\n"
-            f"print(sorted(m for m in {absent!r} if m in loaded))\n"
-            f"print(sorted(m for m in {present!r} if m not in loaded))\n"
-        )
-        done = subprocess.run([sys.executable, "-S", "-c", script],
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, (argv, done.stderr)
-        lines = done.stdout.splitlines()
-        assert [lines[0], *lines[-3:]] == ["[]", "False", "[]", "[]"], argv
+            "    code = exc.code\n"
+            "assert code == 0")}
+        assert "selftests" not in loaded, argv
+        assert [m for m in absent if m in loaded] == [], argv
+        assert [m for m in present if m not in loaded] == [], argv

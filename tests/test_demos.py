@@ -1,13 +1,9 @@
 """Each narrative script in ``demos/`` runs to completion without a warning."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import ROOT, run_python
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -17,9 +13,7 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs_cleanly(script):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(script)], capture_output=True,
-                          text=True, timeout=120, env=env, cwd=ROOT)
+    done = run_python(str(script), timeout=120, cwd=ROOT)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert done.stdout

@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -77,14 +77,6 @@ def test_gcm_file_roundtrip(tmp_path):
     assert gcm_from_file(path) == g
 
 
-@pytest.mark.parametrize(
-    "a,b",
-    [(0, 0), (1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (2, 3), (1, 4), (3, 3)],
-)
-def test_coxeter_exponent_matches_matrix_order(a, b):
-    assert rank_two_calibration([(a, b)], bound=100) == []
-
-
 def test_coxeter_exponent_values():
     assert coxeter_exponent(rank_two(1, 1), 1, 2) == 3
     assert coxeter_exponent(rank_two(2, 2), 1, 2) is None
@@ -95,8 +87,7 @@ def test_coxeter_exponent_values():
         coxeter_exponent(rank_two(1, 1), 1, 1)
 
 
-@pytest.mark.parametrize("a", range(1, 5))
-@pytest.mark.parametrize("b", range(1, 5))
+@pytest.mark.parametrize("a,b", [(0, 0), *product(range(1, 5), repeat=2)])
 def test_finite_type_rank_two_calibration(a, b):
     assert rank_two_calibration([(a, b)], bound=100) == []
 

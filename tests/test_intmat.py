@@ -15,7 +15,7 @@ from schubert_kit.intmat import (
 )
 from schubert_kit.weyl import enumerate_by_length, reflection_matrix
 
-from conftest import AFFINE_A2, leibniz_det
+from conftest import AFFINE_A2, HYPERBOLIC_RANK3, leibniz_det
 
 
 def _product(a, b):
@@ -42,7 +42,7 @@ def test_det_matches_permutation_expansion():
 
 @pytest.mark.parametrize("rows,max_len", [
     (AFFINE_A2, 6),
-    ([[2, -2, -2], [-2, 2, -2], [-2, -2, 2]], 5),
+    (HYPERBOLIC_RANK3, 5),
     ([[2, -2], [-3, 2]], 20),
 ])
 def test_integer_inverse_on_group_elements(rows, max_len):

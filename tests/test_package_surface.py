@@ -1,13 +1,12 @@
 """The public surface of ``import schubert_kit``: names, objects and star-import."""
 
 import importlib
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import schubert_kit
+
+from conftest import loaded_modules
 
 # home module of every public name, written out so that the check does not
 # read the package's own table
@@ -72,34 +71,15 @@ def test_submodules_import_from_the_package():
 
 
 def test_bare_import_loads_only_errors():
-    src = Path(schubert_kit.__file__).resolve().parents[1]
-    script = (
-        "import sys\n"
-        f"sys.path.insert(0, {str(src)!r})\n"
-        "import schubert_kit\n"
-        "print(sorted(m for m in sys.modules if m.startswith('schubert_kit')))\n"
-    )
-    done = subprocess.run([sys.executable, "-S", "-c", script],
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "['schubert_kit', 'schubert_kit.errors']"
+    assert loaded_modules("import schubert_kit") == {"schubert_kit", "schubert_kit.errors"}
 
 
 def test_library_modules_load_neither_cli_nor_selftests():
     # so a change confined to cli or selftests leaves library imports as they were
-    src = Path(schubert_kit.__file__).resolve().parents[1]
-    script = (
-        "import sys\n"
-        f"sys.path.insert(0, {str(src)!r})\n"
+    loaded = loaded_modules(
         "import schubert_kit.gcm, schubert_kit.polyring, schubert_kit.ranktwo\n"
-        "import schubert_kit.rings, schubert_kit.schubert, schubert_kit.weyl\n"
-        "print(sorted(m for m in ('schubert_kit.cli', 'schubert_kit.selftests')"
-        " if m in sys.modules))\n"
-    )
-    done = subprocess.run([sys.executable, "-S", "-c", script],
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+        "import schubert_kit.rings, schubert_kit.schubert, schubert_kit.weyl")
+    assert not loaded & {"schubert_kit.cli", "schubert_kit.selftests"}
 
 
 def test_dir_lists_every_public_name():

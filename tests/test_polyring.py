@@ -34,8 +34,9 @@ def test_weyl_act_on_linear_forms():
                 assert model.weyl_act(i, model.root(j)) == expected
 
 
-def test_weyl_act_is_involution():
-    assert operator_identities(SAMPLE_GCMS, (QQ,), trials=5, degree=3, seed=SEED) == []
+def test_operator_identities():
+    rings = (ZZ, QQ, GF(2), GF(3))
+    assert operator_identities(SAMPLE_GCMS, rings, trials=5, degree=4, seed=SEED) == []
 
 
 def test_divided_difference_on_linear_forms(gcm_a23):
@@ -57,15 +58,6 @@ def test_divided_difference_pth_power(p):
             lhs = model.divided_difference(i, model.coroot_dual(i) ** p)
             rhs = (-model.root(i)) ** (p - 1)
             assert lhs == rhs
-
-
-def test_divided_difference_square_zero():
-    rings = (ZZ, QQ, GF(2), GF(3))
-    assert operator_identities(SAMPLE_GCMS, rings, trials=1, degree=4, seed=SEED) == []
-
-
-def test_twisted_leibniz():
-    assert operator_identities(SAMPLE_GCMS, (ZZ, GF(3)), trials=4, degree=3, seed=SEED) == []
 
 
 def test_operator_word_independence(rng, gcm_a11, gcm_b2):

@@ -18,9 +18,7 @@ from schubert_kit.rings import GF, QQ, ZZ
 from schubert_kit.selftests import characteristic_map_commutes, random_poly
 from schubert_kit.weyl import enumerate_by_length
 
-from conftest import AFFINE_A2, SEED
-
-HYPERBOLIC_RANK3 = [[2, -2, -2], [-2, 2, -2], [-2, -2, 2]]
+from conftest import AFFINE_A2, HYPERBOLIC_RANK3, SEED
 
 # (name, rows, top degree of the monomial images checked)
 MATRICES = [

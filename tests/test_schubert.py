@@ -30,10 +30,7 @@ from schubert_kit.weyl import (
     simple_reflection,
 )
 
-from conftest import AFFINE_A2
-
-HYPERBOLIC_RANK3 = [[2, -2, -2], [-2, 2, -2], [-2, -2, 2]]
-B4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -2, 2]]
+from conftest import AFFINE_A2, B4, HYPERBOLIC_RANK3
 
 
 def basis(g, word, ring=ZZ):

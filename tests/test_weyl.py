@@ -26,7 +26,7 @@ from schubert_kit.weyl import (
     to_dict,
 )
 
-from conftest import AFFINE_A2, B2_INSIDE_RANK3, stack_depth
+from conftest import AFFINE_A2, B2_INSIDE_RANK3, HYPERBOLIC_RANK3, stack_depth
 
 
 def test_simple_reflection_matrix(gcm_a22):
@@ -149,7 +149,7 @@ def test_canonical_word_against_full_enumeration(gcm_a11, gcm_b2, gcm_affine_a2)
 
 
 @pytest.mark.parametrize("rows,max_len", [
-    ([[2, -2, -2], [-2, 2, -2], [-2, -2, 2]], 9),
+    (HYPERBOLIC_RANK3, 9),
     (AFFINE_A2, 10),
     ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 7),
     (B2_INSIDE_RANK3, 10),
