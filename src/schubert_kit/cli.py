@@ -489,7 +489,8 @@ def _opt(*flags, **kwargs):
 
 
 _GCM = (
-    _opt("--gcm", help='inline matrix, e.g. "2,-2;-1,2"'),
+    _opt("--gcm", help='inline matrix, e.g. "2,-2;-1,2"; the command needs exactly one '
+                       "matrix: the matrix argument (gcm commands only), --gcm or --gcm-file"),
     _opt("--gcm-file", help="JSON file with {labels, rows}"),
 )
 _AB = (_opt("-a", type=_int_arg, default=2), _opt("-b", type=_int_arg, default=3))
@@ -529,7 +530,8 @@ COMMANDS = {
     }),
     "poly": ("torus polynomial algebra", {
         "psi": (cmd_poly_psi, "characteristic map of a homogeneous polynomial",
-                (*_GCM, _opt("--poly", help="JSON list of {exponents, coefficient}"),
+                (*_GCM, _opt("--poly", help="JSON list of {exponents, coefficient}; "
+                                      "required except with --selftest"),
                  _opt("--field", default="Q"), _REALIZATION)),
         "invariants": (cmd_poly_invariants, "kernel/image dimensions by degree",
                        (*_GCM, _opt("--field", default="Q"),

@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 from schubert_kit import cli
-from schubert_kit.gcm import rank_two, validate_gcm
+from schubert_kit.gcm import derived_realization, rank_two, standard_realization, validate_gcm
 
 AFFINE_A2 = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
 B2_INSIDE_RANK3 = [[2, -2, 0], [-1, 2, -1], [0, -1, 2]]
 HYPERBOLIC_RANK3 = [[2, -2, -2], [-2, 2, -2], [-2, -2, 2]]
 B4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -2, 2]]
+REALIZATIONS = {"standard": standard_realization, "derived": derived_realization}
 SEED = 20260808
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -76,6 +77,18 @@ def loaded_modules(snippet):
     done = run_python("-S", "-c", probe)
     assert done.returncode == 0, done.stderr
     return set(done.stdout.rpartition("loaded:")[2].split())
+
+
+def random_cartan_rows(rng, n, depth):
+    """The rows of a random Cartan matrix of rank ``n``: each off-diagonal
+    pair is linked with probability 0.6 and its two entries are drawn
+    independently from -depth..-1, so most are not symmetrizable."""
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.6:
+                rows[i][j], rows[j][i] = -rng.randint(1, depth), -rng.randint(1, depth)
+    return rows
 
 
 def leibniz_det(m):

@@ -23,7 +23,7 @@ from schubert_kit.selftests import (
     realization_pairings,
 )
 
-from conftest import AFFINE_A2, SEED, leibniz_det, oracle_rref
+from conftest import AFFINE_A2, SEED, leibniz_det, oracle_rref, random_cartan_rows
 
 
 def test_validate_accepts_rank_two_hyperbolic():
@@ -116,20 +116,10 @@ def test_spherical_poset_covers(gcm_a11):
     assert ((), (1, 2)) not in covers
 
 
-def _random_gcm(rng, n):
-    """Off-diagonal pairs drawn independently, so most are not symmetrizable."""
-    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.6:
-                rows[i][j], rows[j][i] = -rng.randint(1, 3), -rng.randint(1, 3)
-    return rows
-
-
 def test_spherical_poset_matches_principal_minor_oracle():
     rng = random.Random(20261018)
     for _ in range(150):
-        rows = _random_gcm(rng, rng.randint(1, 6))
+        rows = random_cartan_rows(rng, rng.randint(1, 6), 3)
         n = len(rows)
         minor = {
             sub: leibniz_det([[rows[i][j] for j in sub] for i in sub])
@@ -166,7 +156,7 @@ def test_is_finite_type_matches_principal_minor_oracle():
     rng = random.Random(20261019)
     seen = {"disconnected finite": 0, "disconnected infinite": 0, "non-symmetric": 0}
     for _ in range(80):
-        rows = _random_gcm(rng, rng.randint(1, 6))
+        rows = random_cartan_rows(rng, rng.randint(1, 6), 3)
         n = len(rows)
         g = validate_gcm(rows)
         seen["non-symmetric"] += any(rows[i][j] != rows[j][i] for i in range(n) for j in range(n))

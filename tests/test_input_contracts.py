@@ -32,7 +32,7 @@ from schubert_kit.weyl import (
     simple_reflection,
 )
 
-from conftest import run_main
+from conftest import random_cartan_rows, run_main
 
 G = parse_gcm("2,-2;-3,2")
 T1 = WeightRing(G, QQ).gen(1)
@@ -372,18 +372,6 @@ def test_fuzzed_commands_exit_0_or_2_deterministically(capsys):
 MATRIX_SEED = 20261020
 
 
-def random_cartan_rows(rng):
-    """A matrix of rank at most 4 that meets the three Cartan axioms."""
-    n = rng.randint(1, 4)
-    rows = [[2] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            linked = rng.random() < 0.6
-            rows[i][j] = -rng.randint(1, 4) if linked else 0
-            rows[j][i] = -rng.randint(1, 4) if linked else 0
-    return rows
-
-
 def random_gcm_payload(rng, rows):
     """The JSON text of a --gcm-file: the matrix as it is, or broken one way."""
     doc = {"rows": [list(row) for row in rows]}
@@ -424,7 +412,7 @@ def test_random_cartan_matrices_exit_0_or_2_deterministically(tmp_path, capsys):
     gcm_file = tmp_path / "gcm.json"
     codes = {}
     for _ in range(300):
-        rows = random_cartan_rows(rng)
+        rows = random_cartan_rows(rng, rng.randint(1, 4), 4)
         payload = random_gcm_payload(rng, rows)
         gcm_file.write_text(payload)
         argv = random_matrix_argv(rng, rows, str(gcm_file))

@@ -15,7 +15,7 @@ from schubert_kit.intmat import (
 )
 from schubert_kit.weyl import enumerate_by_length, reflection_matrix
 
-from conftest import AFFINE_A2, HYPERBOLIC_RANK3, leibniz_det
+from conftest import AFFINE_A2, HYPERBOLIC_RANK3, leibniz_det, random_cartan_rows
 
 
 def _product(a, b):
@@ -69,21 +69,10 @@ def test_integer_inverse_rejects_non_unimodular():
         assert integer_inverse(m) is None, m
 
 
-def _random_gcm(rng, n):
-    """A random GCM of rank ``n`` with off-diagonal entries down to -5; for
-    rank 3 and above almost every one is not symmetrizable."""
-    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.7:
-                rows[i][j], rows[j][i] = rng.randint(-5, -1), rng.randint(-5, -1)
-    return validate_gcm(rows)
-
-
 def test_reflection_updates_match_full_products():
     rng = random.Random(20261018)
     for trial in range(60):
-        g = _random_gcm(rng, rng.randint(1, 6))
+        g = validate_gcm(random_cartan_rows(rng, rng.randint(1, 6), 5))
         n = g.size
         group = identity(n)
         for _ in range(rng.randint(0, 8)):

@@ -14,12 +14,12 @@ from fractions import Fraction
 
 import pytest
 
-from schubert_kit.gcm import derived_realization, standard_realization, validate_gcm
+from schubert_kit.gcm import validate_gcm
 from schubert_kit.linalg import kernel_basis, rank
 from schubert_kit.polyring import WeightRing
 from schubert_kit.rings import GF, QQ
 
-from conftest import AFFINE_A2, oracle_rref
+from conftest import AFFINE_A2, REALIZATIONS, oracle_rref
 
 FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3), "F7": GF(7)}
 
@@ -85,7 +85,6 @@ MATRICES = [
     ("hyperbolic-2-3", [[2, -2], [-3, 2]], 20),
     ("affine-A2", AFFINE_A2, 10),
 ]
-REALIZATIONS = {"standard": standard_realization, "derived": derived_realization}
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -8,7 +8,7 @@ from schubert_kit.linalg import kernel_basis
 from schubert_kit.polyring import WeightRing, monomial_exponents
 from schubert_kit.rings import GF, QQ, ZZ
 from schubert_kit.schubert import SchubertVector
-from schubert_kit.selftests import operator_identities, random_poly, steenrod_commutation
+from schubert_kit.selftests import operator_identities, steenrod_commutation
 from schubert_kit.weyl import simple_reflection
 
 from conftest import AFFINE_A2, SEED, stack_depth
@@ -58,18 +58,6 @@ def test_divided_difference_pth_power(p):
             lhs = model.divided_difference(i, model.coroot_dual(i) ** p)
             rhs = (-model.root(i)) ** (p - 1)
             assert lhs == rhs
-
-
-def test_operator_word_independence(rng, gcm_a11, gcm_b2):
-    # composite divided differences agree along both reduced words
-    for g, w1, w2 in (
-        (gcm_a11, (1, 2, 1), (2, 1, 2)),
-        (gcm_b2, (1, 2, 1, 2), (2, 1, 2, 1)),
-    ):
-        model = WeightRing(g, QQ)
-        for _ in range(5):
-            f = random_poly(model, rng, range(6))
-            assert model.operator_word(w1, f) == model.operator_word(w2, f)
 
 
 def test_characteristic_map_degree_two(gcm_a23, gcm_a11):
@@ -161,14 +149,6 @@ def test_dimension_split(gcm_a23, gcm_a22):
                 count = len(monomial_exponents(model.nvars, deg // 2))
                 assert dim_j + dim_s == count
                 assert model.generalized_invariants(deg)[0] == dim_j
-
-
-def test_s_series_rank_two_rational():
-    for a, b in ((2, 2), (2, 3), (1, 5)):
-        model = WeightRing(rank_two(a, b), QQ)
-        report = model.s_poincare(16)
-        assert [row[2] for row in report.per_degree] == [1] + [2] * 8
-        assert report.per_degree[0][2] == 1
 
 
 def test_s_poincare_independent_of_recursion_limit(gcm_a23):

@@ -12,13 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from schubert_kit.gcm import derived_realization, standard_realization, validate_gcm
+from schubert_kit.gcm import validate_gcm
 from schubert_kit.polyring import WeightRing, monomial_exponents
 from schubert_kit.rings import GF, QQ, ZZ
 from schubert_kit.selftests import characteristic_map_commutes, random_poly
 from schubert_kit.weyl import enumerate_by_length
 
-from conftest import AFFINE_A2, HYPERBOLIC_RANK3, SEED
+from conftest import AFFINE_A2, HYPERBOLIC_RANK3, REALIZATIONS, SEED
 
 # (name, rows, top degree of the monomial images checked)
 MATRICES = [
@@ -28,7 +28,6 @@ MATRICES = [
     ("affine-A2", AFFINE_A2, 3),
     ("hyperbolic-rank-3", HYPERBOLIC_RANK3, 3),
 ]
-REALIZATIONS = {"standard": standard_realization, "derived": derived_realization}
 FIELDS = (QQ, GF(2), GF(3))
 
 
