@@ -157,10 +157,6 @@ def embed(field: QuadraticField, x: int) -> Fp2Element:
     return Fp2Element(field, x, 0)
 
 
-def one(field: QuadraticField) -> Fp2Element:
-    return Fp2Element(field, 1, 0)
-
-
 def _sqrt_in_prime_field(value: int, p: int):
     """Smallest square root of a residue mod p, or None (p at desk scale)."""
     value %= p

@@ -1,5 +1,5 @@
 """Small exact integer-matrix helpers (tuples of tuples, row major), the
-rank-one updates that apply a simple reflection, the one elimination routine
+rank-one update that applies a simple reflection, the one elimination routine
 behind ``det``, ``integer_inverse`` and ``linalg``, and ``as_int`` and
 ``parse_int``, the readers of integers that come from outside."""
 
@@ -61,17 +61,6 @@ def right_reflect(m: Matrix, i: int, cartan_row) -> Matrix:
         tuple([x - f * a for x, a in zip(row, cartan_row)]) if (f := row[c]) else row
         for row in m
     ])
-
-
-def left_reflect(m: Matrix, i: int, cartan_row) -> Matrix:
-    """``r_i m``, for ``cartan_row`` row ``i`` of the Cartan matrix: only row
-    ``i`` changes, to ``m_i - sum_t a_it m_t``."""
-    c = i - 1
-    row = m[c]
-    for a, other in zip(cartan_row, m):
-        if a:
-            row = tuple(x - a * y for x, y in zip(row, other))
-    return m[:c] + (row,) + m[c + 1:]
 
 
 def _eliminate(rows: list[list[int]], ncols: int, p: int = 0):

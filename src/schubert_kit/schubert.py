@@ -24,8 +24,8 @@ from .gcm import GeneralizedCartanMatrix
 from .rings import ZZ, Combination
 from .weyl import (
     WeylElement,
-    _is_negative_column,
-    element_from_matrix,
+    _fold,
+    _least_word,
     from_word,
     identity_element,
     min_coset_reps,
@@ -90,14 +90,13 @@ def nil_a(i: int, v: SchubertVector) -> SchubertVector:
         return SchubertVector(ring)
     g = next(iter(v.coeffs)).gcm
     i = g.generator(i)
-    row = g.entries[i - 1]
     out = {}
     for w, c in v.coeffs.items():
         if right_descent(w, i):
             if w.gcm != g:
                 raise ValueError("elements belong to different groups")
             # w -> w r_i is injective, so no two terms land on one class
-            out[element_from_matrix(g, intmat.right_reflect(w.matrix, i, row))] = c
+            out[WeylElement(g, _fold(g, w.key, (i,)), _least_word(g, w.word + (i,)))] = c
     return SchubertVector(ring, out)
 
 
@@ -143,37 +142,37 @@ def peterson_coproduct(w: WeylElement) -> TensorVector:
 
     The left factors ``u`` of ``w = u v`` with ``l(u) + l(v) = l(w)`` are the
     right weak-order interval ``[e, w]``, walked level by level from
-    ``(e, w)``: each left descent ``i`` of ``v`` (a nonpositive column ``i``
-    of ``v^-1``) steps to ``(u r_i, r_i v)``.  The interval is closed under
-    prefixes and each level is walked in word order with ``i`` ascending, so
-    the first word reaching a new ``u`` is its lex-least reduced word.  The
-    word of ``v`` is its least left descent followed by the word of
-    ``r_i v``, filled in from the far end of the walk.  The cost is about the
-    interval's size times the rank, and only elements below ``w`` are
+    ``(e, w)``: each left descent ``i`` of ``v`` (a negative pairing of ``v
+    rho^vee``) steps to ``(u r_i, r_i v)``, one fold of ``u``'s key and of
+    those pairings.  The interval is closed under prefixes and each level is
+    walked in word order with ``i`` ascending, so the first word reaching a
+    new ``u`` is its lex-least reduced word.  The word of ``v`` is its least
+    left descent followed by the word of ``r_i v``, filled in from the far
+    end of the walk, and folded into its key.  Only elements below ``w`` are
     touched, so the result is exact.
     """
     g = w.gcm
-    # per level, u matrix -> (u word, v matrix, v^-1 matrix)
-    level = {intmat.identity(g.size): ((), w.matrix, intmat.integer_inverse(w.matrix))}
+    ones = (1,) * g.size
+    # per level, u key -> (u word, pairings of v rho^vee)
+    level = {ones: ((), _fold(g, ones, reversed(w.word)))}
     levels, least_step = [], {}
     while level:
         levels.append(level)
         nxt = {}
-        for um, (uword, vm, vinv) in level.items():
-            for i, row in enumerate(g.entries, 1):
-                if _is_negative_column(vinv, i):
-                    child = intmat.right_reflect(um, i, row)
-                    least_step.setdefault(um, (i, child))
+        for uk, (uword, vy) in level.items():
+            for i, x in enumerate(vy, 1):
+                if x < 0:
+                    child = _fold(g, uk, (i,))
+                    least_step.setdefault(uk, (i, child))
                     if child not in nxt:
-                        nxt[child] = (uword + (i,), intmat.left_reflect(vm, i, row),
-                                      intmat.right_reflect(vinv, i, row))
+                        nxt[child] = (uword + (i,), _fold(g, vy, (i,)))
         level = nxt
     out, vwords = {}, {}
     for level in reversed(levels):
-        for um, (uword, vm, _) in level.items():
-            step = least_step.get(um)
-            vword = vwords[um] = (step[0],) + vwords[step[1]] if step else ()
-            out[(WeylElement(g, um, uword), WeylElement(g, vm, vword))] = ZZ.one
+        for uk, (uword, _) in level.items():
+            step = least_step.get(uk)
+            vword = vwords[uk] = (step[0],) + vwords[step[1]] if step else ()
+            out[(WeylElement(g, uk, uword), WeylElement(g, _fold(g, ones, vword), vword))] = ZZ.one
     return TensorVector(ZZ, out)
 
 

@@ -1,19 +1,31 @@
-"""The Weyl group of a generalized Cartan matrix, as integer matrices.
+"""The Weyl group of a generalized Cartan matrix, each element held as a key
+of ``n`` integers and its lexicographically least reduced word.
 
-Elements act on the lattice spanned by the simple roots; column j of an
-element's matrix holds the coordinates of the image of the j-th simple root.
-This representation is faithful and crystallographic, so deduplication is
-exact matrix equality and no word-problem solving is ever needed.  Every
-column of a group element is a real root: its entries are all >= 0 or all
-<= 0, which gives the integer-exact descent test used everywhere below.
+``r_i`` maps a coweight ``h`` to ``h - <alpha_i, h> alpha_i^vee``, which on
+the pairings ``v_j = <alpha_j, h>`` is the fold step ``v <- v - v_i * (row i
+of the Cartan matrix)``, the numbers game (Bjorner-Brenti, *Combinatorics of
+Coxeter Groups*, ch. 4).  Let ``rho^vee`` pair to 1 with every simple root.
 
-Convention: ``i`` is a right descent of ``w`` iff ``w`` maps the i-th simple
-root to a negative root.  Coset routines return minimal-length
-representatives for that convention.  Infinite groups are only ever
-materialized up to an explicit length bound, and a negative bound raises
-ValueError.  Matrix entries given from outside are read by
-``intmat.as_int``, an ``int`` or ``__index__`` value and never a bool, and
-generator indices by ``GeneralizedCartanMatrix.generator``.
+- Key: ``key[i-1] = <alpha_i, w^-1 rho^vee>``, the height of ``w(alpha_i)``
+  (column ``i``'s sum in the matrix of ``w``): a word of ``w`` folded in
+  order from ``(1, ..., 1)``.
+- Descents: ``i`` is a right descent iff ``w(alpha_i)`` is a negative root
+  (Kac, *Infinite-dimensional Lie algebras*, Lemma 3.11), iff ``key[i-1] <
+  0``, as a real root has nonzero height; a left descent iff ``<alpha_i, w
+  rho^vee> < 0``, these pairings being the reversed word folded.
+- Faithful: if ``u`` and ``v`` have equal keys, ``z = u^-1 rho^vee - v^-1
+  rho^vee`` pairs to 0 with every simple root, so lies in the centre, which
+  ``W`` fixes.  So ``x = v u^-1`` maps ``rho^vee`` to ``rho^vee + z``, every
+  ``<alpha_i, x rho^vee>`` is 1, and ``x``, with no left descent, is 1 (Kac,
+  Prop. 3.12).
+
+So the lex-least word of any word is read by stripping the least left
+descent until none is left, ``O(n)`` small-integer steps a letter and no
+matrix.  Coset routines return minimal-length representatives for right
+descents.  Infinite groups are materialized only up to an explicit length
+bound; a negative bound raises ValueError.  Matrix entries from outside are
+read by ``intmat.as_int``, generator indices by
+``GeneralizedCartanMatrix.generator``.
 """
 
 from __future__ import annotations
@@ -31,27 +43,55 @@ _DEFAULT_STRIP_BOUND = 10_000
 
 @dataclass(frozen=True)
 class WeylElement:
-    """A group element with its canonical reduced word.
-
-    Equality compares the matrix and the group, never the word, which is
-    derived data; the hash reads the matrix alone, as equal elements have
-    equal matrices.  ``word`` is the lexicographically least reduced word
-    for the element, so its length is the element's length.
-    """
+    """A group element: its key and its lex-least reduced word.  Equality
+    compares the group and the key, never the word, which is derived data;
+    the hash reads the key alone, as equal elements have equal keys."""
 
     gcm: GeneralizedCartanMatrix
-    matrix: Matrix
+    key: tuple[int, ...]
     word: tuple[int, ...] = field(compare=False)
 
     def __hash__(self) -> int:
-        return hash(self.matrix)
+        return hash(self.key)
 
     @property
     def length(self) -> int:
         return len(self.word)
 
+    @property
+    def matrix(self) -> Matrix:
+        """The action on the simple-root lattice, built from the word: column
+        ``j`` is the image of the j-th simple root, of height ``key[j-1]``."""
+        m = intmat.identity(self.gcm.size)
+        for i in self.word:
+            m = intmat.right_reflect(m, i, self.gcm.entries[i - 1])
+        return m
+
     def __repr__(self) -> str:
         return f"W({','.join(map(str, self.word)) or 'e'})"
+
+
+def _fold(gcm: GeneralizedCartanMatrix, v, letters) -> tuple[int, ...]:
+    """The pairings ``v`` after ``r_i`` for each letter ``i`` in order."""
+    rows = gcm.entries
+    for i in letters:
+        f = v[i - 1]
+        v = tuple([x - f * a for x, a in zip(v, rows[i - 1])])
+    return v
+
+
+def _least_word(gcm: GeneralizedCartanMatrix, letters) -> tuple[int, ...]:
+    """The lex-least reduced word of the product ``w`` of valid ``letters``:
+    strip the least negative pairing of ``w rho^vee`` until none is left."""
+    y, word = _fold(gcm, (1,) * gcm.size, reversed(letters)), []
+    while True:
+        for i, x in enumerate(y, 1):
+            if x < 0:
+                break
+        else:
+            return tuple(word)
+        word.append(i)
+        y = _fold(gcm, y, (i,))
 
 
 def reflection_matrix(gcm: GeneralizedCartanMatrix, i: int) -> Matrix:
@@ -67,18 +107,17 @@ def reflection_matrix(gcm: GeneralizedCartanMatrix, i: int) -> Matrix:
 
 
 def identity_element(gcm: GeneralizedCartanMatrix) -> WeylElement:
-    return WeylElement(gcm, intmat.identity(gcm.size), ())
+    return from_word(gcm, ())
 
 
 def simple_reflection(gcm: GeneralizedCartanMatrix, i: int) -> WeylElement:
-    i = gcm.generator(i)
-    return WeylElement(gcm, reflection_matrix(gcm, i), (i,))
+    return from_word(gcm, (i,))
 
 
 def _is_negative_column(matrix: Matrix, i: int) -> bool:
     """True iff every entry of column ``i`` is <= 0; stops at the first
     positive one.  For a group element the first nonzero entry would decide,
-    but ``length_and_word`` also tests the inverses of user matrices, and a
+    but ``length_and_word`` tests the inverses of user matrices, and a
     mixed-sign column, which no group element has, must not read as a
     descent: stripping stops there and raises NotInGroup at once."""
     c = i - 1
@@ -90,7 +129,7 @@ def _is_negative_column(matrix: Matrix, i: int) -> bool:
 
 def right_descent(w: WeylElement, i: int) -> bool:
     """True iff multiplying by r_i on the right shortens ``w``."""
-    return _is_negative_column(w.matrix, i)
+    return w.key[i - 1] < 0
 
 
 def length_and_word(gcm: GeneralizedCartanMatrix, matrix,
@@ -104,7 +143,7 @@ def length_and_word(gcm: GeneralizedCartanMatrix, matrix,
     not an integer.
     """
     n = gcm.size
-    matrix = _read_matrix(matrix)
+    matrix = tuple(tuple(intmat.as_int(x) for x in row) for row in matrix)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise NotInGroup("matrix size does not match the index set")
     inv = intmat.integer_inverse(matrix)
@@ -125,38 +164,18 @@ def length_and_word(gcm: GeneralizedCartanMatrix, matrix,
     return len(word), tuple(word)
 
 
-def _read_matrix(matrix) -> Matrix:
-    return tuple(tuple(intmat.as_int(x) for x in row) for row in matrix)
-
-
-def element_from_matrix(gcm: GeneralizedCartanMatrix, matrix) -> WeylElement:
-    matrix = _read_matrix(matrix)
-    return WeylElement(gcm, matrix, length_and_word(gcm, matrix)[1])
-
-
 def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
     if u.gcm != v.gcm:
         raise ValueError("elements belong to different groups")
-    return element_from_matrix(u.gcm, intmat.mat_mul(u.matrix, v.matrix))
-
-
-def inverse(w: WeylElement) -> WeylElement:
-    inv = intmat.integer_inverse(w.matrix)
-    assert inv is not None
-    return element_from_matrix(w.gcm, inv)
+    return from_word(u.gcm, u.word + v.word)
 
 
 def from_word(gcm: GeneralizedCartanMatrix, word) -> WeylElement:
-    """Product of simple reflections; the word need not be reduced.
-
-    Raises ValueError for a letter that is not an integer or lies outside
-    the index set.
-    """
-    m = intmat.identity(gcm.size)
-    for i in word:
-        i = gcm.generator(i)
-        m = intmat.right_reflect(m, i, gcm.entries[i - 1])
-    return element_from_matrix(gcm, m)
+    """Product of simple reflections, the one constructor of an element from
+    a word, reduced or not.  Raises ValueError for a letter that is not an
+    integer or lies outside the index set."""
+    word = [gcm.generator(i) for i in word]
+    return WeylElement(gcm, _fold(gcm, (1,) * gcm.size, word), _least_word(gcm, word))
 
 
 # Per-session enumeration memo, keyed by matrix.  Confined to one process;
@@ -168,7 +187,7 @@ def enumerate_by_length(gcm: GeneralizedCartanMatrix, max_len: int):
     """Lists W_0, ..., W_max_len of all elements of each exact length.
 
     Breadth-first closure under right multiplication by generators,
-    deduplicated by matrix.  An ascent ``w r_i`` of ``w`` in W_l lies in
+    deduplicated by key.  An ascent ``w r_i`` of ``w`` in W_l lies in
     W_(l+1), and its parents are the ``(w r_j, j)`` over its right descents
     ``j``, so the least candidate word ``w.word + (i,)`` is its lex-least
     reduced word.  Candidates arrive in lex order (W_l is sorted and ``i``
@@ -180,12 +199,12 @@ def enumerate_by_length(gcm: GeneralizedCartanMatrix, max_len: int):
         raise ValueError(f"length bound {max_len} is negative")
     levels = _LEVELS.setdefault(gcm, [[identity_element(gcm)]])
     while len(levels) <= max_len:
-        words: dict[Matrix, tuple[int, ...]] = {}
+        words: dict[tuple[int, ...], tuple[int, ...]] = {}
         for w in levels[-1]:
-            for i, row in enumerate(gcm.entries, 1):
-                if not right_descent(w, i):
-                    words.setdefault(intmat.right_reflect(w.matrix, i, row), w.word + (i,))
-        levels.append([WeylElement(gcm, m, word) for m, word in words.items()])
+            for i, x in enumerate(w.key, 1):
+                if x > 0:
+                    words.setdefault(_fold(gcm, w.key, (i,)), w.word + (i,))
+        levels.append([WeylElement(gcm, key, word) for key, word in words.items()])
     return [list(level) for level in levels[: max_len + 1]]
 
 
@@ -197,16 +216,16 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
     The last letter of a reduced word is a right descent, and dropping it
     leaves a reduced word of ``w r_i`` (Bjorner-Brenti, Prop. 2.2.7), so the
     descents of ``w`` are read off ``reversed(w.word)`` and only ``v``'s
-    matrix is multiplied, once per descent it shares.
+    key is stepped, once per descent it shares.
     """
     if v.gcm != w.gcm:
         raise ValueError("elements belong to different groups")
     if v.length > w.length:
         return False
-    vm, vl = v.matrix, v.length
+    vk, vl = v.key, v.length
     for i in reversed(w.word):
-        if _is_negative_column(vm, i):
-            vm, vl = intmat.right_reflect(vm, i, w.gcm.entries[i - 1]), vl - 1
+        if vk[i - 1] < 0:
+            vk, vl = _fold(w.gcm, vk, (i,)), vl - 1
     return vl == 0
 
 
@@ -227,17 +246,20 @@ def longest_element(gcm: GeneralizedCartanMatrix, subset) -> WeylElement:
 
     Climbs from ``e`` by the least ascent in ``subset`` until every
     generator of ``subset`` is a right descent, which in a finite parabolic
-    subgroup only its longest element satisfies.
+    subgroup only its longest element satisfies.  Every reduced word in
+    ``subset``'s letters is a prefix of one of the longest element, so the
+    least ascent at each step spells its lex-least reduced word.
     """
     subset = sorted({gcm.generator(i) for i in subset})
     if not is_finite_type(gcm, subset):
         raise NotSpherical(f"subset {subset} generates an infinite group")
-    m = intmat.identity(gcm.size)
-    while (i := next((i for i in subset if not _is_negative_column(m, i)), None)) is not None:
-        m = intmat.right_reflect(m, i, gcm.entries[i - 1])
-    return element_from_matrix(gcm, m)
+    key, word = (1,) * gcm.size, []
+    while (i := next((i for i in subset if key[i - 1] > 0), None)) is not None:
+        key = _fold(gcm, key, (i,))
+        word.append(i)
+    return WeylElement(gcm, key, tuple(word))
 
 
 def to_dict(w: WeylElement) -> dict:
-    """Interchange form; matrices are derived data and never serialized."""
+    """Interchange form; keys and matrices are derived, never serialized."""
     return {"word": list(w.word)}

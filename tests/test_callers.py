@@ -1,6 +1,5 @@
 """Every definition in the package has a caller in the package, except a short
-list of public, documented entry points that only users and tests call and
-the uncalled definitions held in ``HELD``.
+list of public, documented entry points that only users and tests call.
 
 A definition is a top-level function or class, or a method of a top-level
 class; dunder methods are called by Python itself and are not listed.  A
@@ -41,20 +40,9 @@ ENTRY_POINTS = {
     "ranktwo.p_adic_valuation",
     "schubert.counit_collapse",
     "schubert.identity_vector",
+    "weyl.WeylElement.matrix",
     "weyl.to_dict",
 }
-
-# no caller in the package, but held: the benchmark worker imports both modules,
-# and deleting the two moved the garbage collector's count after coxeter set-up
-# (seed 11) from 115 to 104 and its first speed probe from about 2.5 to 1.2 ms,
-# which doubles coxeter setup_s; a module the worker imports keeps its net import
-# allocations within about -10 .. +150 objects until the harness pins the
-# collector state before its first speed probe
-HELD = {
-    "ffield.one",
-    "weyl.inverse",
-}
-
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
@@ -130,13 +118,11 @@ def uncalled():
 
 
 def test_only_the_entry_points_lack_a_caller():
-    assert sorted(uncalled()) == sorted(ENTRY_POINTS | HELD)
+    assert sorted(uncalled()) == sorted(ENTRY_POINTS)
 
 
 def test_entry_points_are_public_and_documented():
     for qualname, node in uncalled().items():
-        if qualname in HELD:
-            continue
         assert not node.name.startswith("_"), qualname
         assert ast.get_docstring(node), qualname
 

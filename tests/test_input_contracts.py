@@ -23,7 +23,6 @@ from schubert_kit.schubert import (
     schubert_from_jsonable,
 )
 from schubert_kit.weyl import (
-    element_from_matrix,
     enumerate_by_length,
     from_word,
     length_and_word,
@@ -47,8 +46,8 @@ def class_of(word):
 # every place an outside integer enters: a float, a string or a bool is none
 NOT_INTEGERS = {
     "length-and-word-float-matrix": lambda: length_and_word(G, ((1.9, 0.2), (0, 1))),
-    "element-from-float-matrix": lambda: element_from_matrix(G, ((1.0, 0), (0, 1))),
-    "element-from-bool-matrix": lambda: element_from_matrix(G, ((True, False), (0, 1))),
+    "length-and-word-integral-float-matrix": lambda: length_and_word(G, ((1.0, 0), (0, 1))),
+    "length-and-word-bool-matrix": lambda: length_and_word(G, ((True, False), (0, 1))),
     "from-word-mixed": lambda: from_word(G, ["1", 2.0, True]),
     "from-word-str": lambda: from_word(G, ["1"]),
     "from-word-float": lambda: from_word(G, [2.0]),
