@@ -2,110 +2,80 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.  Every
 tolerance here is exact (integer equality); the runtime ceilings are part
-of the criteria and asserted.
+of the criteria and asserted.  Each criterion but 5 collects the inputs on
+which it fails: through the ``selftests`` check that states what it
+asserts, where there is one, and through a comprehension otherwise.  A
+failed criterion prints its first failing inputs on its line and in the
+assertion message.
 """
 
 import random
 import time
-from math import gcd
+from itertools import combinations, product
 
 from schubert_kit import ranktwo
 from schubert_kit.gcm import coxeter_exponent, rank_two, validate_gcm
 from schubert_kit.polyring import WeightRing, monomial_exponents
 from schubert_kit.ranktwo import DELTA, TAU
 from schubert_kit.rings import GF, QQ
-from schubert_kit.schubert import (
-    SchubertVector,
-    counit_collapse,
-    nil_a,
-    nil_aw,
-    peterson_coproduct,
+from schubert_kit.schubert import SchubertVector, counit_collapse, nil_a, peterson_coproduct
+from schubert_kit.selftests import (
+    binomials_match_prefix_quotients,
+    braid_relations_on_basis,
+    coproduct_grading,
+    mod_p_identities,
+    nil_a_square_zero,
+    prime_order_methods_agree,
+    random_poly,
+    solver_matches_closed_products,
+    symbolic_low_rows,
 )
 from schubert_kit.weyl import enumerate_by_length, simple_reflection
 
 AFFINE_A2 = validate_gcm([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+KINDS = (DELTA, TAU)
 
 
-def _report(num, description, ok, started, limit):
+def _report(num, description, failures, started, limit):
     elapsed = time.monotonic() - started
-    status = "PASS" if ok and elapsed < limit else "FAIL"
-    print(f"ACCEPTANCE {num:2d} {status} ({elapsed:6.2f}s < {limit:.0f}s) {description}")
-    assert ok, f"criterion {num} failed: {description}"
+    status = "PASS" if not failures and elapsed < limit else "FAIL"
+    first = f"; first failing inputs {failures[:3]}" if failures else ""
+    print(f"ACCEPTANCE {num:2d} {status} ({elapsed:6.2f}s < {limit:.0f}s) {description}{first}")
+    assert failures == [], f"criterion {num} failed: {description}{first}"
     assert elapsed < limit, f"criterion {num} exceeded its runtime bound"
 
 
 def test_criterion_01_symbolic_table():
     started = time.monotonic()
-    rng = random.Random(1)
-    ok = True
-    count = 0
-    while count < 20:
-        a, b = rng.randint(1, 40), rng.randint(1, 40)
-        if a * b < 4:
-            continue
-        count += 1
-        t = ranktwo.cd_sequences(a, b, 4)
-        ok &= t.c[0] == 0 and t.d[0] == 0 and t.c[1] == 1 and t.d[1] == 1
-        ok &= (t.c[2], t.d[2]) == (a, b)
-        ok &= t.c[3] == t.d[3] == a * b - 1
-        ok &= t.c[4] == a * (a * b - 2) and t.d[4] == b * (a * b - 2)
-        ok &= t.g[4] == gcd(a, b) * (a * b - 2)
-    _report(1, "symbolic reproduction of the low table rows", ok, started, 1.0)
+    failures = symbolic_low_rows(trials=20, max_entry=40, seed=1)
+    _report(1, "symbolic reproduction of the low table rows", failures, started, 1.0)
 
 
 def test_criterion_02_binomial_integrality():
     started = time.monotonic()
-    events = 0
-    for a in range(2, 11):
-        for b in range(2, 11):
-            t = ranktwo.cd_sequences(a, b, 40)
-            for n in range(41):
-                for m in range(41 - n):
-                    try:
-                        ranktwo.generalized_binomial_C(t, n, m)
-                        ranktwo.generalized_binomial_D(t, n, m)
-                    except Exception:
-                        events += 1
+    pairs = [(a, b) for a in range(2, 11) for b in range(2, 11)]
+    failures = binomials_match_prefix_quotients(pairs, 40)
     _report(2, "generalized binomials integral, n+m <= 40, a,b <= 10",
-            events == 0, started, 30.0)
+            failures, started, 30.0)
 
 
 def test_criterion_03_cup_product_oracle():
     started = time.monotonic()
-    ok = True
-    for a, b in ((2, 2), (2, 3), (1, 5), (3, 3)):
+    pairs = ((2, 2), (2, 3), (1, 5), (3, 3))
+    failures = solver_matches_closed_products(pairs, 20)
+    for a, b in pairs:
         table = ranktwo.leibniz_cup_solver(a, b, 20)
-        t = ranktwo.cd_sequences(a, b, 22)
-        for n in range(1, 20):
-            for gen in (DELTA, TAU):
-                for kind in (DELTA, TAU):
-                    ok &= table.constants(gen, 1, kind, n) == (
-                        ranktwo.closed_generator_product(t, gen, kind, n)
-                    )
-        kinds = (DELTA, TAU)
-        for m in range(1, 20):
-            for n in range(1, 21 - m):
-                for k1 in kinds:
-                    for k2 in kinds:
-                        ok &= table.constants(k1, m, k2, n) == table.constants(
-                            k2, n, k1, m
-                        )
-        for l in range(1, 19):
-            for m in range(1, 20 - l):
-                for n in range(1, 21 - l - m):
-                    for k1 in kinds:
-                        for k2 in kinds:
-                            for k3 in kinds:
-                                left = table.cup(
-                                    table.product((k1, l), (k2, m)), {(k3, n): 1}
-                                )
-                                right = table.cup(
-                                    {(k1, l): 1},
-                                    table.product((k2, m), (k3, n)),
-                                )
-                                ok &= left == right
+        failures += [(a, b, k1, m, k2, n)
+                     for m in range(1, 20) for n in range(1, 21 - m)
+                     for k1, k2 in product(KINDS, repeat=2)
+                     if table.constants(k1, m, k2, n) != table.constants(k2, n, k1, m)]
+        failures += [(a, b, k1, l, k2, m, k3, n)
+                     for l in range(1, 19) for m in range(1, 20 - l) for n in range(1, 21 - l - m)
+                     for k1, k2, k3 in product(KINDS, repeat=3)
+                     if table.cup(table.product((k1, l), (k2, m)), {(k3, n): 1})
+                     != table.cup({(k1, l): 1}, table.product((k2, m), (k3, n)))]
     _report(3, "solver equals closed forms; commutative and associative",
-            ok, started, 60.0)
+            failures, started, 60.0)
 
 
 def _prime_grid():
@@ -120,19 +90,13 @@ def _prime_grid():
 
 def test_criterion_04_prime_order_three_ways():
     started = time.monotonic()
-    ok = True
+    failures = prime_order_methods_agree(range(1, 9), (2, 3, 5, 7, 11, 13, 17, 19, 23), 200)
     for a, b, p in _prime_grid():
-        closed = ranktwo.prime_order_closed(a, b, p)
-        scan = ranktwo.prime_order_scan(a, b, p, 200)
-        ok &= scan.k == closed.k and scan.pattern_consistent
-        if p != 2:
-            ok &= ranktwo.matrix_order_method(a, b, p) == closed.k
-        t = ranktwo.cd_sequences(a, b, 60)
-        ok &= all(
-            (t.g[n] % p == 0) == (n % closed.k == 0) for n in range(1, 61)
-        )
+        k = ranktwo.prime_order_closed(a, b, p).k
+        g = ranktwo.cd_sequences(a, b, 60).g
+        failures += [(a, b, p, n) for n in range(1, 61) if (g[n] % p == 0) != (n % k == 0)]
     _report(4, "prime-order theorem by three methods, pattern to n = 60",
-            ok, started, 60.0)
+            failures, started, 60.0)
 
 
 def test_criterion_05_bockstein_valuations():
@@ -165,182 +129,120 @@ def test_criterion_05_bockstein_valuations():
 def test_criterion_06_nil_hecke_relations():
     started = time.monotonic()
     rng = random.Random(6)
-    ok = True
     sample = [rank_two(1, 1), rank_two(2, 1), rank_two(2, 2), AFFINE_A2]
+    failures = nil_a_square_zero(sample, 8) + braid_relations_on_basis(sample, 8)
     for g in sample:
-        basis = [w for level in enumerate_by_length(g, 8) for w in level]
-        braids = []
-        for i in range(1, g.size + 1):
-            for j in range(i + 1, g.size + 1):
-                m = coxeter_exponent(g, i, j)
-                if m is not None:
-                    braids.append((
-                        tuple(i if t % 2 == 0 else j for t in range(m)),
-                        tuple(j if t % 2 == 0 else i for t in range(m)),
-                    ))
-        for w in basis:
-            vec = SchubertVector.basis(QQ, w)
-            for i in range(1, g.size + 1):
-                ok &= nil_a(i, nil_a(i, vec)).is_zero()
-            for w1, w2 in braids:
-                ok &= nil_aw(w1, vec) == nil_aw(w2, vec)
         model = WeightRing(g, QQ)
+        dd, op = model.divided_difference, model.operator_word
+        braids = [(i, j, m) for i, j in combinations(g.index_set, 2)
+                  if (m := coxeter_exponent(g, i, j)) is not None]
         for _ in range(5):
-            f = _random_poly(model, rng, 5)
-            for i in range(1, g.size + 1):
-                dd = model.divided_difference
-                ok &= dd(i, dd(i, f)).is_zero()
-            for w1, w2 in braids:
-                ok &= model.operator_word(w1, f) == model.operator_word(w2, f)
+            f = random_poly(model, rng, range(6), density=0.4)
+            failures += [(g, f, i) for i in g.index_set if not dd(i, dd(i, f)).is_zero()]
+            failures += [(g, f, i, j) for i, j, m in braids
+                         if op(tuple((i, j)[t % 2] for t in range(m)), f)
+                         != op(tuple((j, i)[t % 2] for t in range(m)), f)]
     _report(6, "square-zero and braid relations, basis and polynomial sides",
-            ok, started, 120.0)
-
-
-def _random_poly(model, rng, deg):
-    pairs = []
-    for d in range(deg + 1):
-        for exps in monomial_exponents(model.nvars, d):
-            if rng.random() < 0.4:
-                pairs.append((exps, rng.randint(-4, 4)))
-    if not pairs:
-        pairs = [((0,) * model.nvars, 1)]
-    return model.from_terms(pairs)
-
-
-def _random_homogeneous(model, rng, deg):
-    exponents = monomial_exponents(model.nvars, deg)
-    pairs = [(e, rng.randint(-4, 4)) for e in exponents if rng.random() < 0.7]
-    if not pairs or all(c == 0 for _, c in pairs):
-        pairs = [(exponents[0], 1)]
-    return model.from_terms(pairs)
+            failures, started, 120.0)
 
 
 def test_criterion_07_characteristic_homomorphism():
     started = time.monotonic()
     rng = random.Random(7)
-    ok = True
     sample = [rank_two(1, 1), rank_two(2, 2), rank_two(2, 3)]
+    failures = []
     for g in sample:
         model = WeightRing(g, QQ)
-        for i in range(1, g.size + 1):
-            ok &= model.characteristic_map(model.coroot_dual(i)) == (
-                SchubertVector.basis(QQ, simple_reflection(g, i))
-            )
-            expected = SchubertVector(
-                QQ,
-                {simple_reflection(g, j): g.a(j, i) for j in range(1, g.size + 1)},
-            )
-            ok &= model.characteristic_map(model.root(i)) == expected
+        psi = model.characteristic_map
+        failures += [(g, "coroot dual", i) for i in g.index_set
+                     if psi(model.coroot_dual(i))
+                     != SchubertVector.basis(QQ, simple_reflection(g, i))]
+        failures += [(g, "root", i) for i in g.index_set
+                     if psi(model.root(i)) != SchubertVector(
+                         QQ, {simple_reflection(g, j): g.a(j, i) for j in g.index_set})]
     # operator commutation on 100 random homogeneous polynomials
-    models = [
-        WeightRing(g, ring)
-        for g in sample
-        for ring in (QQ, GF(2))
-    ]
-    checks = 0
-    while checks < 100:
-        model = models[checks % len(models)]
-        f = _random_homogeneous(model, rng, 1 + checks % 4)
-        for i in range(1, model.gcm.size + 1):
-            lhs = model.characteristic_map(model.divided_difference(i, f))
-            rhs = nil_a(i, model.characteristic_map(f))
-            ok &= lhs == rhs
-        checks += 1
+    models = [WeightRing(g, ring) for g in sample for ring in (QQ, GF(2))]
+    for check in range(100):
+        model = models[check % len(models)]
+        psi = model.characteristic_map
+        f = random_poly(model, rng, (1 + check % 4,), density=0.7)
+        failures += [(model.gcm, model.ring.name, f, i) for i in model.gcm.index_set
+                     if psi(model.divided_difference(i, f)) != nil_a(i, psi(f))]
     # rank-two multiplicativity on all monomial pairs, product degree <= 12
     g = rank_two(2, 3)
     table = ranktwo.leibniz_cup_solver(2, 3, 12)
+    monomials = [e for d in range(13) for e in monomial_exponents(2, d)]
     for ring in (QQ, GF(2), GF(3)):
         model = WeightRing(g, ring)
-        images = {}
-        for d in range(13):
-            for exps in monomial_exponents(2, d):
-                images[exps] = model.characteristic_map(model.monomial(exps))
-        for d1 in range(13):
-            for e1 in monomial_exponents(2, d1):
-                for d2 in range(13 - d1):
-                    for e2 in monomial_exponents(2, d2):
-                        prod = tuple(x + y for x, y in zip(e1, e2))
-                        lhs = images[prod]
-                        rhs = ranktwo.cup_schubert(
-                            table, g, images[e1], images[e2]
-                        )
-                        ok &= lhs == rhs
+        images = {e: model.characteristic_map(model.monomial(e)) for e in monomials}
+        failures += [(ring.name, e1, e2) for e1, e2 in product(monomials, repeat=2)
+                     if sum(e1) + sum(e2) <= 12
+                     and images[(e1[0] + e2[0], e1[1] + e2[1])]
+                     != ranktwo.cup_schubert(table, g, images[e1], images[e2])]
     _report(7, "characteristic map: values, commutation, multiplicativity",
-            ok, started, 120.0)
+            failures, started, 120.0)
+
+
+def _coassociator(cop, side):
+    """(Delta (x) 1) Delta w for side 0 and (1 (x) Delta) Delta w for side 1,
+    from the coproduct ``cop`` of w, as a dict on triples."""
+    out = {}
+    for (u, v), c in cop.coeffs.items():
+        for (x, y), e in peterson_coproduct((u, v)[side]).coeffs.items():
+            key = (x, y, v) if side == 0 else (u, x, y)
+            out[key] = out.get(key, 0) + c * e
+    return out
 
 
 def test_criterion_08_coproduct():
     started = time.monotonic()
-    ok = True
-    for g in (rank_two(2, 3), rank_two(1, 1)):
-        for level in enumerate_by_length(g, 7):
-            for w in level:
-                cop = peterson_coproduct(w)
-                ok &= all(
-                    u.length + v.length == w.length for (u, v) in cop.coeffs
-                )
-                ok &= counit_collapse(cop, "left") == SchubertVector.basis(
-                    cop.ring, w
-                )
-                ok &= counit_collapse(cop, "right") == SchubertVector.basis(
-                    cop.ring, w
-                )
-                left = {}
-                for (u, v), c in cop.coeffs.items():
-                    for (x, y), e in peterson_coproduct(u).coeffs.items():
-                        key = (x, y, v)
-                        left[key] = left.get(key, 0) + c * e
-                right = {}
-                for (u, v), c in cop.coeffs.items():
-                    for (x, y), e in peterson_coproduct(v).coeffs.items():
-                        key = (u, x, y)
-                        right[key] = right.get(key, 0) + c * e
-                ok &= left == right
-    g = rank_two(2, 3)
-    for n in range(8):
-        for kind in (DELTA, TAU):
-            w = ranktwo.basis_element(g, kind, n)
+    sample = (rank_two(2, 3), rank_two(1, 1))
+    failures = coproduct_grading(sample, 7)
+    for g in sample:
+        for w in (w for level in enumerate_by_length(g, 7) for w in level):
             cop = peterson_coproduct(w)
-            ok &= len(cop.coeffs) == n + 1
-            ok &= all(c == 1 for c in cop.coeffs.values())
-            ok &= all(u.length + v.length == n for (u, v) in cop.coeffs)
+            unit = SchubertVector.basis(cop.ring, w)
+            failures += [(g, w.word, side) for side in ("left", "right")
+                         if counit_collapse(cop, side) != unit]
+            if _coassociator(cop, 0) != _coassociator(cop, 1):
+                failures.append((g, w.word, "coassociative"))
+    g = rank_two(2, 3)
+    for n, kind in product(range(8), KINDS):
+        w = ranktwo.basis_element(g, kind, n)
+        cop = peterson_coproduct(w)
+        if w.length != n or len(cop.coeffs) != n + 1 or any(c != 1 for c in cop.coeffs.values()):
+            failures.append((g, kind, n))
     _report(8, "coproduct coassociative with counit; rank-two term count",
-            ok, started, 60.0)
+            failures, started, 60.0)
 
 
 def test_criterion_09_mod_p_homology():
     started = time.monotonic()
-    ok = True
-    for a, b, p in ((2, 2, 2), (2, 2, 3), (2, 3, 3), (1, 5, 2)):
-        ok &= ranktwo.hk_modp_crosscheck(a, b, p, 40)
+    cases = ((2, 2, 2), (2, 2, 3), (2, 3, 3), (1, 5, 2))
+    failures = mod_p_identities(hk_modp=[(a, b, p, 40) for a, b, p in cases],
+                                dual_polynomial=[(a, b, p, 10) for a, b, p in cases])
+    for a, b, p in cases:
         k = ranktwo.prime_order_closed(a, b, p).k
         series = ranktwo.hopf_afp_series(a, b, p, 30)
-        ok &= all(
-            series.coefficient(2 * n) == (1 if n % k == 0 else 0)
-            for n in range(31)
-        )
-        ok &= ranktwo.dual_polynomial_check(a, b, p, 10)
+        failures += [(a, b, p, 2 * n) for n in range(31)
+                     if series.coefficient(2 * n) != int(n % k == 0)]
     _report(9, "mod-p homology series, Hopf series, polynomial dual",
-            ok, started, 60.0)
+            failures, started, 60.0)
 
 
 def test_criterion_10_generalized_invariants():
     started = time.monotonic()
-    ok = True
+    failures = []
     for a, b in ((2, 2), (2, 3), (1, 5), (1, 1)):
         g = rank_two(a, b)
         for ring in (QQ, GF(2), GF(3)):
             model = WeightRing(g, ring)
-            report = model.s_poincare(16)
-            for deg, dim_j, dim_s in report.per_degree:
-                count = len(monomial_exponents(model.nvars, deg // 2))
-                ok &= dim_j + dim_s == count
-            for deg in (2, 8):
-                ok &= model.generalized_invariants(deg)[0] == (
-                    report.per_degree[deg // 2][1]
-                )
-        if a * b >= 4:
-            dims = [row[2] for row in WeightRing(g, QQ).s_poincare(16).per_degree]
-            ok &= dims == [1] + [2] * 8
+            rows = model.s_poincare(16).per_degree
+            failures += [(a, b, ring.name, deg) for deg, dim_j, dim_s in rows
+                         if dim_j + dim_s != len(monomial_exponents(model.nvars, deg // 2))]
+            failures += [(a, b, ring.name, deg) for deg in (2, 8)
+                         if model.generalized_invariants(deg)[0] != rows[deg // 2][1]]
+            if ring is QQ and a * b >= 4 and [row[2] for row in rows] != [1] + [2] * 8:
+                failures.append((a, b, ring.name, "image series"))
     _report(10, "kernel/image dimension split; rational image series",
-            ok, started, 180.0)
+            failures, started, 180.0)

@@ -13,7 +13,6 @@ from schubert_kit.selftests import (
     cd_matches_lehmer,
     cup_powers_divided,
     mod_p_identities,
-    prime_order_methods_agree,
     solver_matches_closed_products,
     symbolic_low_rows,
 )
@@ -371,10 +370,6 @@ def test_matrix_method_multiplies_no_elements(monkeypatch):
 
     monkeypatch.setattr(ffield.Fp2Element, "__mul__", refuse)
     assert [ranktwo.matrix_order_method(a, b, p) for a, b, p in grid] == expected
-
-
-def test_three_way_agreement_small_grid():
-    assert prime_order_methods_agree(range(1, 7), (2, 3, 5, 7, 11), scan_bound=80) == []
 
 
 def test_valuation():

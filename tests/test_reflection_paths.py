@@ -1,11 +1,13 @@
 """Every step that multiplies by a simple reflection, against full products.
 
 The references below build each result from ``intmat.mat_mul`` and
-``weyl.reflection_matrix`` alone, read every word by stripping least left
-descents from an integer inverse, and read every key as the column sums of
-the product, the heights of the images of the simple roots.  So they share
-no code with the folds of the ``weyl`` and ``schubert`` paths they check.
-The last test keeps matrices off those paths.
+``weyl.reflection_matrix`` alone, read the inverse of an element as the
+product of its word reversed, read every word by stripping least left
+descents from that inverse, and read every key as the column sums of the
+product, the heights of the images of the simple roots.  So they share no
+code with the folds of the ``weyl`` and ``schubert`` paths they check, nor
+with the integer inverse that ``weyl.length_and_word`` runs on a matrix
+given from outside.  The last test keeps matrices off those paths.
 """
 
 import random
@@ -14,7 +16,7 @@ import pytest
 
 from schubert_kit import intmat, weyl
 from schubert_kit.gcm import rank_two, spherical_poset, validate_gcm
-from schubert_kit.intmat import identity, integer_inverse, mat_mul
+from schubert_kit.intmat import identity, mat_mul
 from schubert_kit.rings import ZZ
 from schubert_kit.schubert import SchubertVector, nil_aw, peterson_coproduct
 from schubert_kit.weyl import (
@@ -58,14 +60,15 @@ def _heights(m):
     return tuple(map(sum, zip(*m)))
 
 
-def _word(g, m):
-    """Lex-least reduced word of a group matrix, by full products."""
-    inv, word = integer_inverse(m), []
+def _word(g, word):
+    """Lex-least reduced word of the element that ``word`` spells, by full
+    products from its inverse, the product of the reversed word."""
+    inv, reduced = _product(g, reversed(word)), []
     while inv != identity(g.size):
         i = next(i for i in g.index_set if _negative_column(inv, i))
-        word.append(i)
+        reduced.append(i)
         inv = mat_mul(inv, reflection_matrix(g, i))
-    return tuple(word)
+    return tuple(reduced)
 
 
 def _ball(g, max_len):
@@ -77,7 +80,7 @@ def _ball(g, max_len):
             for i in g.index_set:
                 child = mat_mul(m, reflection_matrix(g, i))
                 if child not in ball:
-                    ball[child] = _word(g, child)
+                    ball[child] = _word(g, ball[m] + (i,))
                     nxt.append(child)
         frontier = nxt
     return ball
@@ -99,7 +102,7 @@ def test_strip_and_words_match_full_products(g, max_len):
     for _ in range(60):
         word = [rng.randint(1, g.size) for _ in range(rng.randint(0, 2 * max_len))]
         m = _product(g, word)
-        expected = _word(g, m)
+        expected = _word(g, word)
         assert length_and_word(g, m) == (len(expected), expected)
         w = from_word(g, word)
         assert (w.matrix, w.word, w.key) == (m, expected, _heights(m))
@@ -123,7 +126,7 @@ def test_coproduct_matches_full_products(g, max_len):
     # every w up to the bound: the terms are u (x) u^-1 w over the u no longer
     # than w with l(u) + l(u^-1 w) = l(w), in support order (l(u), u, v words)
     ball = _ball(g, max_len)
-    inverses = {m: integer_inverse(m) for m in ball}
+    inverses = {m: _product(g, reversed(word)) for m, word in ball.items()}
     elements = [w for level in enumerate_by_length(g, max_len) for w in level]
     for w in elements:
         expected = []
@@ -142,11 +145,11 @@ def test_coproduct_matches_full_products(g, max_len):
 @pytest.mark.parametrize("g,max_len", GROUPS, ids=IDS)
 def test_longest_element_matches_full_products(g, max_len):
     for subset in spherical_poset(g).subsets:
-        m = identity(g.size)
+        m, climbed = identity(g.size), ()
         while (i := next((i for i in subset if not _negative_column(m, i)), None)) is not None:
-            m = mat_mul(m, reflection_matrix(g, i))
+            m, climbed = mat_mul(m, reflection_matrix(g, i)), climbed + (i,)
         w = longest_element(g, subset)
-        assert (w.matrix, w.word) == (m, _word(g, m))
+        assert (w.matrix, w.word) == (m, _word(g, climbed))
 
 
 def _refuse(*args):

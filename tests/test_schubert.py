@@ -3,15 +3,9 @@ import pytest
 from schubert_kit.errors import NotReduced
 from schubert_kit.gcm import rank_two, validate_gcm
 from schubert_kit.rings import GF, QQ, ZZ
-from schubert_kit.selftests import (
-    braid_relations_on_basis,
-    coproduct_grading,
-    nil_a_square_zero,
-)
 from schubert_kit.schubert import (
     SchubertVector,
     TensorVector,
-    counit_collapse,
     identity_vector,
     l_functional,
     nil_a,
@@ -46,11 +40,6 @@ def test_nil_a_descent_rule(gcm_a22):
     v = basis(gcm_a22, (2, 1))
     assert nil_a(1, v) == basis(gcm_a22, (2,))
     assert nil_a(2, v).is_zero()
-
-
-def test_nil_a_square_zero():
-    gcms = [validate_gcm(rows) for rows in ([[2, -1], [-1, 2]], [[2, -2], [-2, 2]], AFFINE_A2)]
-    assert nil_a_square_zero(gcms, 5) == []
 
 
 def test_nil_a_rejects_generator_out_of_range(gcm_a11):
@@ -107,11 +96,6 @@ def test_nil_aw_matches_closed_action(gcm_a22, gcm_a11):
                     assert got.is_zero()
 
 
-def test_operator_braid_relations_on_basis():
-    gcms = [validate_gcm(rows) for rows in ([[2, -1], [-1, 2]], [[2, -2], [-1, 2]], AFFINE_A2)]
-    assert braid_relations_on_basis(gcms, 6) == []
-
-
 def test_l_functional(gcm_a23):
     w = from_word(gcm_a23, (1, 2))
     u = from_word(gcm_a23, (2, 1))
@@ -145,16 +129,6 @@ def test_coproduct_rank_two_example(gcm_a22):
         (w, e): 1,
     }
     assert cop.coeffs == expected
-
-
-def test_coproduct_grading_and_counit(gcm_a23, gcm_a11):
-    assert coproduct_grading((gcm_a23, gcm_a11), 4) == []
-    for g in (gcm_a23, gcm_a11):
-        for level in enumerate_by_length(g, 4):
-            for w in level:
-                cop = peterson_coproduct(w)
-                assert counit_collapse(cop, "left") == SchubertVector.basis(ZZ, w)
-                assert counit_collapse(cop, "right") == SchubertVector.basis(ZZ, w)
 
 
 @pytest.mark.parametrize("gcm, max_len", [
