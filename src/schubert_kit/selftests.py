@@ -16,7 +16,8 @@ and assert ``== []``:
   ``characteristic_map_commutes`` on five matrices in both realizations;
 - ``tests/test_ranktwo.py``: ``symbolic_low_rows`` (20 draws, entries <=
   30), ``cd_matches_lehmer`` (a, b <= 12, to index 60),
-  ``binomials_match_prefix_quotients`` (a, b <= 12, n + m <= 40),
+  ``binomials_match_prefix_quotients`` (a, b <= 12 with a or b in {1, 11,
+  12} and ab >= 4, n + m <= 40: the pairs criterion 02 leaves out),
   ``solver_matches_closed_products`` (a, b <= 7, degree 24),
   ``cup_powers_divided`` (a, b <= 7, p <= 7, half degree 40) and
   ``mod_p_identities`` (valuations for odd p <= 23, both series at p = 2);

@@ -10,6 +10,7 @@ import pytest
 
 from schubert_kit import cli
 from schubert_kit.gcm import derived_realization, rank_two, standard_realization, validate_gcm
+from schubert_kit.schubert import peterson_coproduct
 
 AFFINE_A2 = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
 B2_INSIDE_RANK3 = [[2, -2, 0], [-1, 2, -1], [0, -1, 2]]
@@ -28,11 +29,6 @@ def rng():
 @pytest.fixture
 def gcm_a11():
     return rank_two(1, 1)
-
-
-@pytest.fixture
-def gcm_b2():
-    return rank_two(2, 1)
 
 
 @pytest.fixture
@@ -89,6 +85,17 @@ def random_cartan_rows(rng, n, depth):
             if rng.random() < 0.6:
                 rows[i][j], rows[j][i] = -rng.randint(1, depth), -rng.randint(1, depth)
     return rows
+
+
+def coassociator(cop, side):
+    """(Delta (x) 1) Delta w for side 0 and (1 (x) Delta) Delta w for side 1,
+    from the coproduct ``cop`` of w, as a dict on triples."""
+    out = {}
+    for (u, v), c in cop.coeffs.items():
+        for (x, y), e in peterson_coproduct((u, v)[side]).coeffs.items():
+            key = (x, y, v) if side == 0 else (u, x, y)
+            out[key] = out.get(key, 0) + c * e
+    return out
 
 
 def leibniz_det(m):

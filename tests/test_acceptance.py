@@ -32,6 +32,8 @@ from schubert_kit.selftests import (
 )
 from schubert_kit.weyl import enumerate_by_length, simple_reflection
 
+from conftest import coassociator
+
 AFFINE_A2 = validate_gcm([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 KINDS = (DELTA, TAU)
 
@@ -183,17 +185,6 @@ def test_criterion_07_characteristic_homomorphism():
             failures, started, 120.0)
 
 
-def _coassociator(cop, side):
-    """(Delta (x) 1) Delta w for side 0 and (1 (x) Delta) Delta w for side 1,
-    from the coproduct ``cop`` of w, as a dict on triples."""
-    out = {}
-    for (u, v), c in cop.coeffs.items():
-        for (x, y), e in peterson_coproduct((u, v)[side]).coeffs.items():
-            key = (x, y, v) if side == 0 else (u, x, y)
-            out[key] = out.get(key, 0) + c * e
-    return out
-
-
 def test_criterion_08_coproduct():
     started = time.monotonic()
     sample = (rank_two(2, 3), rank_two(1, 1))
@@ -204,7 +195,7 @@ def test_criterion_08_coproduct():
             unit = SchubertVector.basis(cop.ring, w)
             failures += [(g, w.word, side) for side in ("left", "right")
                          if counit_collapse(cop, side) != unit]
-            if _coassociator(cop, 0) != _coassociator(cop, 1):
+            if coassociator(cop, 0) != coassociator(cop, 1):
                 failures.append((g, w.word, "coassociative"))
     g = rank_two(2, 3)
     for n, kind in product(range(8), KINDS):

@@ -71,10 +71,12 @@ def test_binomial_reduces_to_binomial_for_22():
 @pytest.mark.parametrize("a", range(1, 13))
 def test_binomials_equal_quotient_of_prefix_products(a):
     # the definition: C(n, m) = (c_{n+m} ... c_1) / ((c_n ... c_1)(c_m ... c_1)),
-    # each division exact, and D(n, m) the same from d
+    # each division exact, and D(n, m) the same from d; criterion 02 checks
+    # it on 2 <= a, b <= 10, so here only the pairs with a or b in {1, 11, 12}
     n_max = 40
     pairs = [(a, b) for b in range(1, 13) if a * b >= 4]
-    assert binomials_match_prefix_quotients(pairs, n_max) == []
+    outside = [(a, b) for a, b in pairs if {a, b} & {1, 11, 12}]
+    assert binomials_match_prefix_quotients(outside, n_max) == []
     for _, b in pairs:
         t = ranktwo.cd_sequences(a, b, n_max)
         for binomial in (ranktwo.generalized_binomial_C, ranktwo.generalized_binomial_D):

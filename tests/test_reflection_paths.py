@@ -7,7 +7,16 @@ descents from that inverse, and read every key as the column sums of the
 product, the heights of the images of the simple roots.  So they share no
 code with the folds of the ``weyl`` and ``schubert`` paths they check, nor
 with the integer inverse that ``weyl.length_and_word`` runs on a matrix
-given from outside.  The last test keeps matrices off those paths.
+given from outside.
+
+Each reference compares what an element is: its word with the lex-least
+strip of its full product, and its key with that product's column sums.
+``WeylElement.matrix`` is read only where a matrix is the interface: the
+enumeration and strip references compare it with the full product, and the
+strip reference calls ``length_and_word`` on that product.  The Bruhat
+reference multiplies out each element's word, and the coproduct reference
+walks the ball of full products, so neither reads ``.matrix``.  The last
+test keeps matrices off the library's simple-reflection paths.
 """
 
 import random
@@ -39,8 +48,10 @@ GROUPS = [
     (rank_two(2, 3), 16),
     (validate_gcm(B4), 16),  # every element
     (validate_gcm(NON_SYMMETRIZABLE), 5),
+    (rank_two(1, 1), 3),  # every element
+    (rank_two(2, 1), 4),  # every element
 ]
-IDS = ["affine-A2", "hyperbolic-rank-3", "2-3", "B4", "non-symmetrizable"]
+IDS = ["affine-A2", "hyperbolic-rank-3", "2-3", "B4", "non-symmetrizable", "A2", "B2"]
 # the coproduct check is cheap on (2,3), two elements per length, so it goes further
 COPRODUCT_GROUPS = [*GROUPS[:2], (rank_two(2, 3), 30), *GROUPS[3:]]
 
@@ -91,9 +102,9 @@ def test_enumeration_matches_full_products(g, max_len):
     ball = _ball(g, max_len)
     levels = enumerate_by_length(g, max_len)
     for length, level in enumerate(levels):
-        expected = sorted((word, m, _heights(m))
+        expected = sorted((word, _heights(m), m)
                           for m, word in ball.items() if len(word) == length)
-        assert [(w.word, w.matrix, w.key) for w in level] == expected
+        assert [(w.word, w.key, w.matrix) for w in level] == expected
 
 
 @pytest.mark.parametrize("g,max_len", GROUPS, ids=IDS)
@@ -105,7 +116,7 @@ def test_strip_and_words_match_full_products(g, max_len):
         expected = _word(g, word)
         assert length_and_word(g, m) == (len(expected), expected)
         w = from_word(g, word)
-        assert (w.matrix, w.word, w.key) == (m, expected, _heights(m))
+        assert (w.word, w.key, w.matrix) == (expected, _heights(m), m)
 
 
 @pytest.mark.parametrize("g,max_len", GROUPS, ids=IDS)
@@ -114,7 +125,7 @@ def test_bruhat_matches_full_products(g, max_len):
     rng = random.Random(20261019)
     for _ in range(400):
         v, w = rng.choice(elements), rng.choice(elements)
-        vm = v.matrix
+        vm = _product(g, v.word)
         for i in reversed(w.word):
             if _negative_column(vm, i):
                 vm = mat_mul(vm, reflection_matrix(g, i))
@@ -123,23 +134,22 @@ def test_bruhat_matches_full_products(g, max_len):
 
 @pytest.mark.parametrize("g,max_len", COPRODUCT_GROUPS, ids=IDS)
 def test_coproduct_matches_full_products(g, max_len):
-    # every w up to the bound: the terms are u (x) u^-1 w over the u no longer
+    # every w of the ball: the terms are u (x) u^-1 w over the u no longer
     # than w with l(u) + l(u^-1 w) = l(w), in support order (l(u), u, v words)
     ball = _ball(g, max_len)
     inverses = {m: _product(g, reversed(word)) for m, word in ball.items()}
-    elements = [w for level in enumerate_by_length(g, max_len) for w in level]
-    for w in elements:
+    for wm, wword in ball.items():
         expected = []
         for um, uword in ball.items():
-            if len(uword) <= w.length:
-                vm = mat_mul(inverses[um], w.matrix)
+            if len(uword) <= len(wword):
+                vm = mat_mul(inverses[um], wm)
                 vword = ball.get(vm)
-                if vword is not None and len(uword) + len(vword) == w.length:
-                    expected.append((len(uword), uword, vword, um, vm))
-        cop = peterson_coproduct(w)
+                if vword is not None and len(uword) + len(vword) == len(wword):
+                    expected.append((len(uword), uword, _heights(um), vword, _heights(vm)))
+        cop = peterson_coproduct(from_word(g, wword))
         assert set(cop.coeffs.values()) == {1}
-        got = [(u.length, u.word, v.word, u.matrix, v.matrix) for u, v in cop.support()]
-        assert got == sorted(expected), w.word
+        got = [(u.length, u.word, u.key, v.word, v.key) for u, v in cop.support()]
+        assert got == sorted(expected), wword
 
 
 @pytest.mark.parametrize("g,max_len", GROUPS, ids=IDS)
@@ -149,7 +159,7 @@ def test_longest_element_matches_full_products(g, max_len):
         while (i := next((i for i in subset if not _negative_column(m, i)), None)) is not None:
             m, climbed = mat_mul(m, reflection_matrix(g, i)), climbed + (i,)
         w = longest_element(g, subset)
-        assert (w.matrix, w.word) == (m, _word(g, climbed))
+        assert (w.word, w.key) == (_word(g, climbed), _heights(m))
 
 
 def _refuse(*args):

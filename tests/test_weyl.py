@@ -55,16 +55,6 @@ def test_multiply_lengths(gcm_a22, gcm_a11):
     assert multiply(u, identity_element(gcm_a22)) == u
 
 
-def test_length_and_word_basics(gcm_a23):
-    n = gcm_a23.size
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    assert length_and_word(gcm_a23, ident) == (0, ())
-    s2 = simple_reflection(gcm_a23, 2)
-    assert length_and_word(gcm_a23, s2.matrix) == (1, (2,))
-    w = from_word(gcm_a23, (1, 2, 1, 2))
-    assert length_and_word(gcm_a23, w.matrix) == (4, (1, 2, 1, 2))
-
-
 def test_length_and_word_rejects_outsiders(gcm_a22):
     with pytest.raises(NotInGroup):
         length_and_word(gcm_a22, ((2, 0), (0, 2)))  # not unimodular
@@ -117,35 +107,6 @@ def test_length_and_word_respects_step_bound(gcm_a22):
     assert length_and_word(gcm_a22, deep.matrix, max_steps=5)[0] == 5
 
 
-def test_canonical_word_is_lex_least(gcm_a11, gcm_b2):
-    # both reduced words of the top element exist; the canonical one is least
-    w0 = from_word(gcm_a11, (2, 1, 2))
-    assert w0.word == (1, 2, 1)
-    top = from_word(gcm_b2, (2, 1, 2, 1))
-    assert top.word == (1, 2, 1, 2)
-
-
-def _all_reduced_words(w):
-    """Every reduced word, by peeling each left descent recursively."""
-    if w.length == 0:
-        return {()}
-    out = set()
-    for i in range(1, w.gcm.size + 1):
-        shorter = multiply(simple_reflection(w.gcm, i), w)
-        if shorter.length < w.length:
-            out |= {(i,) + rest for rest in _all_reduced_words(shorter)}
-    return out
-
-
-def test_canonical_word_against_full_enumeration(gcm_a11, gcm_b2, gcm_affine_a2):
-    for g, bound in ((gcm_a11, 3), (gcm_b2, 4), (gcm_affine_a2, 5)):
-        for level in enumerate_by_length(g, bound):
-            for w in level:
-                words = _all_reduced_words(w)
-                assert w.word == min(words)
-                assert all(len(word) == w.length for word in words)
-
-
 @pytest.mark.parametrize("rows,max_len", [
     (HYPERBOLIC_RANK3, 9),
     (AFFINE_A2, 10),
@@ -155,7 +116,7 @@ def test_canonical_word_against_full_enumeration(gcm_a11, gcm_b2, gcm_affine_a2)
     ([[2, -2], [-3, 2]], 60),
     ([[2, -2], [-2, 2]], 300),
 ], ids=["hyperbolic-rank-3", "affine-A2", "A3", "B2-in-rank-3", "G2", "2-3", "affine-A1"])
-def test_enumeration_matches_element_from_matrix(rows, max_len):
+def test_enumeration_round_trips_through_length_and_word(rows, max_len):
     # the breadth-first search builds words from its parents; stripping
     # each element's matrix from scratch must give the same length and
     # word, and each level stays sorted by word
