@@ -690,9 +690,28 @@ def _valuation_rows(a: int, b: int, p: int, s_max: int) -> list[tuple[int, int, 
     exponent instead.  c itself stays an exact integer: nothing is reduced
     modulo a power of p before it is stepped.  v_p(s) comes from a table
     for s = 1 .. s_max, v_p(s) = v_p(s / p) + 1 when p | s.
+
+    k is the least n >= 1 with p | g_n, that is with c_n = d_n = 0 mod p, so
+    it is found by running (c_n, d_n) modulo p up to the first such n; no
+    root order over F_{p^2} is solved.  The scan stops at n = 2p.  By the
+    cases of ``prime_order_closed``, k is 2p when p divides exactly one of
+    a, b; p when ab = 4 mod p; and otherwise the order of a root of
+    x^2 - (ab - 2)x + 1, which lies in F_p^* (an order dividing p - 1) or in
+    the norm-one subgroup of F_{p^2}^* (an order dividing p + 1), and is -1,
+    of order 2, when an odd p divides both a and b.  So k <= 2p, and a scan
+    that passes 2p raises TheoremViolation naming (a, b, p).
     """
     s_max = _require_at_least(1, s_max, "s_max")
-    k = prime_order_closed(a, b, p).k
+    a, b = _require_noncompact(a, b)
+    p = _require_prime(p)
+    c0, c1, d0, d1 = 0, 1, 0, 1
+    for k in range(1, 2 * p + 1):
+        if c1 == d1 == 0:
+            break
+        c0, c1, d0, d1 = c1, (a * d1 - c0) % p, d1, (b * c1 - d0) % p
+    else:
+        raise TheoremViolation(
+            f"(a, b, p) = ({a}, {b}, {p}): p divides no g_n with 1 <= n <= 2p")
     c, _ = _cd_lists(a, b, 2 * k)
     t = a * b - 2
     v_prev, v = 2, t

@@ -147,9 +147,23 @@ def peterson_coproduct(w: WeylElement) -> TensorVector:
     those pairings.  The interval is closed under prefixes and each level is
     walked in word order with ``i`` ascending, so the first word reaching a
     new ``u`` is its lex-least reduced word.  The word of ``v`` is its least
-    left descent followed by the word of ``r_i v``, filled in from the far
-    end of the walk, and folded into its key.  Only elements below ``w`` are
-    touched, so the result is exact.
+    left descent ``i`` followed by the word of ``v' = r_i v``, filled in from
+    the far end of the walk.
+
+    The key of ``v`` is stepped from that of ``v'`` too.  Let ``F_v`` be the
+    fold by the word of ``v``, so ``key(v) = F_v(1, ..., 1)``, and let
+    ``a_j`` be row ``j`` of the Cartan matrix.  The fold is linear, the fold
+    by ``(i,) + word(v')`` is ``fold_i`` followed by ``F_v'``, and
+    ``fold_i(x) = x - x_i a_i``, so
+
+        key(v) = key(v') - F_v'(a_i),
+        F_v(a_j) = F_v'(a_j) - a_ji F_v'(a_i),  F_v(a_i) = -F_v'(a_i),
+
+    starting from ``F_e(a_j) = a_j``.  That is one vector step for the key
+    and one for each ``j`` with ``a_ji != 0``, not ``l(v)`` folds, so the
+    coproduct is linear in the size of the interval.  The images ``F_v(a_j)``
+    are kept only for the ``v`` that another right factor is stepped from.
+    Only elements below ``w`` are touched, so the result is exact.
     """
     g = w.gcm
     ones = (1,) * g.size
@@ -167,12 +181,31 @@ def peterson_coproduct(w: WeylElement) -> TensorVector:
                     if child not in nxt:
                         nxt[child] = (uword + (i,), _fold(g, vy, (i,)))
         level = nxt
-    out, vwords = {}, {}
+    rows = g.entries
+    # per letter, the pairs (j, a_ji) with j != i and a_ji != 0, all 0-based
+    moved = [[(j, a[i]) for j, a in enumerate(rows) if j != i and a[i]] for i in range(g.size)]
+    stepped_from = {child for _, child in least_step.values()}
+    # u key -> (v word, v key, the images F_v(a_j) or None)
+    out, right = {}, {}
     for level in reversed(levels):
         for uk, (uword, _) in level.items():
             step = least_step.get(uk)
-            vword = vwords[uk] = (step[0],) + vwords[step[1]] if step else ()
-            out[(WeylElement(g, uk, uword), WeylElement(g, _fold(g, ones, vword), vword))] = ZZ.one
+            if step is None:
+                vword, vkey, images = (), ones, rows
+            else:
+                i, child = step
+                cword, ckey, cimages = right[child]
+                fi = cimages[i - 1]
+                vword = (i,) + cword
+                vkey = tuple([k - f for k, f in zip(ckey, fi)])
+                images = None
+                if uk in stepped_from:
+                    images = list(cimages)
+                    images[i - 1] = tuple([-x for x in fi])
+                    for j, a in moved[i - 1]:
+                        images[j] = tuple([x - a * y for x, y in zip(cimages[j], fi)])
+            right[uk] = (vword, vkey, images)
+            out[(WeylElement(g, uk, uword), WeylElement(g, vkey, vword))] = ZZ.one
     return TensorVector(ZZ, out)
 
 

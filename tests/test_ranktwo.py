@@ -399,11 +399,18 @@ VALUATION_GRID = [(a, b, p) for a in range(1, 7) for b in range(1, 7) if a * b >
 
 
 @pytest.mark.parametrize("s_max", [1, 2, 3, 12])
-def test_valuation_rows_match_the_full_recursion(s_max):
-    # the rows read c_{sk}, d_{sk} from the recursion run through every index
+def test_valuation_rows_match_the_full_recursion(s_max, monkeypatch):
+    # the rows read c_{sk}, d_{sk} from the recursion run through every index,
+    # with k from the closed form; the rows themselves solve no root order
+    ks = {(a, b, p): ranktwo.prime_order_closed(a, b, p).k for a, b, p in VALUATION_GRID}
+
+    def refuse(*args):
+        raise AssertionError("the valuation rows solved a root order")
+
+    for name in ("prime_order_closed", "quadratic_roots", "multiplicative_order"):
+        monkeypatch.setattr(ranktwo, name, refuse)
     parities, shifts = set(), set()
-    for a, b, p in VALUATION_GRID:
-        k = ranktwo.prime_order_closed(a, b, p).k
+    for (a, b, p), k in ks.items():
         parities.add(k % 2)
         if any(s * k % 2 == 0 for s in range(1, s_max + 1)):
             shifts.add(_own_valuation(gcd(a, b), p) - _own_valuation(a, p))
@@ -412,8 +419,20 @@ def test_valuation_rows_match_the_full_recursion(s_max):
         want = [(s, _own_valuation(gcd(c[s * k], d[s * k]), p), _own_valuation(s, p) + base)
                 for s in range(1, s_max + 1)]
         assert ranktwo._valuation_rows(a, b, p, s_max) == want, (a, b, p)
+        holds = all(lhs == rhs for _, lhs, rhs in want)
+        assert ranktwo.bockstein_valuation_check(a, b, p, s_max) == holds, (a, b, p)
     assert parities == {0, 1}
     assert shifts == {-3, -2, -1, 0}
+    # DividesOneOf triples have k = 2p, the last step of the scan for k
+    assert any(k == 2 * p for (_, _, p), k in ks.items())
+
+
+def test_valuation_rows_stop_the_scan_at_2p(monkeypatch):
+    # k <= 2p for every prime p; the composite 10 divides g_n first at
+    # n = 30 for (1, 5), so letting it through runs the scan past its bound
+    monkeypatch.setattr(ranktwo, "_is_prime", lambda p: True)
+    with pytest.raises(TheoremViolation, match=r"\(a, b, p\) = \(1, 5, 10\)"):
+        ranktwo._valuation_rows(1, 5, 10, 1)
 
 
 def test_valuation_check_builds_the_sequences_to_2k_only(monkeypatch):

@@ -1,5 +1,6 @@
 import pytest
 
+from schubert_kit import schubert
 from schubert_kit.errors import NotReduced
 from schubert_kit.gcm import rank_two, validate_gcm
 from schubert_kit.rings import GF, QQ, ZZ
@@ -157,17 +158,42 @@ def test_coproduct_matches_definition(gcm, max_len):
 
 @pytest.mark.parametrize("gcm, word", [
     (validate_gcm(HYPERBOLIC_RANK3), (1, 2, 3, 2, 1, 3, 1, 2) * 5),
+    (rank_two(2, 3), (1, 2) * 60),
     (rank_two(2, 3), (1, 2) * 100),
-], ids=["hyperbolic-rank-3-length-40", "2-3-length-200"])
+], ids=["hyperbolic-rank-3-length-40", "2-3-length-120", "2-3-length-200"])
 def test_coproduct_of_long_words(gcm, word):
-    # reduced words are unique in both groups, so the terms are the l + 1 splits of the word
+    # reduced words are unique in both groups, so the terms are the l + 1
+    # splits of the word; each right factor's key is stepped from another's,
+    # and from_word folds it from the word
     w = from_word(gcm, word)
     assert w.word == word
-    terms = peterson_coproduct(w).support()
-    assert len(terms) == len(word) + 1
-    for u, v in terms:
-        assert u.word + v.word == word
-        assert len(u.word) == u.length and len(v.word) == v.length
+    cop = peterson_coproduct(w)
+    assert len(cop.coeffs) == len(word) + 1
+    for (u, v), c in cop.coeffs.items():
+        assert c == 1 and u.word + v.word == word
+        assert v.key == from_word(gcm, v.word).key, v.word
+        assert u.key == from_word(gcm, u.word).key, u.word
+
+
+@pytest.mark.parametrize("gcm, word", [
+    (rank_two(2, 3), (1, 2) * 60),
+    (validate_gcm(AFFINE_A2), (1, 2, 1, 3, 1, 2, 1, 3)),
+], ids=["2-3-length-120", "affine-A2-length-8"])
+def test_coproduct_folds_a_bounded_number_of_letters_per_term(gcm, word, monkeypatch):
+    # folding every right factor's word into its key folds 7620 letters for
+    # the 121 terms of the first element and 116 for the 17 of the second
+    w = from_word(gcm, word)
+    letters = []
+    fold = schubert._fold
+
+    def counted(g, v, word):
+        word = tuple(word)
+        letters.append(len(word))
+        return fold(g, v, word)
+
+    monkeypatch.setattr(schubert, "_fold", counted)
+    terms = len(peterson_coproduct(w).coeffs)
+    assert sum(letters) <= 2 * gcm.size * terms
 
 
 def test_coassociativity(gcm_affine_a2):
