@@ -15,6 +15,10 @@ x^2 - t*x + 1 is one or the other: either both roots lie in F_p, or they
 are conjugate and the norm is their product, 1.  This is Lucas's law of
 apparition for U(t, 1) with p not dividing t^2 - 4 (Lucas, "Theorie des
 fonctions numeriques simplement periodiques", Amer. J. Math. 1, 1878).
+
+All arithmetic runs on component pairs (x, y) for x + y*theta: ``_product``
+multiplies two pairs and ``_power`` raises one.  ``Fp2Element`` has no
+arithmetic; it carries and prints a root.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ class QuadraticField:
         return f"theta^2={self.u}*theta+{self.v}"
 
 
-# unbounded on purpose: it interns one descriptor per prime, and
-# ``Fp2Element._check`` compares fields by identity
+# unbounded on purpose: one entry per prime saves its non-residue search;
+# equality compares fields by value, not by identity
 @lru_cache(maxsize=None)
 def quadratic_field(p: int) -> QuadraticField:
     if not _is_prime(p):
@@ -90,37 +94,6 @@ class Fp2Element:
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
-    def __add__(self, other: "Fp2Element") -> "Fp2Element":
-        self._check(other)
-        return Fp2Element(self.field, self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Fp2Element") -> "Fp2Element":
-        self._check(other)
-        return Fp2Element(self.field, self.x - other.x, self.y - other.y)
-
-    def __mul__(self, other: "Fp2Element") -> "Fp2Element":
-        self._check(other)
-        return Fp2Element(self.field, *_product(self.field, self.x, self.y, other.x, other.y))
-
-    def inverse(self) -> "Fp2Element":
-        """``self ** (p^2 - 2)``: the multiplicative group has order p^2 - 1."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        p = self.field.p
-        return self ** (p * p - 2)
-
-    def __pow__(self, n: int) -> "Fp2Element":
-        """The element of ``_power``'s pair; a negative ``n`` raises the
-        inverse to ``-n``.  One element is built."""
-        if n < 0:
-            return self.inverse() ** -n
-        return Fp2Element(self.field, *_power(self.field, self.x, self.y, n))
-
-    def _check(self, other):
-        # ``quadratic_field`` interns one descriptor per prime
-        if self.field is not other.field:
-            raise ValueError("elements from different fields")
-
     def __str__(self) -> str:
         f = self.field
         return f"{self.x} + {self.y}*theta (mod {f.p}, {f.modulus_tag()})"
@@ -153,10 +126,6 @@ _set_x = Fp2Element.x.__set__
 _set_y = Fp2Element.y.__set__
 
 
-def embed(field: QuadraticField, x: int) -> Fp2Element:
-    return Fp2Element(field, x, 0)
-
-
 def _sqrt_in_prime_field(value: int, p: int):
     """Smallest square root of a residue mod p, or None (p at desk scale)."""
     value %= p
@@ -166,50 +135,45 @@ def _sqrt_in_prime_field(value: int, p: int):
     return None
 
 
-def sqrt_fp2(value: int, p: int) -> Fp2Element:
-    """A square root of a prime-field value, inside F_p if possible.
+def sqrt_fp2(value: int, p: int) -> tuple[int, int]:
+    """The pair (x, y) of a square root x + y*theta of a prime-field value,
+    inside F_p (y = 0) if possible.
 
     Odd p only.  For a non-residue the root is a pure theta multiple, since
     theta^2 is itself a non-residue.
     """
     if p == 2:
         raise OddPrimeRequired("square roots here are defined for odd p")
-    field = quadratic_field(p)
     value %= p
     r = _sqrt_in_prime_field(value, p)
     if r is not None:
-        return Fp2Element(field, r, 0)
-    y = _sqrt_in_prime_field(value * pow(field.v, -1, p) % p, p)
+        return r, 0
+    y = _sqrt_in_prime_field(value * pow(quadratic_field(p).v, -1, p) % p, p)
     assert y is not None
-    return Fp2Element(field, 0, y)
+    return 0, y
 
 
 def quadratic_roots(b: int, c: int, p: int):
     """Both roots of the monic polynomial x^2 + b x + c over F_{p^2}.
 
     Completing the square for odd p; exhaustive search over the four
-    elements for p = 2.  The sum and product are verified against the
-    coefficients before returning.
+    pairs for p = 2, where e is a root when e(e + b) = -c.  The sum and
+    product are verified against the coefficients before returning.
     """
     field = quadratic_field(p)
     if p == 2:
-        roots = [
-            e
-            for x in range(2)
-            for y in range(2)
-            for e in [Fp2Element(field, x, y)]
-            if (e * e + embed(field, b) * e + embed(field, c)).is_zero()
-        ]
+        roots = [Fp2Element(field, x, y) for x in range(2) for y in range(2)
+                 if _product(field, x, y, x + b, y) == (-c % 2, 0)]
         if len(roots) == 1:
             roots = roots * 2
         assert len(roots) == 2
         r1, r2 = roots
     else:
         # (-b +- root) / 2, component by component
-        root = sqrt_fp2((b * b - 4 * c) % p, p)
+        rx, ry = sqrt_fp2((b * b - 4 * c) % p, p)
         inv2 = pow(2, -1, p)
-        r1 = Fp2Element(field, (root.x - b) * inv2, root.y * inv2)
-        r2 = Fp2Element(field, (-root.x - b) * inv2, -root.y * inv2)
+        r1 = Fp2Element(field, (rx - b) * inv2, ry * inv2)
+        r2 = Fp2Element(field, (-rx - b) * inv2, -ry * inv2)
     assert ((r1.x + r2.x) % p, (r1.y + r2.y) % p) == (-b % p, 0)
     assert _product(field, r1.x, r1.y, r2.x, r2.y) == (c % p, 0)
     return r1, r2

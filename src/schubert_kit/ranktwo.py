@@ -599,10 +599,10 @@ def matrix_order_method(a: int, b: int, p: int) -> int:
         return p
     field = quadratic_field(p)
     inv2 = pow(2, -1, p)
-    mu = sqrt_fp2((a * b - 4) % p, p)
+    mux, muy = sqrt_fp2((a * b - 4) % p, p)
     # M = [[m, e], [f, m]] with m = mu/2, e = a/2, f = b/2 (e, f in F_p), so
     # M^2 = [[m^2 + e f, 2 e m], [2 f m, m^2 + e f]]; elements are (x, y) pairs
-    mx, my = mu.x * inv2 % p, mu.y * inv2 % p
+    mx, my = mux * inv2 % p, muy * inv2 % p
     e, f = a * inv2 % p, b * inv2 % p
     sq_x, sq_y = _product(field, mx, my, mx, my)
     dx, dy = (sq_x + e * f) % p, sq_y

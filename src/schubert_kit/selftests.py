@@ -3,32 +3,7 @@
 Each check is a function whose grid and bounds are parameters.  It returns
 the inputs on which its invariant fails, so an empty list means it holds.
 The tests call each check by name, at bounds above those of ``--selftest``,
-and assert ``== []``:
-
-- ``tests/test_gcm.py``: ``rank_two_calibration`` for a, b <= 4 (orders
-  searched to 100), ``poset_downward_closed`` and ``realization_pairings``
-  on three matrices;
-- ``tests/test_weyl.py``: ``reflections_are_involutions`` on two matrices,
-  ``length_changes_by_one`` on affine A2 to length 5 and
-  ``bruhat_matches_subword`` on four matrices to lengths 3 to 6;
-- ``tests/test_polyring.py``: ``operator_identities`` and
-  ``steenrod_commutation`` on four matrices; ``tests/test_polyring_oracle.py``:
-  ``characteristic_map_commutes`` on five matrices in both realizations;
-- ``tests/test_ranktwo.py``: ``symbolic_low_rows`` (20 draws, entries <=
-  30), ``cd_matches_lehmer`` (a, b <= 12, to index 60),
-  ``binomials_match_prefix_quotients`` (a, b <= 12 with a or b in {1, 11,
-  12} and ab >= 4, n + m <= 40: the pairs criterion 02 leaves out),
-  ``solver_matches_closed_products`` (a, b <= 7, degree 24),
-  ``cup_powers_divided`` (a, b <= 7, p <= 7, half degree 40) and
-  ``mod_p_identities`` (valuations for odd p <= 23, both series at p = 2);
-- the acceptance criteria of ``tests/test_acceptance.py``, each on its own
-  grid: 01 ``symbolic_low_rows`` (20 draws, entries <= 40), 02
-  ``binomials_match_prefix_quotients`` (2 <= a, b <= 10, n + m <= 40), 03
-  ``solver_matches_closed_products`` (four pairs, degree 20), 04
-  ``prime_order_methods_agree`` (a, b <= 8, p <= 23, scan to 200), 06
-  ``nil_a_square_zero`` and ``braid_relations_on_basis`` (four matrices to
-  length 8), 08 ``coproduct_grading`` ((2,3) and (1,1) to length 7) and
-  09 ``mod_p_identities`` (homology series to 40, the dual to 10).
+and assert ``== []``.
 
 ``SUITES`` lists, per command-line group, each check with the reduced bounds
 that ``--selftest`` runs it at in seconds; the command prints one

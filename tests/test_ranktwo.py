@@ -345,7 +345,8 @@ def test_prime_order_scan_matches_gcd_scan(p):
 
 def test_no_module_level_memo_but_the_field_interner():
     # a process-wide memo outlives the calls that fill it; quadratic_field
-    # interns one descriptor per prime, which Fp2Element compares by identity
+    # keeps one descriptor per prime to save the non-residue search, and
+    # equality compares fields by value
     caches = {
         f"{module.__name__}.{name}"
         for module in (ranktwo, ffield)
@@ -368,9 +369,9 @@ def test_matrix_method_multiplies_no_elements(monkeypatch):
     expected = [ranktwo.prime_order_closed(a, b, p).k for a, b, p in grid]
 
     def refuse(*args):
-        raise AssertionError("the matrix method multiplied two elements")
+        raise AssertionError("the matrix method built an element")
 
-    monkeypatch.setattr(ffield.Fp2Element, "__mul__", refuse)
+    monkeypatch.setattr(ffield.Fp2Element, "__init__", refuse)
     assert [ranktwo.matrix_order_method(a, b, p) for a, b, p in grid] == expected
 
 
